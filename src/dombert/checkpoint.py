@@ -3,8 +3,15 @@
 Layout: a ``DOMBERT-CKPT v1`` header line, one ``key=value`` line per model
 config field (plus optional ``domain_names``/``target_index`` lines), then
 every parameter array as a ``name dim1 dim2 ...`` text line followed by raw
-little-endian 32-bit float data. Training checkpoints append optimizer,
-sampler, and trainer-progress sections so a run can resume bit-for-bit.
+little-endian 32-bit float data. A training checkpoint appends three
+sections, in this order, so a run can resume bit-for-bit:
+
+- ``ADAMAX-STATE step=.. beta1=.. beta2=.. eps=..``, then the arrays
+  ``m.<name>`` and ``u.<name>`` for every parameter in parameter order;
+- ``SAMPLER-STATE nbytes=N``, then N bytes of JSON in the sampler's own
+  format (``sampler.state_to_json``);
+- ``TRAINER-STATE nbytes=N``, then N bytes of JSON: the next step and the
+  masking and dropout generator states.
 
 Arrays are stored as float32 regardless of the in-memory dtype; training in
 float32 (the default) round-trips exactly.
@@ -108,9 +115,12 @@ def save_model(
     *,
     domain_names: list[str] | None = None,
     target_index: int | None = None,
-    _extra: Any = None,
+    adamax: dict[str, Any] | None = None,
+    sampler: dict[str, Any] | None = None,
+    trainer: dict[str, Any] | None = None,
 ) -> None:
-    """Model-only checkpoint: config lines plus all parameter arrays."""
+    """Config lines plus all parameter arrays; given adamax, sampler and
+    trainer state (all three), a resumable training checkpoint."""
     with open(path, "wb") as fh:
         _write_line(fh, MAGIC)
         for line in _config_lines(config):
@@ -121,24 +131,8 @@ def save_model(
             _write_line(fh, f"target_index={target_index}")
         for name, shape in param_specs(config):
             _write_array(fh, name, params[name])
-        if _extra is not None:
-            _extra(fh)
-
-
-def save_training(
-    path: str | Path,
-    config: ModelConfig,
-    params: Params,
-    adamax: dict[str, Any],
-    sampler: dict[str, Any],
-    trainer: dict[str, Any],
-    *,
-    domain_names: list[str] | None = None,
-    target_index: int | None = None,
-) -> None:
-    """Model checkpoint plus optimizer/sampler/trainer state for resuming."""
-
-    def _extra(fh: BinaryIO) -> None:
+        if adamax is None:
+            return
         _write_line(
             fh,
             f"{_ADAMAX_SECTION} step={adamax['step']} beta1={adamax['beta1']} "
@@ -149,9 +143,6 @@ def save_training(
             _write_array(fh, "u." + name, adamax["u"][name])
         _write_json_section(fh, _SAMPLER_SECTION, sampler)
         _write_json_section(fh, _TRAINER_SECTION, trainer)
-
-    save_model(path, config, params, domain_names=domain_names,
-               target_index=target_index, _extra=_extra)
 
 
 def load(path: str | Path) -> CheckpointBundle:
@@ -186,10 +177,9 @@ def load(path: str | Path) -> CheckpointBundle:
             config=config, params=params,
             domain_names=domain_names, target_index=target_index,
         )
-        header = fh.readline()
-        if not header:
+        if not fh.peek(1):
             return bundle
-        header_text = header.rstrip(b"\n").decode("utf-8")
+        header_text = _read_line(fh)
         if not header_text.startswith(_ADAMAX_SECTION):
             raise CheckpointError(f"unexpected section {header_text!r}")
         kv = dict(f.split("=", 1) for f in header_text.split(" ")[1:])

@@ -126,26 +126,6 @@ def zero_grads(config: ModelConfig) -> Params:
 
 
 # ---------------------------------------------------------------------------
-# Vocabulary-projection work counter (rows pushed through the tied projection)
-
-_vocab_rows = 0
-
-
-def reset_vocab_rows() -> None:
-    global _vocab_rows
-    _vocab_rows = 0
-
-
-def vocab_rows() -> int:
-    return _vocab_rows
-
-
-def _count_rows(n: int) -> None:
-    global _vocab_rows
-    _vocab_rows += n
-
-
-# ---------------------------------------------------------------------------
 # Layer norm
 
 @dataclass
@@ -426,20 +406,18 @@ def mlm_logits_eal(
     z2 = gelu(z1)
     z3, ln = _ln_forward(z2, params["mlm_ln_g"], params["mlm_ln_b"])
     logits = z3 @ params["tok_emb"].T + params["mlm_out_b"]
-    _count_rows(g.shape[0])
     return logits, EalCache(ex_idx=ex_idx, positions=positions,
                             g=g, z1=z1, z2=z2, z3=z3, ln=ln)
 
 
 def mlm_logits_full(cache: ForwardCache, params: Params) -> np.ndarray:
     """Vocabulary logits at every position (B x L x V); reference path."""
-    h = cache.h
+    h = cache.h.reshape(-1, cache.h.shape[-1])  # one matmul, not one per example
     z1 = h @ params["mlm_w"] + params["mlm_b"]
     z2 = gelu(z1)
     z3, _ = _ln_forward(z2, params["mlm_ln_g"], params["mlm_ln_b"])
     logits = z3 @ params["tok_emb"].T + params["mlm_out_b"]
-    _count_rows(h.shape[0] * h.shape[1])
-    return logits
+    return logits.reshape(*cache.h.shape[:2], -1)
 
 
 def mlm_head_backward(

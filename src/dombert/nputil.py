@@ -25,6 +25,13 @@ def derive_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
 
 
+def rng_from_state(state: dict) -> np.random.Generator:
+    """A generator resumed from a saved ``bit_generator.state``."""
+    rng = np.random.default_rng()
+    rng.bit_generator.state = state
+    return rng
+
+
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = x - np.max(x, axis=axis, keepdims=True)
     e = np.exp(shifted)
@@ -55,9 +62,3 @@ def normalize_rows(d: np.ndarray, context: str = "embedding matrix") -> np.ndarr
         bad = int(np.flatnonzero(norms == 0.0)[0])
         raise DegenerateEmbeddingError(f"zero-norm row {bad} in {context}")
     return d / norms[:, None]
-
-
-def cosine_matrix(d: np.ndarray) -> np.ndarray:
-    """Pairwise cosine similarities between rows, clipped to [-1, 1]."""
-    u = normalize_rows(d)
-    return np.clip(u @ u.T, -1.0, 1.0)

@@ -11,21 +11,23 @@ softmax gives the target nearly all of the mass, as in EXP3 (Auer et al.
 distribution draws actually come from, and importance_weights() turns it
 into per-example loss weights. cos(d_t, d_t) = 1 guarantees the target keeps
 the highest probability; exhausted queues are reshuffled and reused.
+The sampler owns its checkpoint form (state_to_json / state_from_json), so a
+resumed run draws exactly what the uninterrupted run would have drawn.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
 from .corpus import PackedCorpus, PackedExample
-from .errors import ConfigError
-from .nputil import normalize_rows
+from .errors import CheckpointError, ConfigError
+from .nputil import normalize_rows, rng_from_state
 
 
 @dataclass
 class DomainQueue:
-    domain_id: int
     order: np.ndarray            # permutation of local example indices
     cursor: int = 0
 
@@ -87,14 +89,8 @@ def importance_weights(state: SamplerState, labels: np.ndarray) -> np.ndarray | 
     return 1.0 / (state.probs.shape[0] * state.probs[labels])
 
 
-def build_sampler(
-    corpus: PackedCorpus,
-    dom_emb: np.ndarray,
-    tau: float,
-    rng: np.random.Generator,
-    explore: float = 0.0,
-) -> SamplerState:
-    """Fresh queues (one shuffle per domain, in domain order) plus initial P'."""
+def _examples_by_domain(corpus: PackedCorpus) -> list[list[PackedExample]]:
+    """The corpus examples grouped by domain id; every domain must have one."""
     by_domain: list[list[PackedExample]] = [[] for _ in corpus.table.names]
     for ex in corpus.examples:
         by_domain[ex.domain_id].append(ex)
@@ -103,14 +99,61 @@ def build_sampler(
             raise ConfigError(
                 f"domain {corpus.table.names[did]!r} has no packed examples"
             )
-    queues = [
-        DomainQueue(domain_id=did, order=rng.permutation(len(examples)))
-        for did, examples in enumerate(by_domain)
-    ]
+    return by_domain
+
+
+def build_sampler(
+    corpus: PackedCorpus,
+    dom_emb: np.ndarray,
+    tau: float,
+    rng: np.random.Generator,
+    explore: float = 0.0,
+) -> SamplerState:
+    """Fresh queues (one shuffle per domain, in domain order) plus initial P'."""
+    by_domain = _examples_by_domain(corpus)
+    queues = [DomainQueue(order=rng.permutation(len(examples)))
+              for examples in by_domain]
     probs = sampling_probabilities(dom_emb, corpus.table.target_index, tau, explore)
     return SamplerState(
         queues=queues, probs=probs, target=corpus.table.target_index,
         tau=tau, rng=rng, examples_by_domain=by_domain, explore=explore,
+    )
+
+
+def state_to_json(state: SamplerState) -> dict[str, Any]:
+    """The checkpoint form of a sampler: plain JSON types only."""
+    return {
+        "target": state.target,
+        "tau": state.tau,
+        "explore": state.explore,
+        "probs": state.probs.tolist(),
+        "queues": [
+            {"order": q.order.tolist(), "cursor": q.cursor} for q in state.queues
+        ],
+        "rng": state.rng.bit_generator.state,
+    }
+
+
+def state_from_json(raw: dict[str, Any], corpus: PackedCorpus) -> SamplerState:
+    """Rebuild a sampler saved by state_to_json over the same corpus."""
+    by_domain = _examples_by_domain(corpus)
+    if len(raw["queues"]) != len(by_domain):
+        raise CheckpointError("sampler state disagrees with the corpus domains")
+    queues = []
+    for i, q in enumerate(raw["queues"]):
+        order = np.asarray(q["order"], dtype=np.int64)
+        if order.shape[0] != len(by_domain[i]):
+            raise CheckpointError(
+                f"queue {i} covers {order.shape[0]} examples, corpus has "
+                f"{len(by_domain[i])}"
+            )
+        queues.append(DomainQueue(order=order, cursor=int(q["cursor"])))
+    return SamplerState(
+        queues=queues, probs=np.asarray(raw["probs"], dtype=np.float64),
+        target=int(raw["target"]), tau=float(raw["tau"]),
+        rng=rng_from_state(raw["rng"]), examples_by_domain=by_domain,
+        # checkpoints from before exploration existed used the plain softmax
+        explore=float(raw.get("explore", 0.0)),
     )
 
 

@@ -25,17 +25,17 @@ from . import checkpoint, objective
 from .corpus import DomainTable, PackedCorpus
 from .errors import CheckpointError, ConfigError, NonFiniteGradientError
 from .masking import MaskingPolicy, make_masked_batch
-from .model import ModelConfig, Params, init_params, set_dropout, zero_grads
+from .model import ModelConfig, Params, init_params, zero_grads
 from .nputil import (
     STREAM_DROPOUT,
     STREAM_INIT,
     STREAM_MASKING,
     STREAM_SAMPLER,
     derive_rng,
+    rng_from_state,
 )
 from .objective import LossBreakdown, total_loss
 from .sampler import (
-    DomainQueue,
     SamplerState,
     build_sampler,
     format_top_domains,
@@ -43,6 +43,8 @@ from .sampler import (
     refresh_probabilities,
     report_top_domains,
     sample_batch,
+    state_from_json,
+    state_to_json,
 )
 
 REPORT_K = 20
@@ -59,8 +61,6 @@ class TrainConfig:
     epochs: int = 1
     seed: int = 0
     checkpoint_interval: int = 50
-    dropout_enabled: bool = False
-    refresh: str = "step"        # recompute P per optimizer step or per epoch
     target_only: bool = False    # pin P to the target domain (comparison runs)
     masking: MaskingPolicy = field(default_factory=MaskingPolicy)
 
@@ -77,8 +77,6 @@ class TrainConfig:
             raise ConfigError("micro_batch and accum_steps must be >= 1")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
-        if self.refresh not in ("step", "epoch"):
-            raise ConfigError("refresh must be 'step' or 'epoch'")
 
     @property
     def effective_batch(self) -> int:
@@ -157,51 +155,6 @@ def _one_hot_probs(n: int, target: int) -> np.ndarray:
     return probs
 
 
-def _sampler_json(state: SamplerState) -> dict[str, Any]:
-    return {
-        "target": state.target,
-        "tau": state.tau,
-        "explore": state.explore,
-        "probs": state.probs.tolist(),
-        "queues": [
-            {"order": q.order.tolist(), "cursor": q.cursor} for q in state.queues
-        ],
-        "rng": state.rng.bit_generator.state,
-    }
-
-
-def _sampler_from_json(raw: dict[str, Any], corpus: PackedCorpus) -> SamplerState:
-    by_domain: list[list] = [[] for _ in corpus.table.names]
-    for ex in corpus.examples:
-        by_domain[ex.domain_id].append(ex)
-    if len(raw["queues"]) != len(by_domain):
-        raise CheckpointError("sampler state disagrees with the corpus domains")
-    rng = np.random.default_rng()
-    rng.bit_generator.state = raw["rng"]
-    queues = []
-    for i, q in enumerate(raw["queues"]):
-        order = np.asarray(q["order"], dtype=np.int64)
-        if order.shape[0] != len(by_domain[i]):
-            raise CheckpointError(
-                f"queue {i} covers {order.shape[0]} examples, corpus has "
-                f"{len(by_domain[i])}"
-            )
-        queues.append(DomainQueue(domain_id=i, order=order, cursor=int(q["cursor"])))
-    return SamplerState(
-        queues=queues, probs=np.asarray(raw["probs"], dtype=np.float64),
-        target=int(raw["target"]), tau=float(raw["tau"]), rng=rng,
-        examples_by_domain=by_domain,
-        # checkpoints from before exploration existed used the plain softmax
-        explore=float(raw.get("explore", 0.0)),
-    )
-
-
-def _rng_from_state(state: dict[str, Any]) -> np.random.Generator:
-    rng = np.random.default_rng()
-    rng.bit_generator.state = state
-    return rng
-
-
 def steps_per_epoch(target_count: int, effective_batch: int) -> int:
     return max(1, math.ceil(target_count / effective_batch))
 
@@ -220,7 +173,7 @@ def train(
     interleaved into the log at the same cadence.
     """
     tc = train_config
-    mc = set_dropout(model_config, tc.dropout_enabled)
+    mc = model_config
     table = corpus.table
     if mc.n_domains != table.n_plus_1:
         raise ConfigError("model n_domains disagrees with the corpus domain table")
@@ -235,13 +188,13 @@ def train(
 
     spe = steps_per_epoch(target_count, tc.effective_batch)
     total_steps = tc.epochs * spe
+    explore = 0.0 if tc.target_only else tc.explore
 
     if resume is None:
         params = init_params(mc, derive_rng(tc.seed, STREAM_INIT))
         opt = init_adamax(mc)
         state = build_sampler(corpus, params["dom_emb"], tc.tau,
-                              derive_rng(tc.seed, STREAM_SAMPLER),
-                              0.0 if tc.target_only else tc.explore)
+                              derive_rng(tc.seed, STREAM_SAMPLER), explore)
         if tc.target_only:
             state.probs = _one_hot_probs(table.n_plus_1, t)
         mask_rng = derive_rng(tc.seed, STREAM_MASKING)
@@ -253,14 +206,14 @@ def train(
                 "checkpoint has no optimizer/sampler state; cannot resume"
             )
         params = resume.params
-        opt = AdamaxState(
-            m=resume.adamax["m"], u=resume.adamax["u"],
-            step=resume.adamax["step"], beta1=resume.adamax["beta1"],
-            beta2=resume.adamax["beta2"], eps=resume.adamax["eps"],
-        )
-        state = _sampler_from_json(resume.sampler, corpus)
-        mask_rng = _rng_from_state(resume.trainer["mask_rng"])
-        dropout_rng = _rng_from_state(resume.trainer["dropout_rng"])
+        opt = AdamaxState(**resume.adamax)
+        state = state_from_json(resume.sampler, corpus)
+        for name, value in (("tau", tc.tau), ("explore", explore)):
+            if getattr(state, name) != value:
+                raise ConfigError(f"checkpoint {name}={getattr(state, name)} "
+                                  f"differs from this run's {name}={value}")
+        mask_rng = rng_from_state(resume.trainer["mask_rng"])
+        dropout_rng = rng_from_state(resume.trainer["dropout_rng"])
         start_step = int(resume.trainer["next_step"])
 
     out_path = Path(out_dir) if out_dir is not None else None
@@ -311,8 +264,7 @@ def train(
         adamax_step(params, grads, opt, tc.lr)
 
         if not tc.target_only:
-            if tc.refresh == "step" or step % spe == 0:
-                refresh_probabilities(state, params["dom_emb"])
+            refresh_probabilities(state, params["dom_emb"])
 
         breakdown = total_loss(mlm_sum / max(t_tot, 1), cls_sum / b_tot,
                                delta, tc.lam)
@@ -356,12 +308,11 @@ def save_training_checkpoint(
     trainer_meta: dict[str, Any],
     table: DomainTable,
 ) -> None:
-    checkpoint.save_training(
+    checkpoint.save_model(
         path, model_config, params,
-        adamax={"step": opt.step, "beta1": opt.beta1, "beta2": opt.beta2,
-                "eps": opt.eps, "m": opt.m, "u": opt.u},
-        sampler=_sampler_json(state),
-        trainer=trainer_meta,
         domain_names=list(table.names),
         target_index=table.target_index,
+        adamax=vars(opt),
+        sampler=state_to_json(state),
+        trainer=trainer_meta,
     )

@@ -17,6 +17,8 @@ from dombert.sampler import (
     report_top_domains,
     sample_batch,
     sampling_probabilities,
+    state_from_json,
+    state_to_json,
 )
 
 from conftest import random_packed_example
@@ -140,6 +142,9 @@ class TestQueues:
         corpus = make_corpus(rng, [2, 0, 1])
         with pytest.raises(ConfigError, match="dom1"):
             build_sampler(corpus, np.eye(3), 0.13, derive_rng(0, 1))
+        saved = state_to_json(self._state(rng, [2, 1, 1]))
+        with pytest.raises(ConfigError, match="dom1"):
+            state_from_json(saved, corpus)
 
     def test_each_example_once_per_refill_window(self, rng):
         state = self._state(rng, [3, 2])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -47,8 +49,6 @@ class TestTrainConfig:
             trainer.TrainConfig(lam=1.5)
         with pytest.raises(ConfigError):
             trainer.TrainConfig(tau=0.0)
-        with pytest.raises(ConfigError):
-            trainer.TrainConfig(refresh="hourly")
         for explore in (-0.1, 1.0):
             with pytest.raises(ConfigError, match="explore"):
                 trainer.TrainConfig(explore=explore)
@@ -187,9 +187,9 @@ class TestTrainLoop:
 
     def test_training_with_dropout_is_seeded(self):
         corpus = make_corpus()
-        mc = small_model_config(corpus)
+        mc = small_model_config(corpus, dropout_enabled=True)
         tc = trainer.TrainConfig(epochs=1, seed=6, micro_batch=2, accum_steps=2,
-                                 dropout_enabled=True, checkpoint_interval=0)
+                                 checkpoint_interval=0)
         r1 = trainer.train(tc, corpus, mc)
         r2 = trainer.train(tc, corpus, mc)
         for name in r1.params:
@@ -296,9 +296,28 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         checkpoint.save_model(path, mc, params)
         data = path.read_bytes()
+        clipped = tmp_path / "clipped.ckpt"
         for cut in (10, len(data) // 2, len(data) - 3):
-            clipped = tmp_path / f"cut{cut}.ckpt"
             clipped.write_bytes(data[:cut])
+            with pytest.raises(CheckpointError):
+                checkpoint.load(clipped)
+
+        tc = trainer.TrainConfig(epochs=1, seed=1, micro_batch=2, accum_steps=2,
+                                 checkpoint_interval=1)
+        trainer.train(tc, corpus, mc, out_dir=tmp_path / "run")
+        data = (tmp_path / "run" / "ckpt_step000001.ckpt").read_bytes()
+        model_end = data.index(b"ADAMAX-STATE")
+        cuts = set()
+        for section in (b"ADAMAX-STATE", b"SAMPLER-STATE", b"TRAINER-STATE"):
+            start = data.index(section)
+            end = data.index(b"\n", start) + 1
+            cuts.update(range(start - 1, end + 2))
+        for cut in sorted(cuts):
+            clipped.write_bytes(data[:cut])
+            if cut == model_end:
+                # everything before the first section is a whole model file
+                assert checkpoint.load(clipped).adamax is None
+                continue
             with pytest.raises(CheckpointError):
                 checkpoint.load(clipped)
 
@@ -332,10 +351,43 @@ class TestResume:
         ckpts = sorted((tmp_path / "full").glob("ckpt_step*.ckpt"))
         assert ckpts
         bundle = checkpoint.load(ckpts[0])
-        resumed = trainer.train(full_cfg, corpus, mc, resume=bundle)
+        resumed = trainer.train(full_cfg, corpus, mc, out_dir=tmp_path / "resumed",
+                                resume=bundle)
         for name in full.params:
             assert np.array_equal(full.params[name], resumed.params[name]), name
         assert full.opt.step == resumed.opt.step
+        written = sorted((tmp_path / "resumed").glob("ckpt_step*.ckpt"))
+        assert [p.name for p in written] == [p.name for p in ckpts[1:]]
+        for path in written:
+            assert path.read_bytes() == (tmp_path / "full" / path.name).read_bytes()
+        assert resumed.log_lines[0].startswith(f"{bundle.trainer['next_step']}\t")
+        assert resumed.log_lines == full.log_lines[-len(resumed.log_lines):]
+
+    def test_resume_rejects_another_tau_or_explore(self, tmp_path):
+        corpus = make_corpus()
+        mc = small_model_config(corpus)
+        tc = trainer.TrainConfig(epochs=2, seed=1, micro_batch=2, accum_steps=2,
+                                 checkpoint_interval=2)
+        trainer.train(tc, corpus, mc, out_dir=tmp_path)
+        path = sorted(tmp_path.glob("ckpt_step*.ckpt"))[0]
+        for name, value in (("tau", 0.5), ("explore", 0.0)):
+            other = dataclasses.replace(tc, **{name: value})
+            with pytest.raises(ConfigError, match=f"checkpoint {name}="):
+                trainer.train(other, corpus, mc, resume=checkpoint.load(path))
+        trainer.train(tc, corpus, mc, resume=checkpoint.load(path))
+
+    def test_target_only_run_resumes(self, tmp_path):
+        """A target-only run stores explore 0, whatever its config says."""
+        corpus = make_corpus(counts=(8, 6, 5))
+        mc = small_model_config(corpus)
+        tc = trainer.TrainConfig(epochs=2, seed=3, micro_batch=2, accum_steps=2,
+                                 checkpoint_interval=2, target_only=True)
+        full = trainer.train(tc, corpus, mc, out_dir=tmp_path)
+        bundle = checkpoint.load(sorted(tmp_path.glob("ckpt_step*.ckpt"))[0])
+        assert tc.explore == 0.2 and bundle.sampler["explore"] == 0.0
+        resumed = trainer.train(tc, corpus, mc, resume=bundle)
+        for name in full.params:
+            assert np.array_equal(full.params[name], resumed.params[name]), name
 
     def test_resume_from_model_only_checkpoint_rejected(self, tmp_path):
         corpus = make_corpus()
