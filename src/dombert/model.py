@@ -176,7 +176,7 @@ class LayerCache:
     ln1: LnCache
     x1: np.ndarray               # post-LN1, residual input to the FF block
     z1: np.ndarray               # pre-GELU
-    z2: np.ndarray               # post-GELU
+    s: np.ndarray                # 1 + erf(z1 / sqrt 2); GELU(z1) = 0.5 * z1 * s
     ff_drop: np.ndarray | None
     ln2: LnCache
 
@@ -265,8 +265,9 @@ def encode(
             ao = ao * ao_drop
         x1, ln1 = _ln_forward(a_in + ao, params[pre + "ln1_g"], params[pre + "ln1_b"])
         z1 = x1 @ params[pre + "w1"] + params[pre + "b1"]
-        z2 = gelu(z1)
+        z2, s = gelu(z1)
         fo = z2 @ params[pre + "w2"] + params[pre + "b2"]
+        del z2  # backward rebuilds it from s; freeing it here lowers peak memory
         ff_drop = None
         if drop:
             ff_drop = _dropout_mask(fo.shape, p, dropout_rng, dt)
@@ -274,7 +275,7 @@ def encode(
         x, ln2 = _ln_forward(x1 + fo, params[pre + "ln2_g"], params[pre + "ln2_b"])
         layers.append(LayerCache(
             a_in=a_in, q=q, k=k, v=v, probs=probs, attn_drop=attn_drop,
-            ctx=ctx, ao_drop=ao_drop, ln1=ln1, x1=x1, z1=z1, z2=z2,
+            ctx=ctx, ao_drop=ao_drop, ln1=ln1, x1=x1, z1=z1, s=s,
             ff_drop=ff_drop, ln2=ln2,
         ))
 
@@ -294,7 +295,8 @@ def encode_backward(
 ) -> None:
     """Accumulate encoder gradients for upstream d_h into `grads`."""
     dk = config.d_hidden // config.n_heads
-    scale = 1.0 / np.sqrt(dk)
+    # A float64 scalar here would promote every float32 gradient below it.
+    scale = config.np_dtype.type(1.0 / np.sqrt(dk))
     dx = d_h
     for i in reversed(range(config.n_layers)):
         pre = f"layer{i}."
@@ -304,11 +306,11 @@ def encode_backward(
         grads[pre + "ln2_b"] += db2_
 
         dfo = dres2 if lc.ff_drop is None else dres2 * lc.ff_drop
-        z2f = lc.z2.reshape(-1, config.d_ff)
+        z2f = (0.5 * lc.z1 * lc.s).reshape(-1, config.d_ff)
         grads[pre + "w2"] += z2f.T @ dfo.reshape(-1, config.d_hidden)
         grads[pre + "b2"] += dfo.sum(axis=(0, 1))
         dz2 = dfo @ params[pre + "w2"].T
-        dz1 = dz2 * gelu_grad(lc.z1)
+        dz1 = dz2 * gelu_grad(lc.z1, lc.s)
         x1f = lc.x1.reshape(-1, config.d_hidden)
         grads[pre + "w1"] += x1f.T @ dz1.reshape(-1, config.d_ff)
         grads[pre + "b1"] += dz1.sum(axis=(0, 1))
@@ -385,7 +387,7 @@ class EalCache:
     positions: np.ndarray
     g: np.ndarray                # gathered hidden states (T, d)
     z1: np.ndarray
-    z2: np.ndarray
+    s: np.ndarray                # 1 + erf(z1 / sqrt 2), as in LayerCache
     z3: np.ndarray               # post-LN rows entering the tied projection
     ln: LnCache
 
@@ -403,18 +405,18 @@ def mlm_logits_eal(
     """
     g = cache.h[ex_idx, positions]
     z1 = g @ params["mlm_w"] + params["mlm_b"]
-    z2 = gelu(z1)
+    z2, s = gelu(z1)
     z3, ln = _ln_forward(z2, params["mlm_ln_g"], params["mlm_ln_b"])
     logits = z3 @ params["tok_emb"].T + params["mlm_out_b"]
     return logits, EalCache(ex_idx=ex_idx, positions=positions,
-                            g=g, z1=z1, z2=z2, z3=z3, ln=ln)
+                            g=g, z1=z1, s=s, z3=z3, ln=ln)
 
 
 def mlm_logits_full(cache: ForwardCache, params: Params) -> np.ndarray:
     """Vocabulary logits at every position (B x L x V); reference path."""
     h = cache.h.reshape(-1, cache.h.shape[-1])  # one matmul, not one per example
     z1 = h @ params["mlm_w"] + params["mlm_b"]
-    z2 = gelu(z1)
+    z2, _ = gelu(z1)
     z3, _ = _ln_forward(z2, params["mlm_ln_g"], params["mlm_ln_b"])
     logits = z3 @ params["tok_emb"].T + params["mlm_out_b"]
     return logits.reshape(*cache.h.shape[:2], -1)
@@ -438,7 +440,7 @@ def mlm_head_backward(
     dz2, dg, db = _ln_backward(dz3, ealc.ln, params["mlm_ln_g"])
     grads["mlm_ln_g"] += dg
     grads["mlm_ln_b"] += db
-    dz1 = dz2 * gelu_grad(ealc.z1)
+    dz1 = dz2 * gelu_grad(ealc.z1, ealc.s)
     grads["mlm_w"] += ealc.g.T @ dz1
     grads["mlm_b"] += dz1.sum(axis=0)
     dg_rows = dz1 @ params["mlm_w"].T

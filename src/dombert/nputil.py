@@ -43,12 +43,20 @@ def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x / _SQRT2))
+def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GELU(x) and s = 1 + erf(x / sqrt 2), which gelu_grad takes back.
+
+    Keeping s rather than Phi = s / 2 keeps the output bytes of
+    0.5 * x * (1 + erf(x / sqrt 2)): x * Phi rounds differently once Phi is
+    subnormal.
+    """
+    s = 1.0 + erf(x / _SQRT2)
+    return 0.5 * x * s, s
 
 
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + erf(x / _SQRT2)) + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+def gelu_grad(x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """d GELU / dx from x and the s that gelu(x) returned."""
+    return 0.5 * s + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI
 
 
 def row_norms(d: np.ndarray) -> np.ndarray:

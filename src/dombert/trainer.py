@@ -134,11 +134,8 @@ class TrainResult:
     params: Params
     model_config: ModelConfig
     opt: AdamaxState
-    sampler_state: SamplerState
     records: list[StepRecord]
     log_lines: list[str]
-    mask_rng: np.random.Generator
-    dropout_rng: np.random.Generator
 
 
 def format_log_line(rec: StepRecord) -> str:
@@ -292,11 +289,8 @@ def train(
                     table,
                 )
 
-    return TrainResult(
-        params=params, model_config=mc, opt=opt, sampler_state=state,
-        records=records, log_lines=log_lines,
-        mask_rng=mask_rng, dropout_rng=dropout_rng,
-    )
+    return TrainResult(params=params, model_config=mc, opt=opt,
+                       records=records, log_lines=log_lines)
 
 
 def save_training_checkpoint(

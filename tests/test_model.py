@@ -1,11 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from dombert import model
 from dombert.corpus import SEP_ID
 from dombert.errors import ConfigError, InputError
 from dombert.masking import MaskingPolicy, make_masked_batch
-from dombert.nputil import derive_rng
+from dombert.nputil import derive_rng, gelu, gelu_grad
 
 from conftest import random_packed_example
 
@@ -260,6 +263,33 @@ class TestDropout:
         off = model.set_dropout(cfg, False)
         assert off.dropout_enabled is False
         assert model.set_dropout(off, True).dropout_enabled is True
+
+
+class TestGelu:
+    # |x| up to 20 reaches float32 subnormal and zero values of 1 + erf.
+    GRID = np.concatenate([np.linspace(-20.0, 20.0, 4001),
+                           [-13.5, -8.0, -1e-3, 0.0, 1e-3, 8.0]])
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_output_is_bit_identical_to_the_erf_formula(self, dtype):
+        x = self.GRID.astype(dtype)
+        out, s = gelu(x)
+        assert out.dtype == s.dtype == np.dtype(dtype)
+        assert np.array_equal(out, 0.5 * x * (1.0 + erf(x / math.sqrt(2.0))))
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_grad_is_bit_identical_to_the_recomputing_formula(self, dtype):
+        x = self.GRID.astype(dtype)
+        recomputed = (0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+                      + x * np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi)))
+        grad = gelu_grad(x, gelu(x)[1])
+        assert grad.dtype == np.dtype(dtype)
+        assert np.array_equal(grad, recomputed)
+
+    def test_grad_matches_central_difference(self):
+        x, h = self.GRID, 1e-5
+        fd = (gelu(x + h)[0] - gelu(x - h)[0]) / (2 * h)
+        np.testing.assert_allclose(gelu_grad(x, gelu(x)[1]), fd, rtol=0, atol=1e-8)
 
 
 class TestTiedWeights:

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -384,6 +385,64 @@ class TestClassificationWeights:
         cfg, params, batch, lam = random_instance(35, n=3)
         with pytest.raises(InputError, match="cls_weights"):
             objective.forward(batch, params, cfg, lam, cls_weights=np.ones(2))
+
+
+def _float_arrays(value):
+    """Floating-point arrays and NumPy scalars in a value, through containers."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        if np.issubdtype(value.dtype, np.floating):
+            yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _float_arrays(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _float_arrays(item)
+
+
+class TestFloat32Contract:
+    def test_forward_and_backward_stay_float32(self):
+        """Every float array a model or objective frame holds is float32.
+
+        The finite-difference checks run in float64 and cannot see a float32
+        run that promotes to float64 (a float64 scalar meeting float32 arrays
+        under NumPy 2 promotion) and is narrowed back by `grads[...] +=`.
+        Locals are read at every line and at return, so values a later loop
+        iteration overwrites are seen too. regularizer and regularizer_grad
+        work in float64 by design and cast their result back, so their frames
+        are not inspected.
+        """
+        cfg, params, batch, lam = random_instance(
+            36, lam=0.6, n=3, dtype="float32", dropout_enabled=True, n_layers=2)
+        params = {k: v.astype(cfg.np_dtype) for k, v in params.items()}
+        modules = {model.__name__, objective.__name__}
+        exempt = {"regularizer", "regularizer_grad"}
+        leaks = set()
+
+        def on_event(frame, event, arg):
+            if event in ("line", "return"):
+                for name, value in [*frame.f_locals.items(), ("<return>", arg)]:
+                    for arr in _float_arrays(value):
+                        if arr.dtype != np.float32:
+                            leaks.add(f"{frame.f_code.co_name}:{name}:{arr.dtype}")
+            return on_event
+
+        def on_call(frame, event, arg):
+            if (frame.f_globals.get("__name__") in modules
+                    and frame.f_code.co_name not in exempt):
+                return on_event
+            return None
+
+        previous = sys.gettrace()
+        sys.settrace(on_call)
+        try:
+            _, cache = objective.forward(batch, params, cfg, lam, derive_rng(36, 3),
+                                         cls_weights=np.float32([0.5, 2.0, 1.25]))
+            grads = objective.backward(batch, cache, params, cfg, lam)
+        finally:
+            sys.settrace(previous)
+        assert not leaks, sorted(leaks)
+        assert all(g.dtype == np.float32 for g in grads.values())
 
 
 def _advance_like(rng, examples, policy, vocab_size):
