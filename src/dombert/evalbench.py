@@ -179,9 +179,10 @@ def eval_pseudo_perplexity(
         )
         if batch.n_targets == 0:
             continue
-        ex_idx, positions, target_ids = batch.flat_targets()
-        fwd = model_ops.encode(batch.input_ids, batch.valid_lens, params, config)
-        logits, _ = model_ops.mlm_logits_eal(fwd, ex_idx, positions, params)
+        ex_idx, _, target_ids = batch.flat_targets()
+        rows, slots = batch.output_rows()
+        fwd = model_ops.encode(batch.input_ids, batch.valid_lens, params, config, None, rows)
+        logits, _ = model_ops.mlm_logits_eal(fwd, ex_idx, slots, params)
         ce_sum += loss_mlm(logits, target_ids) * batch.n_targets
         n_targets += batch.n_targets
     if n_targets == 0:
@@ -199,7 +200,8 @@ def bench_eal(
     """Paired timing of the sparse vs dense masked-token paths.
 
     Both paths run encode + vocabulary logits + loss on identical batches;
-    deviation is the max absolute logit difference at target positions.
+    the sparse one encodes its last layer only at the heads' rows, as
+    training does. Deviation is the max absolute logit difference at targets.
     Sparse and dense repeats alternate and each path reports its fastest
     repeat, so one stall of a shared host cannot decide the speedup.
     """
@@ -215,10 +217,11 @@ def bench_eal(
     policy = MaskingPolicy(select_prob=mask_rate)
     batch = make_masked_batch(examples, policy, rng, config.vocab_size)
     ex_idx, positions, target_ids = batch.flat_targets()
+    rows, slots = batch.output_rows()
 
     def run_eal() -> np.ndarray:
-        fwd = model_ops.encode(batch.input_ids, batch.valid_lens, params, config)
-        logits, _ = model_ops.mlm_logits_eal(fwd, ex_idx, positions, params)
+        fwd = model_ops.encode(batch.input_ids, batch.valid_lens, params, config, None, rows)
+        logits, _ = model_ops.mlm_logits_eal(fwd, ex_idx, slots, params)
         loss_mlm(logits, target_ids)
         return logits
 

@@ -64,6 +64,20 @@ class MaskedBatch:
             np.asarray(tok, dtype=np.int64),
         )
 
+    def output_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The positions the two heads read, as (B, R) rows, and each
+        target's slot in its example's row (flat_targets() order).
+
+        Slot 0 is [CLS]; slots 1..n_b hold example b's targets; the rest
+        repeat position 0. R is 1 + the largest per-example target count.
+        """
+        rows = np.zeros((self.batch_size, 1 + max(map(len, self.targets))), np.int64)
+        slots = []
+        for i, tlist in enumerate(self.targets):
+            rows[i, 1 : 1 + len(tlist)] = [p for p, _ in tlist]
+            slots.extend(range(1, 1 + len(tlist)))
+        return rows, np.asarray(slots, dtype=np.int64)
+
 
 def apply_dynamic_masking(
     example: PackedExample,

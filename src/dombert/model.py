@@ -166,7 +166,8 @@ def _dropout_mask(shape: tuple[int, ...], p: float, rng: np.random.Generator,
 @dataclass
 class LayerCache:
     a_in: np.ndarray             # residual input to attention (B, L, d)
-    q: np.ndarray                # (B, h, L, dk)
+    rows: np.ndarray | None      # query rows (B, R) of a pruned layer; None = all L
+    q: np.ndarray                # (B, h, R or L, dk)
     k: np.ndarray
     v: np.ndarray
     probs: np.ndarray            # softmax output, pre-dropout (B, h, L, L)
@@ -189,7 +190,7 @@ class ForwardCache:
     emb_ln: LnCache
     emb_drop: np.ndarray | None
     layers: list[LayerCache]
-    h: np.ndarray                # final hidden states (B, L, d)
+    h: np.ndarray                # final hidden states (B, R or L, d)
 
     @property
     def h_cls(self) -> np.ndarray:
@@ -206,18 +207,29 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, l, h * dk)
 
 
+def _at_rows(x: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
+    """x[b, rows[b]] for every example b; all of x when rows is None."""
+    return x if rows is None else x[np.arange(x.shape[0])[:, None], rows]
+
+
 def encode(
     input_ids: np.ndarray,
     valid_lens: np.ndarray,
     params: Params,
     config: ModelConfig,
     dropout_rng: np.random.Generator | None = None,
+    rows: np.ndarray | None = None,
 ) -> ForwardCache:
     """Post-norm transformer encoding of token + position embeddings.
 
     Padding positions are excluded from attention (as keys) in every layer,
     so non-pad outputs are independent of pad contents. Dropout is applied
     only when config.dropout_enabled, in which case dropout_rng is required.
+
+    With rows, a (B, R) array of positions, the last layer computes all but
+    its keys and values only there, and h[b, j] is position rows[b, j]. Its
+    dropout masks are then drawn in those pruned shapes (no CLI path enables
+    dropout). Without rows every position is computed.
     """
     input_ids = np.asarray(input_ids)
     b, l = input_ids.shape
@@ -247,7 +259,9 @@ def encode(
     for i in range(config.n_layers):
         pre = f"layer{i}."
         a_in = x
-        q = _split_heads(a_in @ params[pre + "wq"] + params[pre + "bq"], config.n_heads)
+        q_rows = rows if i == config.n_layers - 1 else None
+        a_q = _at_rows(a_in, q_rows)
+        q = _split_heads(a_q @ params[pre + "wq"] + params[pre + "bq"], config.n_heads)
         k = _split_heads(a_in @ params[pre + "wk"] + params[pre + "bk"], config.n_heads)
         v = _split_heads(a_in @ params[pre + "wv"] + params[pre + "bv"], config.n_heads)
         scores = (q @ k.swapaxes(-1, -2)) * scale + key_bias
@@ -263,7 +277,7 @@ def encode(
         if drop:
             ao_drop = _dropout_mask(ao.shape, p, dropout_rng, dt)
             ao = ao * ao_drop
-        x1, ln1 = _ln_forward(a_in + ao, params[pre + "ln1_g"], params[pre + "ln1_b"])
+        x1, ln1 = _ln_forward(a_q + ao, params[pre + "ln1_g"], params[pre + "ln1_b"])
         z1 = x1 @ params[pre + "w1"] + params[pre + "b1"]
         z2, s = gelu(z1)
         fo = z2 @ params[pre + "w2"] + params[pre + "b2"]
@@ -274,7 +288,7 @@ def encode(
             fo = fo * ff_drop
         x, ln2 = _ln_forward(x1 + fo, params[pre + "ln2_g"], params[pre + "ln2_b"])
         layers.append(LayerCache(
-            a_in=a_in, q=q, k=k, v=v, probs=probs, attn_drop=attn_drop,
+            a_in=a_in, rows=q_rows, q=q, k=k, v=v, probs=probs, attn_drop=attn_drop,
             ctx=ctx, ao_drop=ao_drop, ln1=ln1, x1=x1, z1=z1, s=s,
             ff_drop=ff_drop, ln2=ln2,
         ))
@@ -293,7 +307,7 @@ def encode_backward(
     config: ModelConfig,
     grads: Params,
 ) -> None:
-    """Accumulate encoder gradients for upstream d_h into `grads`."""
+    """Accumulate encoder gradients for upstream d_h (shaped like cache.h) into `grads`."""
     dk = config.d_hidden // config.n_heads
     # A float64 scalar here would promote every float32 gradient below it.
     scale = config.np_dtype.type(1.0 / np.sqrt(dk))
@@ -337,11 +351,17 @@ def encode_backward(
 
         da_in = dres1
         a_inf = lc.a_in.reshape(-1, config.d_hidden)
-        for name, dmat in (("wq", dq), ("wk", dk_), ("wv", dv)):
+        a_qf = _at_rows(lc.a_in, lc.rows).reshape(-1, config.d_hidden)
+        for name, dmat, af in (("wq", dq, a_qf), ("wk", dk_, a_inf), ("wv", dv, a_inf)):
             dfull = _merge_heads(dmat)
-            grads[pre + name] += a_inf.T @ dfull.reshape(-1, config.d_hidden)
+            grads[pre + name] += af.T @ dfull.reshape(-1, config.d_hidden)
             grads[pre + "b" + name[1]] += dfull.sum(axis=(0, 1))
             da_in = da_in + dfull @ params[pre + name].T
+            if name == "wq" and lc.rows is not None:
+                # Back to full width. Padding slots repeat position 0 with
+                # zero gradient; add.at keeps [CLS]'s where `=` would not.
+                da_in, da_q = np.zeros_like(lc.a_in), da_in
+                np.add.at(da_in, (np.arange(len(da_q))[:, None], lc.rows), da_q)
         dx = da_in
 
     if cache.emb_drop is not None:
@@ -384,7 +404,7 @@ def domain_head_backward(
 @dataclass
 class EalCache:
     ex_idx: np.ndarray
-    positions: np.ndarray
+    slots: np.ndarray
     g: np.ndarray                # gathered hidden states (T, d)
     z1: np.ndarray
     s: np.ndarray                # 1 + erf(z1 / sqrt 2), as in LayerCache
@@ -395,20 +415,22 @@ class EalCache:
 def mlm_logits_eal(
     cache: ForwardCache,
     ex_idx: np.ndarray,
-    positions: np.ndarray,
+    slots: np.ndarray,
     params: Params,
 ) -> tuple[np.ndarray, EalCache]:
     """Vocabulary logits at target positions only (T_total x V).
 
-    Hidden states are gathered before the output transform, so the expensive
-    tied projection touches exactly T_total rows.
+    Target t is row slots[t] of example ex_idx[t] in cache.h; on a
+    full-width cache the slot is the position. Hidden states are gathered
+    before the output transform, so the expensive tied projection touches
+    exactly T_total rows.
     """
-    g = cache.h[ex_idx, positions]
+    g = cache.h[ex_idx, slots]
     z1 = g @ params["mlm_w"] + params["mlm_b"]
     z2, s = gelu(z1)
     z3, ln = _ln_forward(z2, params["mlm_ln_g"], params["mlm_ln_b"])
     logits = z3 @ params["tok_emb"].T + params["mlm_out_b"]
-    return logits, EalCache(ex_idx=ex_idx, positions=positions,
+    return logits, EalCache(ex_idx=ex_idx, slots=slots,
                             g=g, z1=z1, s=s, z3=z3, ln=ln)
 
 
@@ -444,4 +466,4 @@ def mlm_head_backward(
     grads["mlm_w"] += ealc.g.T @ dz1
     grads["mlm_b"] += dz1.sum(axis=0)
     dg_rows = dz1 @ params["mlm_w"].T
-    np.add.at(d_h, (ealc.ex_idx, ealc.positions), dg_rows)
+    np.add.at(d_h, (ealc.ex_idx, ealc.slots), dg_rows)

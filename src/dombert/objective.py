@@ -131,9 +131,10 @@ def forward(
                 f"cls_weights has shape {cls_weights.shape}, batch holds "
                 f"{batch.batch_size} examples"
             )
-    ex_idx, positions, target_ids = batch.flat_targets()
-    fwd = model.encode(batch.input_ids, batch.valid_lens, params, config, dropout_rng)
-    eal_logits, ealc = model.mlm_logits_eal(fwd, ex_idx, positions, params)
+    ex_idx, _, target_ids = batch.flat_targets()
+    rows, slots = batch.output_rows()
+    fwd = model.encode(batch.input_ids, batch.valid_lens, params, config, dropout_rng, rows)
+    eal_logits, ealc = model.mlm_logits_eal(fwd, ex_idx, slots, params)
     dom = model.domain_logits(fwd.h_cls, params)
     mlm = loss_mlm(eal_logits, target_ids)
     cls = loss_cls(dom, batch.domain_labels, cls_weights)
@@ -171,8 +172,7 @@ def backward(
     if not 0.0 <= lam <= 1.0:
         raise ConfigError("lam must be in [0, 1]")
     grads = model.zero_grads(config)
-    b, l = batch.input_ids.shape
-    d_h = np.zeros((b, l, config.d_hidden), dtype=config.np_dtype)
+    d_h = np.zeros_like(cache.fwd.h)
 
     t = cache.eal_logits.shape[0]
     if t > 0 and lam > 0.0:

@@ -137,6 +137,9 @@ def state_to_json(state: SamplerState) -> dict[str, Any]:
 def state_from_json(raw: dict[str, Any], corpus: PackedCorpus) -> SamplerState:
     """Rebuild a sampler saved by state_to_json over the same corpus."""
     by_domain = _examples_by_domain(corpus)
+    if raw["target"] != corpus.table.target_index:
+        raise CheckpointError(f"checkpoint targets domain {raw['target']}, "
+                              f"corpus targets {corpus.table.target_index}")
     if len(raw["queues"]) != len(by_domain):
         raise CheckpointError("sampler state disagrees with the corpus domains")
     queues = []

@@ -5,9 +5,10 @@ import pytest
 from scipy.special import erf
 
 from dombert import model
-from dombert.corpus import SEP_ID
+from dombert.corpus import CLS_ID, NUM_RESERVED, SEP_ID
 from dombert.errors import ConfigError, InputError
-from dombert.masking import MaskingPolicy, make_masked_batch
+from dombert.masking import MaskedBatch, MaskingPolicy, make_masked_batch
+from dombert.objective import loss_cls, loss_mlm
 from dombert.nputil import derive_rng, gelu, gelu_grad
 
 from conftest import random_packed_example
@@ -120,6 +121,64 @@ class TestEncode:
         batch = make_batch(rng, cfg)
         cache = model.encode(batch.input_ids, batch.valid_lens, params, cfg)
         assert np.array_equal(cache.h_cls, cache.h[:, 0, :])
+
+
+class TestPrunedLastLayer:
+    """encode(..., rows) against the full-width pass it prunes."""
+
+    @staticmethod
+    def _batch(cfg):
+        l = cfg.max_len
+        ids = np.random.default_rng(7).integers(NUM_RESERVED, cfg.vocab_size, size=(4, l))
+        ids[:, 0] = CLS_ID
+        targets = [[(3, 9), (l - 1, 11)],                 # a target at position L-1
+                   [(2, 7), (5, 8)],                      # padded: valid_len 7 < L
+                   [],                                    # zero targets: padding slots
+                   [(1, 5), (4, 6), (6, 7), (8, 9)]]
+        return MaskedBatch(input_ids=ids, valid_lens=np.array([l, 7, l, 10]),
+                           targets=targets, domain_labels=np.array([0, 2, 1, 0]))
+
+    @pytest.mark.parametrize("dtype, tol", [("float64", 1e-12), ("float32", 1e-6)])
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_matches_the_full_width_pass(self, dtype, tol, n_layers):
+        """h at the rows, both losses and every parameter gradient agree.
+
+        The heads' upstream gradients land in (B, R, d) on the pruned pass
+        and at the same positions of (B, L, d) on the full one.
+        """
+        cfg = tiny_config(dtype=dtype, n_layers=n_layers)
+        params = model.init_params(cfg, derive_rng(3, 0))
+        batch = self._batch(cfg)
+        ex_idx, pos, tok = batch.flat_targets()
+        rows, slots = batch.output_rows()
+        assert rows.shape == (4, 5) and not rows[:, 0].any() and not rows[2].any()
+        assert np.array_equal(rows[ex_idx, slots], pos)
+        gen = np.random.default_rng(11)
+        dlogits = gen.normal(size=(len(tok), cfg.vocab_size)).astype(cfg.np_dtype)
+        dcls = gen.normal(size=(4, cfg.n_domains)).astype(cfg.np_dtype)
+        out = {}
+        for name, r, where in (("pruned", rows, slots), ("full", None, pos)):
+            cache = model.encode(batch.input_ids, batch.valid_lens, params, cfg, None, r)
+            logits, ealc = model.mlm_logits_eal(cache, ex_idx, where, params)
+            dom = model.domain_logits(cache.h_cls, params)
+            grads = model.zero_grads(cfg)
+            d_h = np.zeros_like(cache.h)
+            model.mlm_head_backward(dlogits, ealc, d_h, params, grads)
+            d_h[:, 0] += model.domain_head_backward(dcls, cache.h_cls, params, grads)
+            model.encode_backward(d_h, cache, params, cfg, grads)
+            out[name] = (cache.h, loss_mlm(logits, tok),
+                         loss_cls(dom, batch.domain_labels), grads)
+        (h, mlm, cls, grads), (h_full, mlm_full, cls_full, grads_full) = (
+            out["pruned"], out["full"])
+        h_rows = h_full[np.arange(4)[:, None], rows]
+        assert np.abs(h - h_rows).max() <= tol * np.abs(h_rows).max()
+        assert abs(mlm - mlm_full) <= tol * mlm_full
+        assert abs(cls - cls_full) <= tol * cls_full
+        scale = math.sqrt(sum(float(np.sum(g.astype(np.float64) ** 2))
+                              for g in grads_full.values()))
+        for name, g in grads.items():
+            assert g.dtype == cfg.np_dtype
+            assert np.linalg.norm(g - grads_full[name]) <= tol * scale, name
 
 
 class TestDomainLogits:

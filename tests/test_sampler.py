@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dombert.corpus import DomainTable, PackedCorpus
-from dombert.errors import ConfigError, DegenerateEmbeddingError
+from dombert.errors import CheckpointError, ConfigError, DegenerateEmbeddingError
 from dombert.nputil import derive_rng
 from dombert.sampler import (
     SamplerState,
@@ -145,6 +145,13 @@ class TestQueues:
         saved = state_to_json(self._state(rng, [2, 1, 1]))
         with pytest.raises(ConfigError, match="dom1"):
             state_from_json(saved, corpus)
+
+    def test_restore_onto_another_target_rejected(self, rng):
+        """A corpus re-ingested with another --target cannot take the state."""
+        saved = state_to_json(self._state(rng, [2, 1, 1]))
+        with pytest.raises(CheckpointError, match="domain 0, corpus targets 2"):
+            state_from_json(saved, make_corpus(rng, [2, 1, 1], target=2))
+        assert state_from_json(saved, make_corpus(rng, [2, 1, 1])).target == 0
 
     def test_each_example_once_per_refill_window(self, rng):
         state = self._state(rng, [3, 2])
