@@ -3,26 +3,30 @@
 Layout: a ``DOMBERT-CKPT v1`` header line, one ``key=value`` line per model
 config field (plus optional ``domain_names``/``target_index`` lines), then
 every parameter array as a ``name dim1 dim2 ...`` text line followed by raw
-little-endian 32-bit float data. A training checkpoint appends three
-sections, in this order, so a run can resume bit-for-bit:
+little-endian float data in the config's dtype (``<f4`` for float32, ``<f8``
+for float64), so every run round-trips exactly. A training checkpoint
+appends three sections, in this order, so a run can resume bit-for-bit:
 
 - ``ADAMAX-STATE step=.. beta1=.. beta2=.. eps=..``, then the arrays
   ``m.<name>`` and ``u.<name>`` for every parameter in parameter order;
 - ``SAMPLER-STATE nbytes=N``, then N bytes of JSON in the sampler's own
   format (``sampler.state_to_json``);
-- ``TRAINER-STATE nbytes=N``, then N bytes of JSON: the next step and the
-  masking and dropout generator states.
+- ``TRAINER-STATE nbytes=N``, then N bytes of JSON: the next step, the
+  masking and dropout generator states, and the run's training config.
 
-Arrays are stored as float32 regardless of the in-memory dtype; training in
-float32 (the default) round-trips exactly.
+A file is written under a temporary name and renamed into place, so a
+failed save leaves any earlier file at that path intact.
 """
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, BinaryIO
+from typing import IO, Any, BinaryIO
 
 import numpy as np
 
@@ -57,13 +61,28 @@ def _read_line(fh: BinaryIO) -> str:
     return raw[:-1].decode("utf-8")
 
 
-def _write_array(fh: BinaryIO, name: str, arr: np.ndarray) -> None:
+@contextmanager
+def open_replacing(path: str | Path, mode: str = "wb", **kwargs: Any) -> Iterator[IO]:
+    """Open a temporary sibling of path for writing and rename it over path
+    once the block completes; on failure the temporary file is removed and
+    path keeps its old content. The temporary name ends in ``.tmp``."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _write_array(fh: BinaryIO, name: str, arr: np.ndarray, config: ModelConfig) -> None:
     dims = " ".join(str(d) for d in arr.shape)
     _write_line(fh, f"{name} {dims}")
-    fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    fh.write(np.ascontiguousarray(arr, dtype=config.np_dtype.newbyteorder("<")).tobytes())
 
 
-def _read_array(fh: BinaryIO, name: str, shape: tuple[int, ...]) -> np.ndarray:
+def _read_array(fh: BinaryIO, name: str, shape: tuple[int, ...],
+                config: ModelConfig) -> np.ndarray:
     line = _read_line(fh)
     fields = line.split(" ")
     if fields[0] != name:
@@ -71,11 +90,12 @@ def _read_array(fh: BinaryIO, name: str, shape: tuple[int, ...]) -> np.ndarray:
     found = tuple(int(v) for v in fields[1:])
     if found != shape:
         raise CheckpointError(f"array {name!r} has shape {found}, expected {shape}")
-    nbytes = 4 * int(np.prod(shape)) if shape else 4
+    dtype = config.np_dtype.newbyteorder("<")
+    nbytes = dtype.itemsize * int(np.prod(shape))
     data = fh.read(nbytes)
     if len(data) != nbytes:
         raise CheckpointError(f"truncated checkpoint: array {name!r} incomplete")
-    return np.frombuffer(data, dtype="<f4").reshape(shape).copy()
+    return np.frombuffer(data, dtype=dtype).reshape(shape).astype(config.np_dtype)
 
 
 def _config_lines(config: ModelConfig) -> list[str]:
@@ -121,7 +141,7 @@ def save_model(
 ) -> None:
     """Config lines plus all parameter arrays; given adamax, sampler and
     trainer state (all three), a resumable training checkpoint."""
-    with open(path, "wb") as fh:
+    with open_replacing(path) as fh:
         _write_line(fh, MAGIC)
         for line in _config_lines(config):
             _write_line(fh, line)
@@ -130,7 +150,7 @@ def save_model(
         if target_index is not None:
             _write_line(fh, f"target_index={target_index}")
         for name, shape in param_specs(config):
-            _write_array(fh, name, params[name])
+            _write_array(fh, name, params[name], config)
         if adamax is None:
             return
         _write_line(
@@ -139,8 +159,8 @@ def save_model(
             f"beta2={adamax['beta2']} eps={adamax['eps']}",
         )
         for name, _ in param_specs(config):
-            _write_array(fh, "m." + name, adamax["m"][name])
-            _write_array(fh, "u." + name, adamax["u"][name])
+            _write_array(fh, "m." + name, adamax["m"][name], config)
+            _write_array(fh, "u." + name, adamax["u"][name], config)
         _write_json_section(fh, _SAMPLER_SECTION, sampler)
         _write_json_section(fh, _TRAINER_SECTION, trainer)
 
@@ -168,10 +188,8 @@ def load(path: str | Path) -> CheckpointBundle:
         fh.seek(pos)
         config = _parse_config(raw_config)
 
-        params: Params = {}
-        dtype = config.np_dtype
-        for name, shape in param_specs(config):
-            params[name] = _read_array(fh, name, shape).astype(dtype)
+        params = {name: _read_array(fh, name, shape, config)
+                  for name, shape in param_specs(config)}
 
         bundle = CheckpointBundle(
             config=config, params=params,
@@ -186,8 +204,8 @@ def load(path: str | Path) -> CheckpointBundle:
         m: Params = {}
         u: Params = {}
         for name, shape in param_specs(config):
-            m[name] = _read_array(fh, "m." + name, shape).astype(dtype)
-            u[name] = _read_array(fh, "u." + name, shape).astype(dtype)
+            m[name] = _read_array(fh, "m." + name, shape, config)
+            u[name] = _read_array(fh, "u." + name, shape, config)
         bundle.adamax = {
             "step": int(kv["step"]), "beta1": float(kv["beta1"]),
             "beta2": float(kv["beta2"]), "eps": float(kv["eps"]),
@@ -222,5 +240,5 @@ def expected_size(config: ModelConfig, *, domain_names: list[str] | None = None,
     for name, shape in param_specs(config):
         dims = " ".join(str(d) for d in shape)
         total += len(f"{name} {dims}") + 1
-        total += 4 * int(np.prod(shape))
+        total += config.np_dtype.itemsize * int(np.prod(shape))
     return total

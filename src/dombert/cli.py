@@ -1,9 +1,11 @@
 """Command-line entry point.
 
-Every command prints a one-line run manifest (command name, resolved
-arguments, artifact version) sufficient to replay the run; for training the
-manifest is also the first line of the log file. Exit statuses: 0 success,
-1 runtime/data error, 2 usage error.
+Every command prints a one-line run manifest (command name, every parsed
+argument, artifact version) sufficient to replay the run; for training the
+manifest is also the first line of the log file. The trainer writes the
+whole run directory; checkpoints store arrays in the model's dtype, which
+the CLI leaves at float32. Exit statuses: 0 success, 1 runtime/data error,
+2 usage error.
 """
 from __future__ import annotations
 
@@ -23,17 +25,13 @@ DOMAINS_FILE = "domains.tsv"
 STATS_FILE = "stats.tsv"
 
 
-def manifest_line(command: str, args: dict) -> str:
-    payload = {"command": command, "version": __version__, **args}
+def manifest_line(args: argparse.Namespace) -> str:
+    payload = {"version": __version__, **vars(args)}
+    del payload["func"]
     return "MANIFEST\t" + json.dumps(payload, sort_keys=True)
 
 
 def _ingest(args: argparse.Namespace) -> int:
-    print(manifest_line("ingest", {
-        "corpus": args.corpus, "target": args.target, "max_len": args.max_len,
-        "min_count": args.min_count, "max_vocab": args.max_vocab,
-        "out": args.out,
-    }))
     table, records = corpus.load_corpus(args.corpus, args.target)
     vocab = corpus.build_vocab([text for _, text in records],
                                args.min_count, args.max_vocab)
@@ -67,14 +65,6 @@ def _load_packed_dir(packed_arg: str) -> tuple[corpus.PackedCorpus, corpus.Vocab
 
 
 def _train(args: argparse.Namespace) -> int:
-    line = manifest_line("train", {
-        "packed": args.packed, "lam": args.lam, "tau": args.tau,
-        "explore": args.explore, "lr": args.lr, "batch": args.batch,
-        "accum": args.accum, "epochs": args.epochs, "seed": args.seed,
-        "m": args.m, "out": args.out, "checkpoint_interval": args.checkpoint_interval,
-        "target_only": args.target_only,
-    })
-    print(line)
     packed, _ = _load_packed_dir(args.packed)
     model_config = ModelConfig(
         vocab_size=packed.vocab_size,
@@ -88,39 +78,23 @@ def _train(args: argparse.Namespace) -> int:
         seed=args.seed, checkpoint_interval=args.checkpoint_interval,
         target_only=args.target_only,
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    result = trainer.train(train_config, packed, model_config, out_dir=out)
-
-    with open(out / "log.tsv", "w", encoding="utf-8") as fh:
-        fh.write(line + "\n")
-        for row in result.log_lines:
-            fh.write(row + "\n")
-    checkpoint.save_model(
-        out / "final.ckpt", result.model_config, result.params,
-        domain_names=list(packed.table.names),
-        target_index=packed.table.target_index,
-    )
-    k = min(trainer.REPORT_K, packed.table.n_plus_1 - 1)
-    with open(out / "top_domains.tsv", "w", encoding="utf-8") as fh:
-        if k > 0:
-            report = sampler.report_top_domains(
-                result.params["dom_emb"], packed.table.target_index, k,
-                packed.table.names,
-            )
-            for row in sampler.format_top_domains(report):
-                fh.write(row + "\n")
+    result = trainer.train(train_config, packed, model_config, out_dir=args.out,
+                           manifest=manifest_line(args))
     print(f"trained {len(result.records)} optimizer steps; outputs in {args.out}")
     return 0
 
 
-def _report(args: argparse.Namespace) -> int:
-    print(manifest_line("report", {"ckpt": args.ckpt, "top": args.top}))
-    bundle = checkpoint.load(args.ckpt)
-    n_sources = bundle.config.n_domains - 1
+def _domains(bundle: checkpoint.CheckpointBundle) -> tuple[list[str], int]:
+    """Domain names and target index of a checkpoint, with placeholders for
+    a file saved without them."""
     names = bundle.domain_names or [f"domain_{i}" for i in range(bundle.config.n_domains)]
-    target = bundle.target_index if bundle.target_index is not None else 0
-    k = min(args.top, n_sources)
+    return names, bundle.target_index if bundle.target_index is not None else 0
+
+
+def _report(args: argparse.Namespace) -> int:
+    bundle = checkpoint.load(args.ckpt)
+    names, target = _domains(bundle)
+    k = min(args.top, bundle.config.n_domains - 1)
     report = sampler.report_top_domains(bundle.params["dom_emb"], target, k, names)
     for row in sampler.format_top_domains(report):
         print(row)
@@ -128,15 +102,6 @@ def _report(args: argparse.Namespace) -> int:
 
 
 def _gen_synth(args: argparse.Namespace) -> int:
-    print(manifest_line("gen-synth", {
-        "clusters": args.clusters, "domains_per_cluster": args.domains_per_cluster,
-        "shared_vocab": args.shared_vocab, "unique_vocab": args.unique_vocab,
-        "background_vocab": args.background_vocab,
-        "docs_per_domain": args.docs_per_domain,
-        "min_len": args.min_len, "max_len": args.max_len,
-        "mix": args.mix, "seed": args.seed,
-        "out": args.out, "truth_out": args.truth_out,
-    }))
     mix = tuple(float(v) for v in args.mix.split(","))
     if len(mix) != 3:
         raise DombertError("--mix expects three comma-separated ratios")
@@ -161,15 +126,10 @@ def _gen_synth(args: argparse.Namespace) -> int:
 
 
 def _eval(args: argparse.Namespace) -> int:
-    print(manifest_line("eval", {
-        "ckpt": args.ckpt, "truth": args.truth, "heldout": args.heldout,
-        "vocab": args.vocab, "mask_seed": args.mask_seed,
-    }))
     if args.truth is None and args.heldout is None:
         raise DombertError("nothing to evaluate: pass --truth and/or --heldout")
     bundle = checkpoint.load(args.ckpt)
-    names = bundle.domain_names or [f"domain_{i}" for i in range(bundle.config.n_domains)]
-    target = bundle.target_index if bundle.target_index is not None else 0
+    names, target = _domains(bundle)
     if args.truth is not None:
         truth = evalbench.read_truth(args.truth)
         precision = evalbench.eval_domain_recovery(
@@ -197,10 +157,6 @@ def _eval(args: argparse.Namespace) -> int:
 
 
 def _bench_eal(args: argparse.Namespace) -> int:
-    print(manifest_line("bench-eal", {
-        "vocab": args.vocab, "len": args.len, "mask_rate": args.mask_rate,
-        "reps": args.reps, "batch": args.batch,
-    }))
     config = ModelConfig(vocab_size=args.vocab, n_domains=2, max_len=args.len)
     report = evalbench.bench_eal(config, mask_rate=args.mask_rate,
                                  reps=args.reps, batch_size=args.batch)
@@ -292,6 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    print(manifest_line(args))
     try:
         return args.func(args)
     except DombertError as exc:

@@ -14,7 +14,9 @@ sampler with the unweighted loss; target_only runs never weight.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -135,7 +137,6 @@ class TrainResult:
     model_config: ModelConfig
     opt: AdamaxState
     records: list[StepRecord]
-    log_lines: list[str]
 
 
 def format_log_line(rec: StepRecord) -> str:
@@ -162,12 +163,16 @@ def train(
     model_config: ModelConfig,
     out_dir: str | Path | None = None,
     resume: checkpoint.CheckpointBundle | None = None,
+    manifest: str | None = None,
 ) -> TrainResult:
     """Run domain-oriented training; fully deterministic given the seed.
 
-    When out_dir is given, a resumable checkpoint is written every
-    checkpoint_interval optimizer steps. Top-k relevance reports are
-    interleaved into the log at the same cadence.
+    Without out_dir nothing is written. With it, train is the one writer of
+    the run directory: log.tsv starts with the manifest line (if given) and
+    gets each step's line as soon as the step ends, with a top-k relevance
+    report and a resumable ckpt_step*.ckpt every checkpoint_interval steps;
+    final.ckpt and top_domains.tsv follow the last step. Every file but the
+    log is renamed into place once complete.
     """
     tc = train_config
     mc = model_config
@@ -186,6 +191,9 @@ def train(
     spe = steps_per_epoch(target_count, tc.effective_batch)
     total_steps = tc.epochs * spe
     explore = 0.0 if tc.target_only else tc.explore
+    # a resume must match every field but the run length and checkpoint cadence
+    run_fields = {name: value for name, value in dataclasses.asdict(tc).items()
+                  if name not in ("epochs", "checkpoint_interval")}
 
     if resume is None:
         params = init_params(mc, derive_rng(tc.seed, STREAM_INIT))
@@ -202,13 +210,14 @@ def train(
             raise CheckpointError(
                 "checkpoint has no optimizer/sampler state; cannot resume"
             )
+        theirs = {**dataclasses.asdict(resume.config), **resume.trainer.get("config", {})}
+        for name, value in {**dataclasses.asdict(mc), **run_fields}.items():
+            if theirs.get(name) != value:
+                raise ConfigError(f"checkpoint {name}={theirs.get(name)} "
+                                  f"differs from this run's {name}={value}")
         params = resume.params
         opt = AdamaxState(**resume.adamax)
         state = state_from_json(resume.sampler, corpus)
-        for name, value in (("tau", tc.tau), ("explore", explore)):
-            if getattr(state, name) != value:
-                raise ConfigError(f"checkpoint {name}={getattr(state, name)} "
-                                  f"differs from this run's {name}={value}")
         mask_rng = rng_from_state(resume.trainer["mask_rng"])
         dropout_rng = rng_from_state(resume.trainer["dropout_rng"])
         start_step = int(resume.trainer["next_step"])
@@ -217,80 +226,93 @@ def train(
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
 
-    n_sources = table.n_plus_1 - 1
-    report_k = min(REPORT_K, n_sources)
+    report_k = min(REPORT_K, table.n_plus_1 - 1)
+
+    def top_domains() -> list[str]:
+        report = report_top_domains(params["dom_emb"], t, report_k, table.names)
+        return [row + "\n" for row in format_top_domains(report)]
+
     records: list[StepRecord] = []
-    log_lines: list[str] = []
+    with (open(out_path / "log.tsv", "w", encoding="utf-8")
+          if out_path is not None else nullcontext()) as log:
+        if log is not None and manifest is not None:
+            log.write(manifest + "\n")
 
-    for step in range(start_step, total_steps + 1):
-        epoch = (step - 1) // spe + 1
-        p_target = float(state.probs[t])
-        p_is_max = bool(state.probs[t] >= state.probs.max())
+        for step in range(start_step, total_steps + 1):
+            epoch = (step - 1) // spe + 1
+            p_target = float(state.probs[t])
+            p_is_max = bool(state.probs[t] >= state.probs.max())
 
-        micro_batches = [sample_batch(state, tc.micro_batch)
-                         for _ in range(tc.accum_steps)]
-        masked = [make_masked_batch(mb, tc.masking, mask_rng, mc.vocab_size)
-                  for mb in micro_batches]
-        t_tot = sum(mb.n_targets for mb in masked)
-        b_tot = tc.effective_batch
+            micro_batches = [sample_batch(state, tc.micro_batch)
+                             for _ in range(tc.accum_steps)]
+            masked = [make_masked_batch(mb, tc.masking, mask_rng, mc.vocab_size)
+                      for mb in micro_batches]
+            t_tot = sum(mb.n_targets for mb in masked)
+            b_tot = tc.effective_batch
 
-        grads = zero_grads(mc)
-        mlm_sum = 0.0
-        cls_sum = 0.0
-        delta = 0.0
-        for mb in masked:
-            _, cache = objective.forward(
-                mb, params, mc, tc.lam,
-                dropout_rng if mc.dropout_enabled else None,
-                importance_weights(state, mb.domain_labels),
+            grads = zero_grads(mc)
+            mlm_sum = 0.0
+            cls_sum = 0.0
+            delta = 0.0
+            for mb in masked:
+                _, cache = objective.forward(
+                    mb, params, mc, tc.lam,
+                    dropout_rng if mc.dropout_enabled else None,
+                    importance_weights(state, mb.domain_labels),
+                )
+                g = objective.backward(
+                    mb, cache, params, mc, tc.lam,
+                    mlm_divisor=max(t_tot, 1), cls_divisor=b_tot,
+                    include_regularizer=False,
+                )
+                for name in grads:
+                    grads[name] += g[name]
+                mlm_sum += cache.mlm_ce_sum
+                cls_sum += cache.cls_ce_sum
+                delta = cache.delta
+            grads["dom_emb"] += objective.regularizer_grad(params["dom_emb"])
+
+            w_norm = float(np.linalg.norm(grads["cls_w"]))
+            b_norm = float(np.linalg.norm(grads["cls_b"]))
+            adamax_step(params, grads, opt, tc.lr)
+
+            if not tc.target_only:
+                refresh_probabilities(state, params["dom_emb"])
+
+            breakdown = total_loss(mlm_sum / max(t_tot, 1), cls_sum / b_tot,
+                                   delta, tc.lam)
+            rec = StepRecord(
+                step=step, epoch=epoch, breakdown=breakdown,
+                p_target=p_target, p_target_is_max=p_is_max,
+                cls_w_grad_norm=w_norm, cls_b_grad_norm=b_norm,
             )
-            g = objective.backward(
-                mb, cache, params, mc, tc.lam,
-                mlm_divisor=max(t_tot, 1), cls_divisor=b_tot,
-                include_regularizer=False,
-            )
-            for name in grads:
-                grads[name] += g[name]
-            mlm_sum += cache.mlm_ce_sum
-            cls_sum += cache.cls_ce_sum
-            delta = cache.delta
-        grads["dom_emb"] += objective.regularizer_grad(params["dom_emb"])
-
-        w_norm = float(np.linalg.norm(grads["cls_w"]))
-        b_norm = float(np.linalg.norm(grads["cls_b"]))
-        adamax_step(params, grads, opt, tc.lr)
-
-        if not tc.target_only:
-            refresh_probabilities(state, params["dom_emb"])
-
-        breakdown = total_loss(mlm_sum / max(t_tot, 1), cls_sum / b_tot,
-                               delta, tc.lam)
-        rec = StepRecord(
-            step=step, epoch=epoch, breakdown=breakdown,
-            p_target=p_target, p_target_is_max=p_is_max,
-            cls_w_grad_norm=w_norm, cls_b_grad_norm=b_norm,
-        )
-        records.append(rec)
-        log_lines.append(format_log_line(rec))
-
-        if tc.checkpoint_interval > 0 and step % tc.checkpoint_interval == 0:
-            if report_k > 0:
-                log_lines.append(f"# top-{report_k} relevant domains after step {step}")
-                log_lines.extend(format_top_domains(
-                    report_top_domains(params["dom_emb"], t, report_k, table.names)
-                ))
-            if out_path is not None:
+            records.append(rec)
+            if log is None:
+                continue
+            log.write(format_log_line(rec) + "\n")
+            at_checkpoint = tc.checkpoint_interval > 0 and step % tc.checkpoint_interval == 0
+            if at_checkpoint and report_k > 0:
+                log.write(f"# top-{report_k} relevant domains after step {step}\n")
+                log.writelines(top_domains())
+            log.flush()
+            if at_checkpoint:
                 save_training_checkpoint(
                     out_path / f"ckpt_step{step:06d}.ckpt",
                     mc, params, opt, state,
                     {"next_step": step + 1,
                      "mask_rng": mask_rng.bit_generator.state,
-                     "dropout_rng": dropout_rng.bit_generator.state},
+                     "dropout_rng": dropout_rng.bit_generator.state,
+                     "config": run_fields},
                     table,
                 )
 
-    return TrainResult(params=params, model_config=mc, opt=opt,
-                       records=records, log_lines=log_lines)
+    if out_path is not None:
+        checkpoint.save_model(out_path / "final.ckpt", mc, params,
+                              domain_names=list(table.names), target_index=t)
+        with checkpoint.open_replacing(out_path / "top_domains.tsv", "w",
+                                       encoding="utf-8") as fh:
+            fh.writelines(top_domains())
+    return TrainResult(params=params, model_config=mc, opt=opt, records=records)
 
 
 def save_training_checkpoint(

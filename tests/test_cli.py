@@ -1,11 +1,13 @@
+import argparse
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from dombert import checkpoint, evalbench
-from dombert.cli import main
+from dombert import checkpoint, evalbench, trainer
+from dombert.cli import build_parser, main, manifest_line
+from dombert.errors import NonFiniteGradientError
 from dombert.model import ModelConfig, init_params
 from dombert.nputil import derive_rng
 
@@ -116,6 +118,29 @@ class TestTrain:
         assert a == b
         assert file_hash(outs[0] / "final.ckpt") != ""  # exists and readable
 
+    def test_crash_leaves_the_log_so_far_and_no_final_files(self, tmp_path,
+                                                            monkeypatch):
+        packed = self._ingest(tmp_path)
+        step = trainer.adamax_step
+        calls = []
+
+        def failing_step(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise NonFiniteGradientError("injected at step 3")
+            step(*args)
+
+        monkeypatch.setattr(trainer, "adamax_step", failing_step)
+        out = tmp_path / "run"
+        rc = main(["train", "--packed", str(packed), "--epochs", "4",
+                   "--batch", "2", "--accum", "1", "--m", "8", "--out", str(out)])
+        assert rc == 1
+        log = (out / "log.tsv").read_text(encoding="utf-8").splitlines()
+        assert log[0].startswith("MANIFEST\t")
+        assert [line.split("\t")[0] for line in log[1:]] == ["1", "2"]
+        assert not (out / "final.ckpt").exists()
+        assert not (out / "top_domains.tsv").exists()
+
     def test_flag_defaults_match_training_recipe(self):
         from dombert.cli import build_parser
 
@@ -140,6 +165,29 @@ class TestTrain:
                    "--epochs", "1", "--out", str(tmp_path / "bad")])
         assert rc == 1
         assert "explore" in capsys.readouterr().err
+
+
+class TestManifest:
+    ARGV = {
+        "ingest": ["ingest", "--corpus", "c", "--target", "t", "--out", "o"],
+        "train": ["train", "--packed", "p", "--out", "o"],
+        "report": ["report", "--ckpt", "c"],
+        "gen-synth": ["gen-synth", "--out", "o"],
+        "eval": ["eval", "--ckpt", "c"],
+        "bench-eal": ["bench-eal"],
+    }
+
+    def test_keys_are_the_parser_dests(self):
+        parser = build_parser()
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        assert set(subparsers.choices) == set(self.ARGV)
+        for command, sub in subparsers.choices.items():
+            dests = {a.dest for a in sub._actions if a.dest != "help"}
+            line = manifest_line(parser.parse_args(self.ARGV[command]))
+            payload = json.loads(line.split("\t", 1)[1])
+            assert set(payload) == dests | {"command", "version"}, command
+            assert payload["command"] == command
 
 
 class TestReport:

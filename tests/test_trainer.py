@@ -6,6 +6,7 @@ import pytest
 from dombert import checkpoint, trainer
 from dombert.corpus import DomainTable, PackedCorpus
 from dombert.errors import CheckpointError, ConfigError, NonFiniteGradientError
+from dombert.masking import MaskingPolicy
 from dombert.model import ModelConfig, init_params, param_specs
 from dombert.nputil import derive_rng
 from dombert.sampler import domain_probabilities, sampling_probabilities
@@ -25,6 +26,10 @@ def make_corpus(seed=0, counts=(6, 5, 4), target=0, max_len=12, vocab_size=25):
     table.counts = list(counts)
     return PackedCorpus(examples=examples, table=table, max_len=max_len,
                         vocab_size=vocab_size)
+
+
+def read_log(out_dir):
+    return (out_dir / "log.tsv").read_text(encoding="utf-8").splitlines()
 
 
 def small_model_config(corpus, **overrides):
@@ -107,16 +112,16 @@ class TestTrainLoop:
             assert np.array_equal(result.params[name], expected[name])
         assert result.records == []
 
-    def test_same_seed_is_bit_identical(self):
+    def test_same_seed_is_bit_identical(self, tmp_path):
         corpus = make_corpus()
         mc = small_model_config(corpus)
         tc = trainer.TrainConfig(epochs=2, seed=7, micro_batch=2, accum_steps=2,
                                  checkpoint_interval=0)
-        r1 = trainer.train(tc, corpus, mc)
-        r2 = trainer.train(tc, corpus, mc)
+        r1 = trainer.train(tc, corpus, mc, out_dir=tmp_path / "a")
+        r2 = trainer.train(tc, corpus, mc, out_dir=tmp_path / "b")
         for name in r1.params:
             assert np.array_equal(r1.params[name], r2.params[name])
-        assert r1.log_lines == r2.log_lines
+        assert read_log(tmp_path / "a") == read_log(tmp_path / "b")
 
     def test_loss_identity_every_step(self):
         corpus = make_corpus()
@@ -173,13 +178,13 @@ class TestTrainLoop:
         assert len(result.records) == 2 * spe
         assert result.records[-1].epoch == 2
 
-    def test_log_line_shape(self):
+    def test_log_line_shape(self, tmp_path):
         corpus = make_corpus()
         mc = small_model_config(corpus)
         tc = trainer.TrainConfig(epochs=1, seed=0, micro_batch=2, accum_steps=2,
                                  checkpoint_interval=0)
-        result = trainer.train(tc, corpus, mc)
-        fields = result.log_lines[0].split("\t")
+        trainer.train(tc, corpus, mc, out_dir=tmp_path)
+        fields = read_log(tmp_path)[0].split("\t")
         assert len(fields) == 7
         int(fields[0]), int(fields[1])
         for v in fields[2:]:
@@ -204,14 +209,16 @@ class TestTrainLoop:
         result = trainer.train(tc, corpus, mc)
         assert all(rec.p_target == 1.0 for rec in result.records)
 
-    def test_target_only_ignores_the_exploration_floor(self):
+    def test_target_only_ignores_the_exploration_floor(self, tmp_path):
         corpus = make_corpus(counts=(5, 5, 5), target=1)
         mc = small_model_config(corpus)
         base = dict(epochs=2, seed=0, micro_batch=2, accum_steps=2,
                     target_only=True, checkpoint_interval=0)
-        plain = trainer.train(trainer.TrainConfig(explore=0.0, **base), corpus, mc)
-        floored = trainer.train(trainer.TrainConfig(explore=0.5, **base), corpus, mc)
-        assert plain.log_lines == floored.log_lines
+        plain = trainer.train(trainer.TrainConfig(explore=0.0, **base), corpus, mc,
+                              out_dir=tmp_path / "plain")
+        floored = trainer.train(trainer.TrainConfig(explore=0.5, **base), corpus, mc,
+                                out_dir=tmp_path / "floored")
+        assert read_log(tmp_path / "plain") == read_log(tmp_path / "floored")
         for name in plain.params:
             assert np.array_equal(plain.params[name], floored.params[name])
 
@@ -255,18 +262,20 @@ class TestSamplingDistribution:
 class TestCheckpoint:
     def test_model_round_trip(self, tmp_path):
         corpus = make_corpus()
-        mc = small_model_config(corpus)
-        params = init_params(mc, derive_rng(0, 0))
-        path = tmp_path / "model.ckpt"
-        checkpoint.save_model(path, mc, params,
-                              domain_names=list(corpus.table.names),
-                              target_index=0)
-        bundle = checkpoint.load(path)
-        assert bundle.config == mc
-        assert bundle.domain_names == corpus.table.names
-        assert bundle.target_index == 0
-        for name in params:
-            assert np.array_equal(bundle.params[name], params[name])
+        for dtype in ("float32", "float64"):
+            mc = small_model_config(corpus, dtype=dtype)
+            params = init_params(mc, derive_rng(0, 0))
+            path = tmp_path / f"{dtype}.ckpt"
+            checkpoint.save_model(path, mc, params,
+                                  domain_names=list(corpus.table.names),
+                                  target_index=0)
+            bundle = checkpoint.load(path)
+            assert bundle.config == mc
+            assert bundle.domain_names == corpus.table.names
+            assert bundle.target_index == 0
+            for name in params:
+                assert bundle.params[name].dtype == params[name].dtype
+                assert np.array_equal(bundle.params[name], params[name])
 
     def test_header_line(self, tmp_path):
         corpus = make_corpus()
@@ -277,17 +286,42 @@ class TestCheckpoint:
         assert path.read_bytes().startswith(b"DOMBERT-CKPT v1\n")
 
     def test_byte_count_matches_oracle(self, tmp_path):
-        """File size = text lines + 4 bytes per float, nothing hidden."""
+        """File size = text lines + 4 bytes per float32 (8 per float64),
+        nothing hidden."""
+        corpus = make_corpus()
+        names = list(corpus.table.names)
+        for dtype, itemsize in (("float32", 4), ("float64", 8)):
+            mc = small_model_config(corpus, dtype=dtype)
+            params = init_params(mc, derive_rng(0, 0))
+            path = tmp_path / f"{dtype}.ckpt"
+            checkpoint.save_model(path, mc, params, domain_names=names, target_index=0)
+            expected = checkpoint.expected_size(mc, domain_names=names, target_index=0)
+            assert path.stat().st_size == expected
+            array_bytes = sum(itemsize * int(np.prod(shape))
+                              for _, shape in param_specs(mc))
+            assert expected > array_bytes
+
+    def test_failed_save_keeps_the_previous_file(self, tmp_path, monkeypatch):
         corpus = make_corpus()
         mc = small_model_config(corpus)
-        params = init_params(mc, derive_rng(0, 0))
-        path = tmp_path / "model.ckpt"
-        names = list(corpus.table.names)
-        checkpoint.save_model(path, mc, params, domain_names=names, target_index=0)
-        expected = checkpoint.expected_size(mc, domain_names=names, target_index=0)
-        assert path.stat().st_size == expected
-        array_bytes = sum(4 * int(np.prod(shape)) for _, shape in param_specs(mc))
-        assert expected > array_bytes
+        path = tmp_path / "final.ckpt"
+        checkpoint.save_model(path, mc, init_params(mc, derive_rng(0, 0)))
+        before = path.read_bytes()
+        write_array = checkpoint._write_array
+        calls = []
+
+        def failing_write_array(*args):
+            calls.append(args[1])
+            if len(calls) == 3:
+                raise OSError("disk full")
+            write_array(*args)
+
+        monkeypatch.setattr(checkpoint, "_write_array", failing_write_array)
+        with pytest.raises(OSError, match="disk full"):
+            checkpoint.save_model(path, mc, init_params(mc, derive_rng(1, 0)))
+        assert len(calls) == 3
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["final.ckpt"]
 
     def test_truncated_file_is_clean_error(self, tmp_path):
         corpus = make_corpus()
@@ -344,37 +378,50 @@ class TestCheckpoint:
 class TestResume:
     def test_resume_reproduces_uninterrupted_run(self, tmp_path):
         corpus = make_corpus(counts=(8, 6, 5))
-        mc = small_model_config(corpus)
         full_cfg = trainer.TrainConfig(epochs=4, seed=5, micro_batch=2,
                                        accum_steps=2, checkpoint_interval=4)
-        full = trainer.train(full_cfg, corpus, mc, out_dir=tmp_path / "full")
-        ckpts = sorted((tmp_path / "full").glob("ckpt_step*.ckpt"))
-        assert ckpts
-        bundle = checkpoint.load(ckpts[0])
-        resumed = trainer.train(full_cfg, corpus, mc, out_dir=tmp_path / "resumed",
-                                resume=bundle)
-        for name in full.params:
-            assert np.array_equal(full.params[name], resumed.params[name]), name
-        assert full.opt.step == resumed.opt.step
-        written = sorted((tmp_path / "resumed").glob("ckpt_step*.ckpt"))
-        assert [p.name for p in written] == [p.name for p in ckpts[1:]]
-        for path in written:
-            assert path.read_bytes() == (tmp_path / "full" / path.name).read_bytes()
-        assert resumed.log_lines[0].startswith(f"{bundle.trainer['next_step']}\t")
-        assert resumed.log_lines == full.log_lines[-len(resumed.log_lines):]
+        for dtype in ("float32", "float64"):
+            mc = small_model_config(corpus, dtype=dtype)
+            full_dir, resumed_dir = tmp_path / dtype / "full", tmp_path / dtype / "resumed"
+            full = trainer.train(full_cfg, corpus, mc, out_dir=full_dir)
+            ckpts = sorted(full_dir.glob("ckpt_step*.ckpt"))
+            assert ckpts
+            bundle = checkpoint.load(ckpts[0])
+            resumed = trainer.train(full_cfg, corpus, mc, out_dir=resumed_dir,
+                                    resume=bundle)
+            for name in full.params:
+                assert resumed.params[name].dtype == np.dtype(dtype)
+                assert np.array_equal(full.params[name], resumed.params[name]), name
+            assert full.opt.step == resumed.opt.step
+            written = sorted(resumed_dir.glob("ckpt_step*.ckpt"))
+            assert [p.name for p in written] == [p.name for p in ckpts[1:]]
+            for path in written:
+                assert path.read_bytes() == (full_dir / path.name).read_bytes()
+            resumed_log = read_log(resumed_dir)
+            full_log = read_log(full_dir)
+            assert resumed_log[0].startswith(f"{bundle.trainer['next_step']}\t")
+            assert resumed_log == full_log[-len(resumed_log):]
 
-    def test_resume_rejects_another_tau_or_explore(self, tmp_path):
+    def test_resume_rejects_another_run_setting(self, tmp_path):
         corpus = make_corpus()
         mc = small_model_config(corpus)
         tc = trainer.TrainConfig(epochs=2, seed=1, micro_batch=2, accum_steps=2,
                                  checkpoint_interval=2)
         trainer.train(tc, corpus, mc, out_dir=tmp_path)
-        path = sorted(tmp_path.glob("ckpt_step*.ckpt"))[0]
-        for name, value in (("tau", 0.5), ("explore", 0.0)):
+        bundle = checkpoint.load(sorted(tmp_path.glob("ckpt_step*.ckpt"))[0])
+        for name, value in (("tau", 0.5), ("explore", 0.0), ("lr", 1e-2),
+                            ("lam", 0.5), ("micro_batch", 3), ("seed", 2),
+                            ("target_only", True),
+                            ("masking", MaskingPolicy(select_prob=0.2))):
             other = dataclasses.replace(tc, **{name: value})
             with pytest.raises(ConfigError, match=f"checkpoint {name}="):
-                trainer.train(other, corpus, mc, resume=checkpoint.load(path))
-        trainer.train(tc, corpus, mc, resume=checkpoint.load(path))
+                trainer.train(other, corpus, mc, resume=bundle)
+        with pytest.raises(ConfigError, match="checkpoint dropout_enabled=False"):
+            trainer.train(tc, corpus, dataclasses.replace(mc, dropout_enabled=True),
+                          resume=bundle)
+        # the run length and the checkpoint cadence may change
+        longer = dataclasses.replace(tc, epochs=3, checkpoint_interval=5)
+        trainer.train(longer, corpus, mc, resume=bundle)
 
     def test_target_only_run_resumes(self, tmp_path):
         """A target-only run stores explore 0, whatever its config says."""
