@@ -111,11 +111,11 @@ def _parse_config(lines: dict[str, str]) -> ModelConfig:
         if field.name not in lines:
             raise CheckpointError(f"missing config field {field.name!r}")
         raw = lines[field.name]
-        if field.type in ("int", int):
+        if field.type == "int":
             kwargs[field.name] = int(raw)
-        elif field.type in ("float", float):
+        elif field.type == "float":
             kwargs[field.name] = float(raw)
-        elif field.type in ("bool", bool):
+        elif field.type == "bool":
             kwargs[field.name] = raw == "True"
         else:
             kwargs[field.name] = raw

@@ -2,9 +2,10 @@
 
 Every command prints a one-line run manifest (command name, every parsed
 argument, artifact version) sufficient to replay the run; for training the
-manifest is also the first line of the log file. The trainer writes the
-whole run directory; checkpoints store arrays in the model's dtype, which
-the CLI leaves at float32. Exit statuses: 0 success, 1 runtime/data error,
+manifest is also the first line of the log file. The corpus module writes
+and reads the ingest directory and the trainer writes the whole run
+directory, so no file name lives here; checkpoints store arrays in the
+model's dtype, which the CLI leaves at float32. Exit statuses: 0 success, 1 runtime/data error,
 2 usage error.
 """
 from __future__ import annotations
@@ -12,17 +13,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from . import __version__, checkpoint, corpus, evalbench, sampler, trainer
 from .errors import DombertError
 from .masking import MaskingPolicy
 from .model import ModelConfig
-
-PACKED_FILE = "packed.tsv"
-VOCAB_FILE = "vocab.tsv"
-DOMAINS_FILE = "domains.tsv"
-STATS_FILE = "stats.tsv"
 
 
 def manifest_line(args: argparse.Namespace) -> str:
@@ -36,36 +31,14 @@ def _ingest(args: argparse.Namespace) -> int:
     vocab = corpus.build_vocab([text for _, text in records],
                                args.min_count, args.max_vocab)
     packed = corpus.pack_corpus(table, records, vocab, args.max_len)
-    corpus.validate_packed(packed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    corpus.write_packed(out / PACKED_FILE, packed)
-    corpus.write_vocab(out / VOCAB_FILE, vocab)
-    corpus.write_domain_table(out / DOMAINS_FILE, table)
-    corpus.write_stats(out / STATS_FILE, corpus.corpus_stats(table))
+    corpus.write_ingested(args.out, packed, vocab)
     print(f"packed {len(packed.examples)} examples over {table.n_plus_1} domains;"
           f" vocabulary size {vocab.size}")
     return 0
 
 
-def _load_packed_dir(packed_arg: str) -> tuple[corpus.PackedCorpus, corpus.Vocabulary]:
-    root = Path(packed_arg)
-    if root.is_dir():
-        packed_path = root / PACKED_FILE
-        vocab_path = root / VOCAB_FILE
-        domains_path = root / DOMAINS_FILE
-    else:
-        packed_path = root
-        vocab_path = root.parent / VOCAB_FILE
-        domains_path = root.parent / DOMAINS_FILE
-    table = corpus.read_domain_table(domains_path)
-    vocab = corpus.read_vocab(vocab_path)
-    packed = corpus.read_packed(packed_path, table)
-    return packed, vocab
-
-
 def _train(args: argparse.Namespace) -> int:
-    packed, _ = _load_packed_dir(args.packed)
+    packed = corpus.read_ingested(args.packed)
     model_config = ModelConfig(
         vocab_size=packed.vocab_size,
         n_domains=packed.table.n_plus_1,

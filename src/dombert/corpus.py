@@ -3,6 +3,10 @@
 Input format (dom-corpus v1): UTF-8 text, one record per line,
 ``domain_name<TAB>document_text``, no escaping, empty lines skipped.
 Domain names must not contain TAB.
+
+This module is the one writer and the one reader of the ingest directory
+(``packed.tsv``, ``vocab.tsv``, ``domains.tsv``, ``stats.tsv``); every read
+turns a malformed file into a CorpusError.
 """
 from __future__ import annotations
 
@@ -10,6 +14,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -29,16 +34,15 @@ PACKED_MAGIC = "DOMPACK v1"
 VOCAB_MAGIC = "DOMVOCAB v1"
 TABLE_MAGIC = "DOMTABLE v1"
 
+PACKED_FILE = "packed.tsv"
+VOCAB_FILE = "vocab.tsv"
+DOMAINS_FILE = "domains.tsv"
+STATS_FILE = "stats.tsv"
+
 
 def word_tokens(text: str) -> list[str]:
     """Lowercased word-level split; punctuation marks become their own tokens."""
     return _TOKEN_RE.findall(text.lower())
-
-
-@dataclass
-class Document:
-    domain_id: int
-    tokens: list[int]
 
 
 @dataclass
@@ -77,9 +81,6 @@ class Vocabulary:
         self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
         if len(self.token_to_id) != len(self.id_to_token):
             raise CorpusError("duplicate tokens in vocabulary")
-
-    def __len__(self) -> int:
-        return len(self.id_to_token)
 
     @property
     def size(self) -> int:
@@ -154,30 +155,21 @@ def tokenize(text: str, vocab: Vocabulary) -> list[int]:
     return [get(t, UNK_ID) for t in word_tokens(text)]
 
 
-def pack_domain(docs: list[Document], max_len: int, vocab: Vocabulary) -> list[PackedExample]:
-    """Greedy same-domain packing in input order.
+def pack_domain(docs: list[list[int]], domain_id: int, max_len: int) -> list[PackedExample]:
+    """Greedy packing of one domain's token-id documents in input order.
 
-    Each document contributes its tokens followed by one [SEP]; the resulting
-    stream is cut into [CLS]-prefixed rows of capacity max_len - 1, so a
-    document that does not fit is split and its remainder carries into the
-    next row. The final row is padded to max_len.
+    Each non-empty document contributes its tokens followed by one [SEP]; the
+    resulting stream is cut into [CLS]-prefixed rows of capacity max_len - 1,
+    so a document that does not fit is split and its remainder carries into
+    the next row. The final row is padded to max_len.
     """
     if max_len < 3:
         raise ConfigError("max_len must be >= 3")
-    if not docs:
-        return []
-    domain = docs[0].domain_id
     stream: list[int] = []
-    for doc in docs:
-        if doc.domain_id != domain:
-            raise ConfigError("pack_domain requires documents of a single domain")
-        if not doc.tokens:
-            continue
-        for tok in doc.tokens:
-            if not 0 <= tok < vocab.size:
-                raise CorpusError(f"token id {tok} out of vocabulary range")
-        stream.extend(doc.tokens)
-        stream.append(SEP_ID)
+    for tokens in docs:
+        if tokens:
+            stream.extend(tokens)
+            stream.append(SEP_ID)
 
     capacity = max_len - 1
     out: list[PackedExample] = []
@@ -186,7 +178,7 @@ def pack_domain(docs: list[Document], max_len: int, vocab: Vocabulary) -> list[P
         ids = np.full(max_len, PAD_ID, dtype=np.int64)
         ids[0] = CLS_ID
         ids[1 : 1 + len(chunk)] = chunk
-        out.append(PackedExample(ids=ids, valid_len=1 + len(chunk), domain_id=domain))
+        out.append(PackedExample(ids=ids, valid_len=1 + len(chunk), domain_id=domain_id))
     return out
 
 
@@ -198,21 +190,21 @@ def pack_corpus(
 ) -> PackedCorpus:
     """Tokenize and pack every domain; updates table.counts in place.
 
-    Records whose text tokenizes to nothing are dropped. Output order is
-    domain id ascending, then packing order within the domain.
+    Records whose text tokenizes to nothing are dropped, and a target domain
+    left with no rows is a CorpusError. Output order is domain id ascending,
+    then packing order within the domain.
     """
-    by_domain: list[list[Document]] = [[] for _ in table.names]
+    by_domain: list[list[list[int]]] = [[] for _ in table.names]
     ids_by_name = {n: i for i, n in enumerate(table.names)}
     for name, text in records:
-        toks = tokenize(text, vocab)
-        if toks:
-            did = ids_by_name[name]
-            by_domain[did].append(Document(domain_id=did, tokens=toks))
+        by_domain[ids_by_name[name]].append(tokenize(text, vocab))
     examples: list[PackedExample] = []
     for did, docs in enumerate(by_domain):
-        packed = pack_domain(docs, max_len, vocab)
+        packed = pack_domain(docs, did, max_len)
         table.counts[did] = len(packed)
         examples.extend(packed)
+    if table.counts[table.target_index] < 1:
+        raise CorpusError("target domain has no packed examples")
     return PackedCorpus(examples=examples, table=table, max_len=max_len, vocab_size=vocab.size)
 
 
@@ -225,7 +217,8 @@ def corpus_stats(table: DomainTable) -> list[tuple[str, int]]:
 
 
 def validate_packed(corpus: PackedCorpus) -> None:
-    """Check every packed-example invariant; raises CorpusError on violation."""
+    """Check every packed-example invariant, and the table's counts against
+    the rows; raises CorpusError on violation."""
     counted = [0] * corpus.table.n_plus_1
     for i, ex in enumerate(corpus.examples):
         if ex.ids.shape != (corpus.max_len,):
@@ -253,6 +246,62 @@ def validate_packed(corpus: PackedCorpus) -> None:
 # File formats
 
 
+def write_ingested(out_dir: str | Path, packed: PackedCorpus, vocab: Vocabulary) -> None:
+    """Write the ingest directory: packed rows, vocabulary, domain table and
+    the rank-size stats of the table's counts."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_packed(out / PACKED_FILE, packed)
+    write_vocab(out / VOCAB_FILE, vocab)
+    write_domain_table(out / DOMAINS_FILE, packed.table)
+    write_stats(out / STATS_FILE, corpus_stats(packed.table))
+
+
+def read_ingested(path: str | Path) -> PackedCorpus:
+    """The checked corpus of an ingest directory, given the directory or the
+    packed file inside it; the domain table is read beside the packed file."""
+    path = Path(path)
+    if path.is_dir():
+        path = path / PACKED_FILE
+    return read_packed(path, read_domain_table(path.parent / DOMAINS_FILE))
+
+
+def _read_header(fh: TextIO, magic: str, keys: tuple[str, ...], what: str) -> list[int]:
+    """The integer values of `keys` in a ``magic key=value ...`` header line."""
+    header = fh.readline().rstrip("\n")
+    fields = header.split(" ")
+    if fields[:2] == magic.split(" "):
+        try:
+            kv = dict(f.split("=", 1) for f in fields[2:])
+            return [int(kv[key]) for key in keys]
+        except (KeyError, ValueError):
+            pass
+    raise CorpusError(f"bad {what} header: {header!r}")
+
+
+def _read_rows(fh: TextIO, n: int, n_fields: int, what: str) -> list[list[str]]:
+    """The fields after the id of ``id<TAB>field...`` lines, in id order;
+    the ids must be 0..n-1, each exactly once."""
+    rows: dict[int, list[str]] = {}
+    for lineno, line in enumerate(fh, start=2):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("\t")
+        try:
+            ident = int(parts[0])
+        except ValueError as exc:
+            raise CorpusError(f"{what} line {lineno}: bad id {parts[0]!r}") from exc
+        if len(parts) != n_fields:
+            raise CorpusError(f"{what} line {lineno}: expected {n_fields} TAB-separated fields")
+        if not 0 <= ident < n or ident in rows:
+            raise CorpusError(f"{what} line {lineno}: id {ident} out of range or repeated")
+        rows[ident] = parts[1:]
+    if len(rows) != n:
+        raise CorpusError(f"{what} has {len(rows)} rows, its header says {n}")
+    return [rows[i] for i in range(n)]
+
+
 def write_packed(path: str | Path, corpus: PackedCorpus) -> None:
     """Packed-corpus file: one header line, then one line per example
     ``domain_id<TAB>valid_len<TAB>space-separated ids`` (all max_len ids)."""
@@ -267,24 +316,15 @@ def write_packed(path: str | Path, corpus: PackedCorpus) -> None:
 
 
 def read_packed(path: str | Path, table: DomainTable) -> PackedCorpus:
+    """The packed rows of `path`, validated against `table` and its counts."""
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        fields = header.split(" ")
-        if fields[:2] != PACKED_MAGIC.split(" "):
-            raise CorpusError(f"bad packed-corpus header: {header!r}")
-        try:
-            kv = dict(f.split("=", 1) for f in fields[2:])
-            max_len = int(kv["L_max"])
-            n_plus_1 = int(kv["n_plus_1"])
-            vocab_size = int(kv["vocab_size"])
-        except (KeyError, ValueError) as exc:
-            raise CorpusError(f"bad packed-corpus header: {header!r}") from exc
+        max_len, n_plus_1, vocab_size = _read_header(
+            fh, PACKED_MAGIC, ("L_max", "n_plus_1", "vocab_size"), "packed-corpus")
         if n_plus_1 != table.n_plus_1:
             raise CorpusError(
                 f"packed corpus has {n_plus_1} domains, table has {table.n_plus_1}"
             )
         examples: list[PackedExample] = []
-        counts = [0] * n_plus_1
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
@@ -301,8 +341,6 @@ def read_packed(path: str | Path, table: DomainTable) -> PackedCorpus:
             if ids.shape != (max_len,):
                 raise CorpusError(f"line {lineno}: expected {max_len} ids")
             examples.append(PackedExample(ids=ids, valid_len=valid_len, domain_id=did))
-            counts[did] += 1
-    table.counts = counts
     corpus = PackedCorpus(examples=examples, table=table, max_len=max_len, vocab_size=vocab_size)
     validate_packed(corpus)
     return corpus
@@ -317,21 +355,11 @@ def write_vocab(path: str | Path, vocab: Vocabulary) -> None:
 
 def read_vocab(path: str | Path) -> Vocabulary:
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if not header.startswith(VOCAB_MAGIC):
-            raise CorpusError(f"bad vocabulary header: {header!r}")
-        tokens = []
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            ident, tok = line.split("\t", 1)
-            tokens.append((int(ident), tok))
-    tokens.sort()
-    ordered = [t for _, t in tokens]
-    if ordered[:NUM_RESERVED] != RESERVED_TOKENS:
+        (size,) = _read_header(fh, VOCAB_MAGIC, ("size",), "vocabulary")
+        tokens = [tok for tok, in _read_rows(fh, size, 2, "vocabulary")]
+    if tokens[:NUM_RESERVED] != RESERVED_TOKENS:
         raise CorpusError("vocabulary file lacks the reserved tokens")
-    return Vocabulary(ordered[NUM_RESERVED:])
+    return Vocabulary(tokens[NUM_RESERVED:])
 
 
 def write_domain_table(path: str | Path, table: DomainTable) -> None:
@@ -343,25 +371,15 @@ def write_domain_table(path: str | Path, table: DomainTable) -> None:
 
 def read_domain_table(path: str | Path) -> DomainTable:
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        fields = header.split(" ")
-        if fields[:2] != TABLE_MAGIC.split(" "):
-            raise CorpusError(f"bad domain-table header: {header!r}")
-        kv = dict(f.split("=", 1) for f in fields[2:])
-        target = int(kv["target"])
-        rows = []
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            ident, name, count = line.split("\t")
-            rows.append((int(ident), name, int(count)))
-    rows.sort()
-    return DomainTable(
-        names=[name for _, name, _ in rows],
-        target_index=target,
-        counts=[count for _, _, count in rows],
-    )
+        n_plus_1, target = _read_header(fh, TABLE_MAGIC, ("n_plus_1", "target"),
+                                        "domain-table")
+        rows = _read_rows(fh, n_plus_1, 3, "domain table")
+    try:
+        counts = [int(count) for _, count in rows]
+    except ValueError as exc:
+        raise CorpusError("domain table has a non-integer count") from exc
+    return DomainTable(names=[name for name, _ in rows], target_index=target,
+                       counts=counts)
 
 
 def write_stats(path: str | Path, stats: list[tuple[str, int]]) -> None:

@@ -18,7 +18,6 @@ from . import model as model_ops
 from .corpus import (
     CLS_ID,
     NUM_RESERVED,
-    Document,
     PackedExample,
     Vocabulary,
     pack_domain,
@@ -162,14 +161,10 @@ def eval_pseudo_perplexity(
 ) -> float:
     """exp(mean masked-token cross-entropy) under one fixed-seed masking pass."""
     config = set_dropout(config, False)
-    docs = []
-    for text in heldout_texts:
-        toks = tokenize(text, vocab)
-        if toks:
-            docs.append(Document(domain_id=0, tokens=toks))
-    if not docs:
+    examples = pack_domain([tokenize(text, vocab) for text in heldout_texts],
+                           0, config.max_len)
+    if not examples:
         raise ConfigError("held-out set tokenizes to nothing")
-    examples = pack_domain(docs, config.max_len, vocab)
     rng = derive_rng(seed, STREAM_EVAL)
     ce_sum = 0.0
     n_targets = 0

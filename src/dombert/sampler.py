@@ -155,8 +155,7 @@ def state_from_json(raw: dict[str, Any], corpus: PackedCorpus) -> SamplerState:
         queues=queues, probs=np.asarray(raw["probs"], dtype=np.float64),
         target=int(raw["target"]), tau=float(raw["tau"]),
         rng=rng_from_state(raw["rng"]), examples_by_domain=by_domain,
-        # checkpoints from before exploration existed used the plain softmax
-        explore=float(raw.get("explore", 0.0)),
+        explore=float(raw["explore"]),
     )
 
 

@@ -77,8 +77,8 @@ class TrainConfig:
             raise ConfigError("lr must be > 0")
         if min(self.micro_batch, self.accum_steps) < 1:
             raise ConfigError("micro_batch and accum_steps must be >= 1")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
+        if min(self.epochs, self.checkpoint_interval) < 0:
+            raise ConfigError("epochs and checkpoint_interval must be >= 0")
 
     @property
     def effective_batch(self) -> int:
@@ -135,7 +135,6 @@ class StepRecord:
 class TrainResult:
     params: Params
     model_config: ModelConfig
-    opt: AdamaxState
     records: list[StepRecord]
 
 
@@ -312,7 +311,7 @@ def train(
         with checkpoint.open_replacing(out_path / "top_domains.tsv", "w",
                                        encoding="utf-8") as fh:
             fh.writelines(top_domains())
-    return TrainResult(params=params, model_config=mc, opt=opt, records=records)
+    return TrainResult(params=params, model_config=mc, records=records)
 
 
 def save_training_checkpoint(

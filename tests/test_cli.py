@@ -66,6 +66,15 @@ class TestIngest:
         for name in ("packed.tsv", "vocab.tsv", "domains.tsv", "stats.tsv"):
             assert file_hash(out1 / name) == file_hash(out2 / name)
 
+    def test_target_that_packs_to_nothing_is_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "c.tsv"
+        path.write_text("a\tsome words\nt\t  \nt\t \t \n", encoding="utf-8")
+        out = tmp_path / "o"
+        rc = main(["ingest", "--corpus", str(path), "--target", "t", "--out", str(out)])
+        assert rc == 1
+        assert "error: target domain has no packed examples" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def _ingest(self, tmp_path):
@@ -166,6 +175,32 @@ class TestTrain:
         assert rc == 1
         assert "explore" in capsys.readouterr().err
 
+    def test_negative_checkpoint_interval_is_config_error(self, tmp_path, capsys):
+        packed = self._ingest(tmp_path)
+        rc = main(["train", "--packed", str(packed), "--checkpoint-interval", "-3",
+                   "--epochs", "1", "--out", str(tmp_path / "bad")])
+        assert rc == 1
+        assert "checkpoint_interval" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda lines: [lines[0].replace(" target=0", "")] + lines[1:],
+        lambda lines: lines[:1] + ["0\tc0_d0"] + lines[2:],
+        lambda lines: lines[:-1],
+        lambda lines: lines[:1] + ["0\tc0_d0\tmany"] + lines[2:],
+        lambda lines: lines[:1] + [lines[1].rsplit("\t", 1)[0] + "\t1"] + lines[2:],
+    ], ids=["header without target", "row without two TABs", "missing row",
+            "non-integer count", "count disagrees with packed.tsv"])
+    def test_malformed_domain_table_is_exit_one(self, tmp_path, capsys, edit):
+        packed = self._ingest(tmp_path)
+        path = packed / "domains.tsv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("".join(line + "\n" for line in edit(lines)), encoding="utf-8")
+        capsys.readouterr()
+        rc = main(["train", "--packed", str(packed), "--epochs", "1",
+                   "--out", str(tmp_path / "bad")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestManifest:
     ARGV = {
@@ -238,6 +273,29 @@ class TestEval:
         assert main(["eval", "--ckpt", str(ckpt), "--truth", str(truth_path)]) == 0
         out = capsys.readouterr().out
         assert "precision_at_3\t1.000000" in out
+
+    @pytest.mark.parametrize("edit", [
+        lambda lines: lines[:8] + lines[9:],
+        lambda lines: [lines[0].replace("size=", "size=1")] + lines[1:],
+        lambda lines: lines[:8] + ["8\t" + lines[8].split("\t")[1]] + lines[9:],
+        lambda lines: lines[:8] + ["seven\tword"] + lines[9:],
+    ], ids=["missing id 7", "size disagrees with the rows", "repeated id", "bad id"])
+    def test_malformed_vocabulary_is_exit_one(self, tmp_path, capsys, edit):
+        corpus = gen_tiny_synth(tmp_path)
+        assert main(["ingest", "--corpus", str(corpus), "--target", "c0_d0",
+                     "--out", str(tmp_path / "ingested")]) == 0
+        vocab = tmp_path / "ingested" / "vocab.tsv"
+        lines = vocab.read_text(encoding="utf-8").splitlines()
+        vocab.write_text("".join(line + "\n" for line in edit(lines)), encoding="utf-8")
+        cfg = ModelConfig(vocab_size=len(lines) - 1, n_domains=4, max_len=32,
+                          d_hidden=8, n_layers=1, n_heads=2, d_ff=8, d_domain=2)
+        ckpt = tmp_path / "m.ckpt"
+        checkpoint.save_model(ckpt, cfg, init_params(cfg, derive_rng(0, 0)))
+        capsys.readouterr()
+        rc = main(["eval", "--ckpt", str(ckpt), "--heldout", str(corpus),
+                   "--vocab", str(vocab)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_eval_requires_some_input(self, tmp_path):
         cfg = ModelConfig(vocab_size=10, n_domains=2, max_len=8, d_hidden=8,

@@ -11,20 +11,20 @@ from dombert.corpus import (
     PAD_ID,
     SEP_ID,
     UNK_ID,
-    Document,
-    Vocabulary,
     build_vocab,
     corpus_stats,
     load_corpus,
     pack_corpus,
     pack_domain,
     read_domain_table,
+    read_ingested,
     read_packed,
     read_vocab,
     tokenize,
     validate_packed,
     word_tokens,
     write_domain_table,
+    write_ingested,
     write_packed,
     write_vocab,
 )
@@ -130,9 +130,7 @@ class TestTokenize:
 
 class TestPackDomain:
     def test_single_short_document(self, rng):
-        vocab = build_vocab(["a b c d e"], min_count=1, max_size=10)
-        doc = Document(domain_id=0, tokens=list(range(5, 10)))
-        out = pack_domain([doc], max_len=16, vocab=vocab)
+        out = pack_domain([list(range(5, 10))], 0, max_len=16)
         assert len(out) == 1
         ex = out[0]
         assert ex.valid_len == 7
@@ -145,10 +143,7 @@ class TestPackDomain:
         # Hand-simulated greedy packing: two 10-token docs at capacity 13.
         # Row 1 = [CLS] + doc1(10) + [SEP] + first token of doc2 -> full.
         # Row 2 = [CLS] + rest of doc2 (9) + [SEP].
-        vocab = build_vocab(["x"], min_count=1, max_size=200)
-        d1 = Document(domain_id=0, tokens=[5] * 10)
-        d2 = Document(domain_id=0, tokens=[5] * 10)
-        out = pack_domain([d1, d2], max_len=13, vocab=vocab)
+        out = pack_domain([[5] * 10, [5] * 10], 0, max_len=13)
         assert len(out) == 2
         assert out[0].valid_len == 13
         assert out[0].ids[11] == SEP_ID
@@ -156,16 +151,9 @@ class TestPackDomain:
         assert out[1].valid_len == 11
         assert out[1].ids[10] == SEP_ID
 
-    def test_mixed_domains_rejected(self):
-        vocab = build_vocab(["x"], min_count=1, max_size=10)
-        docs = [Document(0, [5]), Document(1, [5])]
-        with pytest.raises(ConfigError):
-            pack_domain(docs, max_len=8, vocab=vocab)
-
     def test_max_len_floor(self):
-        vocab = build_vocab(["x"], min_count=1, max_size=10)
         with pytest.raises(ConfigError):
-            pack_domain([Document(0, [5])], max_len=2, vocab=vocab)
+            pack_domain([[5]], 0, max_len=2)
 
     @given(
         doc_lens=st.lists(st.integers(min_value=1, max_value=30), min_size=1, max_size=8),
@@ -177,24 +165,22 @@ class TestPackDomain:
         docs = []
         next_tok = NUM_RESERVED
         for n in doc_lens:
-            docs.append(Document(domain_id=0, tokens=list(range(next_tok, next_tok + n))))
+            docs.append(list(range(next_tok, next_tok + n)))
             next_tok += n
-        vocab = Vocabulary([f"t{i}" for i in range(next_tok - NUM_RESERVED)])
-        out = pack_domain(docs, max_len=max_len, vocab=vocab)
+        out = pack_domain(docs, 0, max_len=max_len)
         stream = []
         for ex in out:
             assert ex.ids[0] == CLS_ID
             stream.extend(int(v) for v in ex.ids[1 : ex.valid_len])
         expected = []
         for doc in docs:
-            expected.extend(doc.tokens)
+            expected.extend(doc)
             expected.append(SEP_ID)
         assert stream == expected
 
     def test_all_tokens_single_domain(self, rng):
-        vocab = Vocabulary([f"t{i}" for i in range(40)])
-        docs = [Document(2, list(rng.integers(5, 30, size=7))) for _ in range(4)]
-        for ex in pack_domain(docs, max_len=9, vocab=vocab):
+        docs = [list(rng.integers(5, 30, size=7)) for _ in range(4)]
+        for ex in pack_domain(docs, 2, max_len=9):
             assert ex.domain_id == 2
 
 
@@ -292,3 +278,67 @@ class TestFileFormats:
         assert restored.names == packed.table.names
         assert restored.counts == packed.table.counts
         assert restored.target_index == packed.table.target_index
+
+
+def edit_first_row(edit):
+    """A corruption of an ingest directory that rewrites the first packed row
+    as edit(domain_id, valid_len, ids, corpus) -> (domain_id, valid_len, ids)."""
+    def corrupt(root, packed):
+        path = root / "packed.tsv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        did, valid_len, ids = lines[1].split("\t")
+        did, valid_len, ids = edit(int(did), int(valid_len),
+                                   [int(v) for v in ids.split(" ")], packed)
+        lines[1] = f"{did}\t{valid_len}\t{' '.join(map(str, ids))}"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return corrupt
+
+
+def miscount_first_domain(root, packed):
+    path = root / "domains.tsv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    ident, name, count = lines[1].split("\t")
+    lines[1] = f"{ident}\t{name}\t{int(count) + 1}"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
+CORRUPTIONS = {
+    "wrong id count": edit_first_row(lambda d, n, ids, c: (d, n, ids[:-1])),
+    "no leading [CLS]": edit_first_row(lambda d, n, ids, c: (d, n, [SEP_ID] + ids[1:])),
+    "pad inside the valid region": edit_first_row(
+        lambda d, n, ids, c: (d, n, ids[:1] + [PAD_ID] + ids[2:])),
+    "token in the padding": edit_first_row(
+        lambda d, n, ids, c: (d, n, ids[:-1] + [SEP_ID])),
+    "token id at vocab_size": edit_first_row(
+        lambda d, n, ids, c: (d, n, ids[:1] + [c.vocab_size] + ids[2:])),
+    "domain id at n_plus_1": edit_first_row(
+        lambda d, n, ids, c: (c.table.n_plus_1, n, ids)),
+    "negative domain id": edit_first_row(lambda d, n, ids, c: (-1, n, ids)),
+    "table counts disagree with the rows": miscount_first_domain,
+}
+
+
+class TestIngestDirectory:
+    def _write(self, tmp_path):
+        packed, vocab = build_tiny_corpus(
+            tmp_path, ["a\tone two three", "b\tfour five", "a\tsix"])
+        root = tmp_path / "ingested"
+        write_ingested(root, packed, vocab)
+        return root, packed
+
+    def test_directory_or_packed_file_round_trip(self, tmp_path):
+        root, packed = self._write(tmp_path)
+        assert sorted(p.name for p in root.iterdir()) == [
+            "domains.tsv", "packed.tsv", "stats.tsv", "vocab.tsv"]
+        for path in (root, root / "packed.tsv"):
+            restored = read_ingested(path)
+            assert restored.table.counts == packed.table.counts
+            assert [ex.domain_id for ex in restored.examples] == [
+                ex.domain_id for ex in packed.examples]
+
+    @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+    def test_corruption_is_a_corpus_error(self, tmp_path, case):
+        root, packed = self._write(tmp_path)
+        CORRUPTIONS[case](root, packed)
+        with pytest.raises(CorpusError):
+            read_ingested(root)

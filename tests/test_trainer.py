@@ -57,6 +57,8 @@ class TestTrainConfig:
         for explore in (-0.1, 1.0):
             with pytest.raises(ConfigError, match="explore"):
                 trainer.TrainConfig(explore=explore)
+        with pytest.raises(ConfigError, match="checkpoint_interval"):
+            trainer.TrainConfig(checkpoint_interval=-3)
 
 
 class TestAdamax:
@@ -392,7 +394,7 @@ class TestResume:
             for name in full.params:
                 assert resumed.params[name].dtype == np.dtype(dtype)
                 assert np.array_equal(full.params[name], resumed.params[name]), name
-            assert full.opt.step == resumed.opt.step
+            assert full.records[-1].step == resumed.records[-1].step
             written = sorted(resumed_dir.glob("ckpt_step*.ckpt"))
             assert [p.name for p in written] == [p.name for p in ckpts[1:]]
             for path in written:
