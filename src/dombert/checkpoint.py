@@ -12,7 +12,10 @@ appends three sections, in this order, so a run can resume bit-for-bit:
 - ``SAMPLER-STATE nbytes=N``, then N bytes of JSON in the sampler's own
   format (``sampler.state_to_json``);
 - ``TRAINER-STATE nbytes=N``, then N bytes of JSON: the next step, the
-  masking and dropout generator states, and the run's training config.
+  masking generator's state, and the run's training config.
+
+Config keys that are not ModelConfig fields are ignored on load, so a file
+that carries a since-retired field still loads.
 
 A file is written under a temporary name and renamed into place, so a
 failed save leaves any earlier file at that path intact.
@@ -58,7 +61,10 @@ def _read_line(fh: BinaryIO) -> str:
     raw = fh.readline()
     if not raw.endswith(b"\n"):
         raise CheckpointError("truncated checkpoint: unterminated line")
-    return raw[:-1].decode("utf-8")
+    try:
+        return raw[:-1].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CheckpointError("corrupt checkpoint: a text line is not UTF-8") from exc
 
 
 @contextmanager
@@ -111,14 +117,7 @@ def _parse_config(lines: dict[str, str]) -> ModelConfig:
         if field.name not in lines:
             raise CheckpointError(f"missing config field {field.name!r}")
         raw = lines[field.name]
-        if field.type == "int":
-            kwargs[field.name] = int(raw)
-        elif field.type == "float":
-            kwargs[field.name] = float(raw)
-        elif field.type == "bool":
-            kwargs[field.name] = raw == "True"
-        else:
-            kwargs[field.name] = raw
+        kwargs[field.name] = int(raw) if field.type == "int" else raw
     return ModelConfig(**kwargs)
 
 

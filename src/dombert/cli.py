@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import __version__, checkpoint, corpus, evalbench, sampler, trainer
-from .errors import DombertError
+from .errors import ConfigError, DombertError
 from .masking import MaskingPolicy
 from .model import ModelConfig
 
@@ -75,9 +75,12 @@ def _report(args: argparse.Namespace) -> int:
 
 
 def _gen_synth(args: argparse.Namespace) -> int:
-    mix = tuple(float(v) for v in args.mix.split(","))
+    try:
+        mix = tuple(float(v) for v in args.mix.split(","))
+    except ValueError:
+        mix = ()
     if len(mix) != 3:
-        raise DombertError("--mix expects three comma-separated ratios")
+        raise ConfigError("--mix expects three comma-separated ratios")
     spec = evalbench.SyntheticSpec(
         n_clusters=args.clusters,
         domains_per_cluster=args.domains_per_cluster,
@@ -114,13 +117,7 @@ def _eval(args: argparse.Namespace) -> int:
         if args.vocab is None:
             raise DombertError("--heldout requires --vocab")
         vocab = corpus.read_vocab(args.vocab)
-        with open(args.heldout, encoding="utf-8") as fh:
-            texts = []
-            for line in fh:
-                line = line.rstrip("\n")
-                if not line.strip():
-                    continue
-                texts.append(line.split("\t", 1)[1] if "\t" in line else line)
+        texts = [text for _, text in corpus.read_records(args.heldout)]
         ppl = evalbench.eval_pseudo_perplexity(
             bundle.params, bundle.config, texts, vocab,
             MaskingPolicy(), args.mask_seed,

@@ -108,15 +108,9 @@ class PackedCorpus:
     vocab_size: int
 
 
-def load_corpus(path: str | Path, target: str) -> tuple[DomainTable, list[tuple[str, str]]]:
-    """Read a dom-corpus v1 file; returns the domain table and raw records.
-
-    Domain names are enumerated in first-seen order. `target` selects the
-    target domain by name and must be present.
-    """
+def read_records(path: str | Path) -> list[tuple[str, str]]:
+    """The (domain name, text) records of a dom-corpus v1 file, in file order."""
     records: list[tuple[str, str]] = []
-    names: list[str] = []
-    seen: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -125,15 +119,23 @@ def load_corpus(path: str | Path, target: str) -> tuple[DomainTable, list[tuple[
             if "\t" not in line:
                 raise CorpusError(f"line {lineno}: missing TAB separator")
             name, text = line.split("\t", 1)
-            if name not in seen:
-                seen[name] = len(names)
-                names.append(name)
             records.append((name, text))
     if not records:
         raise CorpusError("empty corpus")
-    if target not in seen:
+    return records
+
+
+def load_corpus(path: str | Path, target: str) -> tuple[DomainTable, list[tuple[str, str]]]:
+    """Read a dom-corpus v1 file; returns the domain table and raw records.
+
+    Domain names are enumerated in first-seen order. `target` selects the
+    target domain by name and must be present.
+    """
+    records = read_records(path)
+    names = list(dict.fromkeys(name for name, _ in records))
+    if target not in names:
         raise ConfigError(f"target domain {target!r} not present in corpus")
-    return DomainTable(names=names, target_index=seen[target]), records
+    return DomainTable(names=names, target_index=names.index(target)), records
 
 
 def build_vocab(texts: list[str], min_count: int, max_size: int) -> Vocabulary:
@@ -141,6 +143,8 @@ def build_vocab(texts: list[str], min_count: int, max_size: int) -> Vocabulary:
     them; ties at equal count break lexicographically."""
     if min_count < 1:
         raise ConfigError("min_count must be >= 1")
+    if max_size < 0:
+        raise ConfigError("max vocabulary size must be >= 0")
     counts: Counter[str] = Counter()
     for text in texts:
         counts.update(word_tokens(text))
@@ -218,25 +222,33 @@ def corpus_stats(table: DomainTable) -> list[tuple[str, int]]:
 
 def validate_packed(corpus: PackedCorpus) -> None:
     """Check every packed-example invariant, and the table's counts against
-    the rows; raises CorpusError on violation."""
-    counted = [0] * corpus.table.n_plus_1
-    for i, ex in enumerate(corpus.examples):
-        if ex.ids.shape != (corpus.max_len,):
-            raise CorpusError(f"example {i}: wrong row length")
-        if ex.ids[0] != CLS_ID:
-            raise CorpusError(f"example {i}: row does not start with [CLS]")
-        if not 1 <= ex.valid_len <= corpus.max_len:
-            raise CorpusError(f"example {i}: bad valid_len {ex.valid_len}")
-        if np.any(ex.ids[ex.valid_len :] != PAD_ID):
-            raise CorpusError(f"example {i}: non-pad token in padding region")
-        if np.any(ex.ids[: ex.valid_len] == PAD_ID):
-            raise CorpusError(f"example {i}: pad token inside valid region")
-        if np.any(ex.ids >= corpus.vocab_size) or np.any(ex.ids < 0):
-            raise CorpusError(f"example {i}: token id out of range")
-        if not 0 <= ex.domain_id < corpus.table.n_plus_1:
-            raise CorpusError(f"example {i}: domain id out of range")
-        counted[ex.domain_id] += 1
-    if counted != list(corpus.table.counts):
+    the rows; raises CorpusError naming the lowest bad example index."""
+    examples, max_len = corpus.examples, corpus.max_len
+    fits = np.array([ex.ids.shape == (max_len,) for ex in examples], dtype=bool)
+    blank = np.zeros(max_len, dtype=np.int64)  # stands in for a wrong-length row
+    ids = np.array([ex.ids if ok else blank for ex, ok in zip(examples, fits)],
+                   dtype=np.int64).reshape(-1, max_len)
+    lens = np.array([ex.valid_len for ex in examples], dtype=np.int64)
+    dom = np.array([ex.domain_id for ex in examples], dtype=np.int64)
+    in_valid = np.arange(max_len) < lens[:, None]
+    is_pad = ids == PAD_ID
+    # in each row's order of precedence: the first true check names the fault
+    checks = [
+        (~fits, "wrong row length"),
+        (ids[:, 0] != CLS_ID, "row does not start with [CLS]"),
+        ((lens < 1) | (lens > max_len), "bad valid_len {valid_len}"),
+        ((~is_pad & ~in_valid).any(axis=1), "non-pad token in padding region"),
+        ((is_pad & in_valid).any(axis=1), "pad token inside valid region"),
+        (((ids < 0) | (ids >= corpus.vocab_size)).any(axis=1), "token id out of range"),
+        ((dom < 0) | (dom >= corpus.table.n_plus_1), "domain id out of range"),
+    ]
+    bad = np.flatnonzero(np.logical_or.reduce([flags for flags, _ in checks]))
+    if bad.size:
+        i = int(bad[0])
+        message = next(text for flags, text in checks if flags[i])
+        raise CorpusError(f"example {i}: " + message.format(valid_len=lens[i]))
+    counted = np.bincount(dom, minlength=corpus.table.n_plus_1)
+    if counted.tolist() != list(corpus.table.counts):
         raise CorpusError("table counts disagree with packed examples")
     if corpus.table.counts[corpus.table.target_index] < 1:
         raise CorpusError("target domain has no packed examples")

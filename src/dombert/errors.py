@@ -6,7 +6,7 @@ class DombertError(Exception):
 
 
 class CorpusError(DombertError):
-    """Malformed corpus, packed-corpus, or vocabulary data."""
+    """Malformed corpus, packed-corpus, vocabulary, or truth data."""
 
 
 class ConfigError(DombertError):

@@ -23,9 +23,9 @@ from .corpus import (
     pack_domain,
     tokenize,
 )
-from .errors import ConfigError
+from .errors import ConfigError, CorpusError
 from .masking import MaskingPolicy, make_masked_batch
-from .model import ModelConfig, Params, init_params, set_dropout
+from .model import ModelConfig, Params, init_params
 from .nputil import STREAM_EVAL, STREAM_SYNTH, derive_rng
 from .objective import loss_mlm
 from .sampler import report_top_domains
@@ -111,17 +111,23 @@ def write_truth(path: str | Path, truth: dict[str, int]) -> None:
 def read_truth(path: str | Path) -> dict[str, int]:
     truth: dict[str, int] = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            name, cluster = line.split("\t")
-            truth[name] = int(cluster)
+            try:
+                name, cluster = line.split("\t")
+                truth[name] = int(cluster)
+            except ValueError as exc:
+                raise CorpusError(
+                    f"truth line {lineno}: expected domain<TAB>cluster id") from exc
     return truth
 
 
 def cluster_mates(truth: dict[str, int], names: list[str], target: int) -> set[str]:
     """Names of the target's true cluster mates (target excluded)."""
+    if names[target] not in truth:
+        raise CorpusError(f"truth file has no cluster for target domain {names[target]!r}")
     target_cluster = truth[names[target]]
     return {
         name for i, name in enumerate(names)
@@ -160,7 +166,6 @@ def eval_pseudo_perplexity(
     batch_size: int = 16,
 ) -> float:
     """exp(mean masked-token cross-entropy) under one fixed-seed masking pass."""
-    config = set_dropout(config, False)
     examples = pack_domain([tokenize(text, vocab) for text in heldout_texts],
                            0, config.max_len)
     if not examples:
@@ -176,7 +181,7 @@ def eval_pseudo_perplexity(
             continue
         ex_idx, _, target_ids = batch.flat_targets()
         rows, slots = batch.output_rows()
-        fwd = model_ops.encode(batch.input_ids, batch.valid_lens, params, config, None, rows)
+        fwd = model_ops.encode(batch.input_ids, batch.valid_lens, params, config, rows)
         logits, _ = model_ops.mlm_logits_eal(fwd, ex_idx, slots, params)
         ce_sum += loss_mlm(logits, target_ids) * batch.n_targets
         n_targets += batch.n_targets
@@ -202,7 +207,6 @@ def bench_eal(
     """
     if reps < 1:
         raise ConfigError("reps must be >= 1")
-    config = set_dropout(config, False)
     rng = derive_rng(seed, STREAM_EVAL)
     params = init_params(config, rng)
     l = config.max_len
@@ -215,7 +219,7 @@ def bench_eal(
     rows, slots = batch.output_rows()
 
     def run_eal() -> np.ndarray:
-        fwd = model_ops.encode(batch.input_ids, batch.valid_lens, params, config, None, rows)
+        fwd = model_ops.encode(batch.input_ids, batch.valid_lens, params, config, rows)
         logits, _ = model_ops.mlm_logits_eal(fwd, ex_idx, slots, params)
         loss_mlm(logits, target_ids)
         return logits

@@ -6,8 +6,10 @@ projection (early apply of labels), and a dense reference path that projects
 every position. The domain head composes two linear maps with no intermediate
 nonlinearity: logits = D @ (W @ h_cls + b).
 
-Forward passes record everything reverse mode needs; the matching backward
-routines live here too, so the architecture is defined in exactly one place.
+The encoder has no stochastic layer, so a forward pass is a pure function
+of its inputs and parameters. Forward passes record everything reverse mode
+needs; the matching backward routines live here too, so the architecture is
+defined in exactly one place.
 """
 from __future__ import annotations
 
@@ -36,8 +38,6 @@ class ModelConfig:
     n_heads: int = 2
     d_ff: int = 256
     d_domain: int = 64           # width of the domain-embedding rows
-    dropout_p: float = 0.1
-    dropout_enabled: bool = False
     dtype: str = "float32"
 
     def __post_init__(self) -> None:
@@ -47,8 +47,6 @@ class ModelConfig:
             raise ConfigError("all model sizes must be >= 1")
         if self.d_hidden % self.n_heads != 0:
             raise ConfigError("d_hidden must be divisible by n_heads")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ConfigError("dropout_p must be in [0, 1)")
         if self.dtype not in ("float32", "float64"):
             raise ConfigError("dtype must be float32 or float64")
 
@@ -58,11 +56,6 @@ class ModelConfig:
 
 
 CONFIG_FIELDS = [f.name for f in dataclasses.fields(ModelConfig)]
-
-
-def set_dropout(config: ModelConfig, enabled: bool) -> ModelConfig:
-    """Copy of the config with every dropout layer toggled to identity/off."""
-    return dataclasses.replace(config, dropout_enabled=enabled)
 
 
 def param_specs(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
@@ -153,13 +146,6 @@ def _ln_backward(dy: np.ndarray, cache: LnCache, g: np.ndarray) -> tuple[np.ndar
     return dx, dg, db
 
 
-def _dropout_mask(shape: tuple[int, ...], p: float, rng: np.random.Generator,
-                  dtype: np.dtype) -> np.ndarray:
-    # Inverted dropout: surviving units scaled by 1/(1-p) so activation
-    # expectations are preserved.
-    return (rng.random(shape) >= p).astype(dtype) / (1.0 - p)
-
-
 # ---------------------------------------------------------------------------
 # Encoder
 
@@ -170,15 +156,12 @@ class LayerCache:
     q: np.ndarray                # (B, h, R or L, dk)
     k: np.ndarray
     v: np.ndarray
-    probs: np.ndarray            # softmax output, pre-dropout (B, h, L, L)
-    attn_drop: np.ndarray | None
+    probs: np.ndarray            # attention weights (B, h, R or L, L)
     ctx: np.ndarray              # merged heads, pre-output-projection (B, L, d)
-    ao_drop: np.ndarray | None
     ln1: LnCache
     x1: np.ndarray               # post-LN1, residual input to the FF block
     z1: np.ndarray               # pre-GELU
     s: np.ndarray                # 1 + erf(z1 / sqrt 2); GELU(z1) = 0.5 * z1 * s
-    ff_drop: np.ndarray | None
     ln2: LnCache
 
 
@@ -188,7 +171,6 @@ class ForwardCache:
     valid_lens: np.ndarray
     key_bias: np.ndarray         # (B, 1, 1, L) additive mask
     emb_ln: LnCache
-    emb_drop: np.ndarray | None
     layers: list[LayerCache]
     h: np.ndarray                # final hidden states (B, R or L, d)
 
@@ -217,19 +199,16 @@ def encode(
     valid_lens: np.ndarray,
     params: Params,
     config: ModelConfig,
-    dropout_rng: np.random.Generator | None = None,
     rows: np.ndarray | None = None,
 ) -> ForwardCache:
     """Post-norm transformer encoding of token + position embeddings.
 
     Padding positions are excluded from attention (as keys) in every layer,
-    so non-pad outputs are independent of pad contents. Dropout is applied
-    only when config.dropout_enabled, in which case dropout_rng is required.
+    so non-pad outputs are independent of pad contents.
 
     With rows, a (B, R) array of positions, the last layer computes all but
-    its keys and values only there, and h[b, j] is position rows[b, j]. Its
-    dropout masks are then drawn in those pruned shapes (no CLI path enables
-    dropout). Without rows every position is computed.
+    its keys and values only there, and h[b, j] is position rows[b, j].
+    Without rows every position is computed.
     """
     input_ids = np.asarray(input_ids)
     b, l = input_ids.shape
@@ -237,21 +216,13 @@ def encode(
         raise InputError(f"sequence length {l} exceeds max_len {config.max_len}")
     if input_ids.min() < 0 or input_ids.max() >= config.vocab_size:
         raise InputError("token id out of vocabulary range")
-    if config.dropout_enabled and dropout_rng is None:
-        raise ConfigError("dropout is enabled but no dropout rng was given")
     dt = config.np_dtype
-    drop = config.dropout_enabled
-    p = config.dropout_p
 
     key_valid = np.arange(l)[None, :] < np.asarray(valid_lens)[:, None]
     key_bias = np.where(key_valid, 0.0, _NEG).astype(dt)[:, None, None, :]
 
     x0 = params["tok_emb"][input_ids] + params["pos_emb"][:l]
     x, emb_ln = _ln_forward(x0, params["emb_ln_g"], params["emb_ln_b"])
-    emb_drop = None
-    if drop:
-        emb_drop = _dropout_mask(x.shape, p, dropout_rng, dt)
-        x = x * emb_drop
 
     dk = config.d_hidden // config.n_heads
     scale = dt.type(1.0 / np.sqrt(dk))
@@ -266,37 +237,22 @@ def encode(
         v = _split_heads(a_in @ params[pre + "wv"] + params[pre + "bv"], config.n_heads)
         scores = (q @ k.swapaxes(-1, -2)) * scale + key_bias
         probs = softmax(scores, axis=-1)
-        attn_drop = None
-        probs_used = probs
-        if drop:
-            attn_drop = _dropout_mask(probs.shape, p, dropout_rng, dt)
-            probs_used = probs * attn_drop
-        ctx = _merge_heads(probs_used @ v)
+        ctx = _merge_heads(probs @ v)
         ao = ctx @ params[pre + "wo"] + params[pre + "bo"]
-        ao_drop = None
-        if drop:
-            ao_drop = _dropout_mask(ao.shape, p, dropout_rng, dt)
-            ao = ao * ao_drop
         x1, ln1 = _ln_forward(a_q + ao, params[pre + "ln1_g"], params[pre + "ln1_b"])
         z1 = x1 @ params[pre + "w1"] + params[pre + "b1"]
         z2, s = gelu(z1)
         fo = z2 @ params[pre + "w2"] + params[pre + "b2"]
         del z2  # backward rebuilds it from s; freeing it here lowers peak memory
-        ff_drop = None
-        if drop:
-            ff_drop = _dropout_mask(fo.shape, p, dropout_rng, dt)
-            fo = fo * ff_drop
         x, ln2 = _ln_forward(x1 + fo, params[pre + "ln2_g"], params[pre + "ln2_b"])
         layers.append(LayerCache(
-            a_in=a_in, rows=q_rows, q=q, k=k, v=v, probs=probs, attn_drop=attn_drop,
-            ctx=ctx, ao_drop=ao_drop, ln1=ln1, x1=x1, z1=z1, s=s,
-            ff_drop=ff_drop, ln2=ln2,
+            a_in=a_in, rows=q_rows, q=q, k=k, v=v, probs=probs, ctx=ctx,
+            ln1=ln1, x1=x1, z1=z1, s=s, ln2=ln2,
         ))
 
     return ForwardCache(
         input_ids=input_ids, valid_lens=np.asarray(valid_lens),
-        key_bias=key_bias, emb_ln=emb_ln, emb_drop=emb_drop,
-        layers=layers, h=x,
+        key_bias=key_bias, emb_ln=emb_ln, layers=layers, h=x,
     )
 
 
@@ -319,11 +275,10 @@ def encode_backward(
         grads[pre + "ln2_g"] += dg2
         grads[pre + "ln2_b"] += db2_
 
-        dfo = dres2 if lc.ff_drop is None else dres2 * lc.ff_drop
         z2f = (0.5 * lc.z1 * lc.s).reshape(-1, config.d_ff)
-        grads[pre + "w2"] += z2f.T @ dfo.reshape(-1, config.d_hidden)
-        grads[pre + "b2"] += dfo.sum(axis=(0, 1))
-        dz2 = dfo @ params[pre + "w2"].T
+        grads[pre + "w2"] += z2f.T @ dres2.reshape(-1, config.d_hidden)
+        grads[pre + "b2"] += dres2.sum(axis=(0, 1))
+        dz2 = dres2 @ params[pre + "w2"].T
         dz1 = dz2 * gelu_grad(lc.z1, lc.s)
         x1f = lc.x1.reshape(-1, config.d_hidden)
         grads[pre + "w1"] += x1f.T @ dz1.reshape(-1, config.d_ff)
@@ -334,17 +289,13 @@ def encode_backward(
         grads[pre + "ln1_g"] += dg1
         grads[pre + "ln1_b"] += db1_
 
-        dao = dres1 if lc.ao_drop is None else dres1 * lc.ao_drop
         ctxf = lc.ctx.reshape(-1, config.d_hidden)
-        grads[pre + "wo"] += ctxf.T @ dao.reshape(-1, config.d_hidden)
-        grads[pre + "bo"] += dao.sum(axis=(0, 1))
-        dctx = _split_heads(dao @ params[pre + "wo"].T, config.n_heads)
+        grads[pre + "wo"] += ctxf.T @ dres1.reshape(-1, config.d_hidden)
+        grads[pre + "bo"] += dres1.sum(axis=(0, 1))
+        dctx = _split_heads(dres1 @ params[pre + "wo"].T, config.n_heads)
 
-        probs_used = lc.probs if lc.attn_drop is None else lc.probs * lc.attn_drop
-        dv = probs_used.swapaxes(-1, -2) @ dctx
+        dv = lc.probs.swapaxes(-1, -2) @ dctx
         dprobs = dctx @ lc.v.swapaxes(-1, -2)
-        if lc.attn_drop is not None:
-            dprobs = dprobs * lc.attn_drop
         dscores = lc.probs * (dprobs - (dprobs * lc.probs).sum(-1, keepdims=True))
         dq = (dscores @ lc.k) * scale
         dk_ = (dscores.swapaxes(-1, -2) @ lc.q) * scale
@@ -364,8 +315,6 @@ def encode_backward(
                 np.add.at(da_in, (np.arange(len(da_q))[:, None], lc.rows), da_q)
         dx = da_in
 
-    if cache.emb_drop is not None:
-        dx = dx * cache.emb_drop
     dx0, dg, db = _ln_backward(dx, cache.emb_ln, params["emb_ln_g"])
     grads["emb_ln_g"] += dg
     grads["emb_ln_b"] += db

@@ -10,12 +10,12 @@ _SQRT2 = float(np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 
 # Named sub-streams of the run seed. All randomness in a run flows from a
-# single root seed; each component gets its own child stream so that changing
-# e.g. the dropout setting never shifts the sampler's draws.
+# single root seed; each component gets its own child stream so that one
+# component's draws never shift another's. Ids are never reused (3 is
+# retired), so each stream keeps its bytes; a new stream takes the next id.
 STREAM_INIT = 0
 STREAM_SAMPLER = 1
 STREAM_MASKING = 2
-STREAM_DROPOUT = 3
 STREAM_SYNTH = 4
 STREAM_EVAL = 5
 

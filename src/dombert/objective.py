@@ -116,7 +116,6 @@ def forward(
     params: model.Params,
     config: model.ModelConfig,
     lam: float,
-    dropout_rng: np.random.Generator | None = None,
     cls_weights: np.ndarray | None = None,
 ) -> tuple[LossBreakdown, StepCache]:
     """Encode a masked batch and evaluate all three loss terms.
@@ -133,7 +132,7 @@ def forward(
             )
     ex_idx, _, target_ids = batch.flat_targets()
     rows, slots = batch.output_rows()
-    fwd = model.encode(batch.input_ids, batch.valid_lens, params, config, dropout_rng, rows)
+    fwd = model.encode(batch.input_ids, batch.valid_lens, params, config, rows)
     eal_logits, ealc = model.mlm_logits_eal(fwd, ex_idx, slots, params)
     dom = model.domain_logits(fwd.h_cls, params)
     mlm = loss_mlm(eal_logits, target_ids)

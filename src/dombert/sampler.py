@@ -192,8 +192,8 @@ def report_top_domains(
 ) -> list[tuple[str, float]]:
     """Top-k source domains by cosine to the target, ties broken by name."""
     n_sources = dom_emb.shape[0] - 1
-    if k > n_sources:
-        raise ConfigError(f"k={k} exceeds the {n_sources} source domains")
+    if not 0 <= k <= n_sources:
+        raise ConfigError(f"k={k} must be in 0..{n_sources}, the number of source domains")
     cos = cosines_to_target(np.asarray(dom_emb, dtype=np.float64), target)
     ranked = sorted(
         ((names[i], float(cos[i])) for i in range(len(names)) if i != target),

@@ -28,14 +28,7 @@ from .corpus import DomainTable, PackedCorpus
 from .errors import CheckpointError, ConfigError, NonFiniteGradientError
 from .masking import MaskingPolicy, make_masked_batch
 from .model import ModelConfig, Params, init_params, zero_grads
-from .nputil import (
-    STREAM_DROPOUT,
-    STREAM_INIT,
-    STREAM_MASKING,
-    STREAM_SAMPLER,
-    derive_rng,
-    rng_from_state,
-)
+from .nputil import STREAM_INIT, STREAM_MASKING, STREAM_SAMPLER, derive_rng, rng_from_state
 from .objective import LossBreakdown, total_loss
 from .sampler import (
     SamplerState,
@@ -202,7 +195,6 @@ def train(
         if tc.target_only:
             state.probs = _one_hot_probs(table.n_plus_1, t)
         mask_rng = derive_rng(tc.seed, STREAM_MASKING)
-        dropout_rng = derive_rng(tc.seed, STREAM_DROPOUT)
         start_step = 1
     else:
         if resume.adamax is None or resume.sampler is None or resume.trainer is None:
@@ -218,7 +210,6 @@ def train(
         opt = AdamaxState(**resume.adamax)
         state = state_from_json(resume.sampler, corpus)
         mask_rng = rng_from_state(resume.trainer["mask_rng"])
-        dropout_rng = rng_from_state(resume.trainer["dropout_rng"])
         start_step = int(resume.trainer["next_step"])
 
     out_path = Path(out_dir) if out_dir is not None else None
@@ -255,10 +246,7 @@ def train(
             delta = 0.0
             for mb in masked:
                 _, cache = objective.forward(
-                    mb, params, mc, tc.lam,
-                    dropout_rng if mc.dropout_enabled else None,
-                    importance_weights(state, mb.domain_labels),
-                )
+                    mb, params, mc, tc.lam, importance_weights(state, mb.domain_labels))
                 g = objective.backward(
                     mb, cache, params, mc, tc.lam,
                     mlm_divisor=max(t_tot, 1), cls_divisor=b_tot,
@@ -300,7 +288,6 @@ def train(
                     mc, params, opt, state,
                     {"next_step": step + 1,
                      "mask_rng": mask_rng.bit_generator.state,
-                     "dropout_rng": dropout_rng.bit_generator.state,
                      "config": run_fields},
                     table,
                 )

@@ -47,7 +47,6 @@ def _random_tiny_instance(seed: int):
         n_heads=n_heads,
         d_ff=int(gen.choice([8, 16])),
         d_domain=int(gen.integers(1, 9)),
-        dropout_enabled=False,
         dtype="float64",
     )
     params = init_params(cfg, gen)
@@ -103,7 +102,7 @@ def test_criterion_1_gradient_correctness():
         gen = derive_rng(seed, 0)
         cfg = ModelConfig(vocab_size=10, n_domains=3, max_len=6, d_hidden=4,
                           n_layers=1, n_heads=1, d_ff=6, d_domain=2,
-                          dropout_enabled=False, dtype="float64")
+                          dtype="float64")
         params = init_params(cfg, gen)
         for name, arr in params.items():
             if not (name.endswith("_g") or name.endswith("_b")

@@ -7,6 +7,7 @@ import pytest
 
 from dombert import checkpoint, evalbench, trainer
 from dombert.cli import build_parser, main, manifest_line
+from dombert.corpus import build_vocab, write_vocab
 from dombert.errors import NonFiniteGradientError
 from dombert.model import ModelConfig, init_params
 from dombert.nputil import derive_rng
@@ -297,6 +298,22 @@ class TestEval:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_heldout_line_without_tab_is_exit_one(self, tmp_path, capsys):
+        """eval reads --heldout with the corpus module's reader, as ingest does."""
+        heldout = tmp_path / "heldout.tsv"
+        heldout.write_text("c0_d0\talpha beta\nalpha beta gamma\n", encoding="utf-8")
+        vocab = tmp_path / "vocab.tsv"
+        write_vocab(vocab, build_vocab(["alpha beta gamma"], min_count=1, max_size=10))
+        cfg = ModelConfig(vocab_size=8, n_domains=2, max_len=8, d_hidden=8,
+                          n_layers=1, n_heads=2, d_ff=8, d_domain=2)
+        ckpt = tmp_path / "m.ckpt"
+        checkpoint.save_model(ckpt, cfg, init_params(cfg, derive_rng(0, 0)))
+        capsys.readouterr()
+        rc = main(["eval", "--ckpt", str(ckpt), "--heldout", str(heldout),
+                   "--vocab", str(vocab)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: line 2: missing TAB separator\n"
+
     def test_eval_requires_some_input(self, tmp_path):
         cfg = ModelConfig(vocab_size=10, n_domains=2, max_len=8, d_hidden=8,
                           n_layers=1, n_heads=2, d_ff=8, d_domain=2)
@@ -304,6 +321,70 @@ class TestEval:
         ckpt = tmp_path / "m.ckpt"
         checkpoint.save_model(ckpt, cfg, params)
         assert main(["eval", "--ckpt", str(ckpt)]) == 1
+
+
+def _small_checkpoint(path):
+    """A model checkpoint over four named domains, target c0_d0."""
+    cfg = ModelConfig(vocab_size=10, n_domains=4, max_len=8, d_hidden=8,
+                      n_layers=1, n_heads=2, d_ff=8, d_domain=2)
+    checkpoint.save_model(path, cfg, init_params(cfg, derive_rng(0, 0)),
+                          domain_names=["c0_d0", "c0_d1", "c1_d0", "c1_d1"],
+                          target_index=0)
+    return path
+
+
+def _truth_without_tab(tmp_path):
+    truth = tmp_path / "truth.tsv"
+    truth.write_text("c0_d0\t0\nc0_d1 0\n", encoding="utf-8")
+    return ["eval", "--ckpt", str(_small_checkpoint(tmp_path / "m.ckpt")),
+            "--truth", str(truth)]
+
+
+def _truth_without_target(tmp_path):
+    truth = tmp_path / "truth.tsv"
+    truth.write_text("c0_d1\t0\nc1_d0\t1\nc1_d1\t1\n", encoding="utf-8")
+    return ["eval", "--ckpt", str(_small_checkpoint(tmp_path / "m.ckpt")),
+            "--truth", str(truth)]
+
+
+def _checkpoint_header_not_utf8(tmp_path):
+    ckpt = _small_checkpoint(tmp_path / "m.ckpt")
+    data = ckpt.read_bytes()
+    ckpt.write_bytes(data.replace(b"target_index=0\n", b"target_index=0\n\xff\xfe=1\n", 1))
+    return ["report", "--ckpt", str(ckpt), "--top", "2"]
+
+
+def _negative_top(tmp_path):
+    return ["report", "--ckpt", str(_small_checkpoint(tmp_path / "m.ckpt")), "--top", "-1"]
+
+
+def _negative_max_vocab(tmp_path):
+    corpus = tmp_path / "corpus.tsv"
+    corpus.write_text("a\tx y z\nb\tx w\n", encoding="utf-8")
+    return ["ingest", "--corpus", str(corpus), "--target", "a",
+            "--max-vocab", "-1", "--out", str(tmp_path / "ingested")]
+
+
+def _mix_not_numbers(tmp_path):
+    return ["gen-synth", "--mix", "a,b,c", "--out", str(tmp_path / "synth.tsv")]
+
+
+class TestOutsideInput:
+    @pytest.mark.parametrize("argv", [
+        _truth_without_tab, _truth_without_target, _checkpoint_header_not_utf8,
+        _negative_top, _negative_max_vocab, _mix_not_numbers,
+    ], ids=["truth line without TAB", "truth without the target",
+            "checkpoint header not UTF-8", "report --top -1",
+            "ingest --max-vocab -1", "gen-synth --mix a,b,c"])
+    def test_bad_input_is_error_and_exit_one(self, tmp_path, capsys, argv):
+        """Malformed files and flag values exit 1 with one error line: no
+        traceback, and no output computed from a silently bent value."""
+        args = argv(tmp_path)
+        capsys.readouterr()
+        assert main(args) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert out.startswith("MANIFEST") and out.count("\n") == 1
 
 
 class TestBenchEalCommand:

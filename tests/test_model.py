@@ -16,8 +16,7 @@ from conftest import random_packed_example
 
 def tiny_config(**overrides):
     base = dict(vocab_size=20, n_domains=3, max_len=12, d_hidden=8, n_layers=2,
-                n_heads=2, d_ff=16, d_domain=4, dropout_enabled=False,
-                dtype="float64")
+                n_heads=2, d_ff=16, d_domain=4, dtype="float64")
     base.update(overrides)
     return model.ModelConfig(**base)
 
@@ -158,7 +157,7 @@ class TestPrunedLastLayer:
         dcls = gen.normal(size=(4, cfg.n_domains)).astype(cfg.np_dtype)
         out = {}
         for name, r, where in (("pruned", rows, slots), ("full", None, pos)):
-            cache = model.encode(batch.input_ids, batch.valid_lens, params, cfg, None, r)
+            cache = model.encode(batch.input_ids, batch.valid_lens, params, cfg, r)
             logits, ealc = model.mlm_logits_eal(cache, ex_idx, where, params)
             dom = model.domain_logits(cache.h_cls, params)
             grads = model.zero_grads(cfg)
@@ -279,49 +278,6 @@ class TestMlmPaths:
         assert eal_rows == batch.n_targets
         assert full_rows == 32 * 128
         assert 0.12 <= eal_rows / full_rows <= 0.18
-
-
-class TestDropout:
-    def test_disabled_is_identity(self, rng):
-        cfg = tiny_config(dropout_enabled=False)
-        params = model.init_params(cfg, derive_rng(0, 0))
-        batch = make_batch(rng, cfg)
-        h1 = model.encode(batch.input_ids, batch.valid_lens, params, cfg).h
-        h2 = model.encode(batch.input_ids, batch.valid_lens, params, cfg,
-                          derive_rng(0, 3)).h
-        assert np.array_equal(h1, h2)
-
-    def test_enabled_seeded(self, rng):
-        cfg = tiny_config(dropout_enabled=True, dropout_p=0.5)
-        params = model.init_params(cfg, derive_rng(0, 0))
-        batch = make_batch(rng, cfg)
-        h1 = model.encode(batch.input_ids, batch.valid_lens, params, cfg,
-                          derive_rng(8, 3)).h
-        h2 = model.encode(batch.input_ids, batch.valid_lens, params, cfg,
-                          derive_rng(8, 3)).h
-        h3 = model.encode(batch.input_ids, batch.valid_lens, params, cfg,
-                          derive_rng(9, 3)).h
-        assert np.array_equal(h1, h2)
-        assert not np.array_equal(h1, h3)
-
-    def test_enabled_requires_rng(self, rng):
-        cfg = tiny_config(dropout_enabled=True)
-        params = model.init_params(cfg, derive_rng(0, 0))
-        batch = make_batch(rng, cfg)
-        with pytest.raises(ConfigError):
-            model.encode(batch.input_ids, batch.valid_lens, params, cfg)
-
-    def test_inverted_dropout_preserves_scale(self):
-        """Mean of dropped activations over 1e5 units stays near 1."""
-        gen = derive_rng(0, 3)
-        mask = model._dropout_mask((100_000,), 0.3, gen, np.dtype("float64"))
-        assert abs(mask.mean() - 1.0) < 0.01
-
-    def test_set_dropout_toggles(self):
-        cfg = tiny_config(dropout_enabled=True)
-        off = model.set_dropout(cfg, False)
-        assert off.dropout_enabled is False
-        assert model.set_dropout(off, True).dropout_enabled is True
 
 
 class TestGelu:

@@ -14,8 +14,7 @@ from conftest import random_packed_example
 
 def tiny_config(**overrides):
     base = dict(vocab_size=15, n_domains=3, max_len=10, d_hidden=8, n_layers=1,
-                n_heads=2, d_ff=12, d_domain=4, dropout_enabled=False,
-                dtype="float64")
+                n_heads=2, d_ff=12, d_domain=4, dtype="float64")
     base.update(overrides)
     return model.ModelConfig(**base)
 
@@ -226,34 +225,6 @@ class TestBackward:
                     err = abs(an - fd) / denom if denom > 1e-4 else abs(an - fd)
                     assert err < 1e-4, (name, i, an, fd)
 
-    def test_finite_difference_with_dropout_enabled(self):
-        """Re-deriving the dropout rng per evaluation freezes the masks, so
-        central differences also validate the dropout backward path."""
-        cfg, params, batch, _ = random_instance(21, lam=0.7,
-                                                dropout_enabled=True,
-                                                dropout_p=0.3)
-        lam = 0.7
-        rng_for = lambda: derive_rng(99, 3)
-        _, cache = objective.forward(batch, params, cfg, lam, rng_for())
-        grads = objective.backward(batch, cache, params, cfg, lam)
-        h = 1e-4
-        picker = np.random.default_rng(21)
-        for name in ("tok_emb", "layer0.wq", "layer0.w2", "cls_w", "dom_emb",
-                     "mlm_w", "emb_ln_g"):
-            flat = params[name].reshape(-1)
-            for i in picker.choice(flat.size, size=3, replace=False):
-                orig = flat[i]
-                flat[i] = orig + h
-                up = objective.forward(batch, params, cfg, lam, rng_for())[0].total
-                flat[i] = orig - h
-                down = objective.forward(batch, params, cfg, lam, rng_for())[0].total
-                flat[i] = orig
-                fd = (up - down) / (2 * h)
-                an = grads[name].reshape(-1)[i]
-                denom = max(abs(an), abs(fd))
-                err = abs(an - fd) / denom if denom > 1e-4 else abs(an - fd)
-                assert err < 1e-4, (name, i, an, fd)
-
     def test_domain_embedding_gradient_symbolic_oracle(self):
         """Exact symbolic differentiation of the classification + diversity
         path on a 2-domain, 2-wide instance with an identity projection."""
@@ -413,7 +384,7 @@ class TestFloat32Contract:
         are not inspected.
         """
         cfg, params, batch, lam = random_instance(
-            36, lam=0.6, n=3, dtype="float32", dropout_enabled=True, n_layers=2)
+            36, lam=0.6, n=3, dtype="float32", n_layers=2)
         params = {k: v.astype(cfg.np_dtype) for k, v in params.items()}
         batch.targets[1] = []  # its row of the pruned last layer is all padding slots
         assert batch.n_targets > 0
@@ -438,7 +409,7 @@ class TestFloat32Contract:
         previous = sys.gettrace()
         sys.settrace(on_call)
         try:
-            _, cache = objective.forward(batch, params, cfg, lam, derive_rng(36, 3),
+            _, cache = objective.forward(batch, params, cfg, lam,
                                          cls_weights=np.float32([0.5, 2.0, 1.25]))
             grads = objective.backward(batch, cache, params, cfg, lam)
         finally:

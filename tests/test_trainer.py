@@ -192,17 +192,6 @@ class TestTrainLoop:
         for v in fields[2:]:
             float(v)
 
-    def test_training_with_dropout_is_seeded(self):
-        corpus = make_corpus()
-        mc = small_model_config(corpus, dropout_enabled=True)
-        tc = trainer.TrainConfig(epochs=1, seed=6, micro_batch=2, accum_steps=2,
-                                 checkpoint_interval=0)
-        r1 = trainer.train(tc, corpus, mc)
-        r2 = trainer.train(tc, corpus, mc)
-        for name in r1.params:
-            assert np.array_equal(r1.params[name], r2.params[name])
-        assert r1.model_config.dropout_enabled
-
     def test_target_only_mode_samples_only_target(self):
         corpus = make_corpus(counts=(5, 5, 5), target=1)
         mc = small_model_config(corpus)
@@ -278,6 +267,26 @@ class TestCheckpoint:
             for name in params:
                 assert bundle.params[name].dtype == params[name].dtype
                 assert np.array_equal(bundle.params[name], params[name])
+
+    def test_file_with_the_retired_config_fields_loads(self, tmp_path):
+        """Files written before the two dropout fields were removed carry
+        them between d_domain and dtype; load ignores keys it does not know."""
+        corpus = make_corpus()
+        mc = small_model_config(corpus)
+        params = init_params(mc, derive_rng(0, 0))
+        path = tmp_path / "old.ckpt"
+        checkpoint.save_model(path, mc, params,
+                              domain_names=list(corpus.table.names), target_index=0)
+        dtype_line = b"\ndtype=float32\n"
+        data = path.read_bytes()
+        assert data.count(dtype_line) == 1
+        path.write_bytes(data.replace(
+            dtype_line, b"\ndropout_p=0.1\ndropout_enabled=False" + dtype_line))
+        bundle = checkpoint.load(path)
+        assert bundle.config == mc
+        assert bundle.domain_names == corpus.table.names
+        for name in params:
+            assert np.array_equal(bundle.params[name], params[name]), name
 
     def test_header_line(self, tmp_path):
         corpus = make_corpus()
@@ -418,9 +427,8 @@ class TestResume:
             other = dataclasses.replace(tc, **{name: value})
             with pytest.raises(ConfigError, match=f"checkpoint {name}="):
                 trainer.train(other, corpus, mc, resume=bundle)
-        with pytest.raises(ConfigError, match="checkpoint dropout_enabled=False"):
-            trainer.train(tc, corpus, dataclasses.replace(mc, dropout_enabled=True),
-                          resume=bundle)
+        with pytest.raises(ConfigError, match="checkpoint d_ff=12"):
+            trainer.train(tc, corpus, dataclasses.replace(mc, d_ff=16), resume=bundle)
         # the run length and the checkpoint cadence may change
         longer = dataclasses.replace(tc, epochs=3, checkpoint_interval=5)
         trainer.train(longer, corpus, mc, resume=bundle)
