@@ -67,6 +67,13 @@ def _read_line(fh: BinaryIO) -> str:
         raise CheckpointError("corrupt checkpoint: a text line is not UTF-8") from exc
 
 
+def _int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise CheckpointError(f"corrupt checkpoint: {what} {text!r} is not an integer") from None
+
+
 @contextmanager
 def open_replacing(path: str | Path, mode: str = "wb", **kwargs: Any) -> Iterator[IO]:
     """Open a temporary sibling of path for writing and rename it over path
@@ -93,7 +100,7 @@ def _read_array(fh: BinaryIO, name: str, shape: tuple[int, ...],
     fields = line.split(" ")
     if fields[0] != name:
         raise CheckpointError(f"expected array {name!r}, found {fields[0]!r}")
-    found = tuple(int(v) for v in fields[1:])
+    found = tuple(_int(v, f"dimension of array {name!r}") for v in fields[1:])
     if found != shape:
         raise CheckpointError(f"array {name!r} has shape {found}, expected {shape}")
     dtype = config.np_dtype.newbyteorder("<")
@@ -117,7 +124,7 @@ def _parse_config(lines: dict[str, str]) -> ModelConfig:
         if field.name not in lines:
             raise CheckpointError(f"missing config field {field.name!r}")
         raw = lines[field.name]
-        kwargs[field.name] = int(raw) if field.type == "int" else raw
+        kwargs[field.name] = _int(raw, field.name) if field.type == "int" else raw
     return ModelConfig(**kwargs)
 
 
@@ -165,7 +172,8 @@ def save_model(
 
 
 def load(path: str | Path) -> CheckpointBundle:
-    """Read a checkpoint; rejects bad versions, shapes, and truncation."""
+    """Read a checkpoint; rejects bad versions, numbers, shapes and truncation,
+    and domain names or a target index that do not fit the model."""
     with open(path, "rb") as fh:
         if _read_line(fh) != MAGIC:
             raise CheckpointError("not a DOMBERT-CKPT v1 file")
@@ -179,13 +187,18 @@ def load(path: str | Path) -> CheckpointBundle:
             if key == "domain_names":
                 domain_names = value.split("\t")
             elif key == "target_index":
-                target_index = int(value)
+                target_index = _int(value, "target_index")
             else:
                 raw_config[key] = value
             pos = fh.tell()
             line = _read_line(fh)
         fh.seek(pos)
         config = _parse_config(raw_config)
+        if domain_names is not None and len(domain_names) != config.n_domains:
+            raise CheckpointError(
+                f"checkpoint names {len(domain_names)} domains, its model has {config.n_domains}")
+        if target_index is not None and not 0 <= target_index < config.n_domains:
+            raise CheckpointError(f"target_index {target_index} is not a domain of the model")
 
         params = {name: _read_array(fh, name, shape, config)
                   for name, shape in param_specs(config)}
@@ -199,17 +212,18 @@ def load(path: str | Path) -> CheckpointBundle:
         header_text = _read_line(fh)
         if not header_text.startswith(_ADAMAX_SECTION):
             raise CheckpointError(f"unexpected section {header_text!r}")
-        kv = dict(f.split("=", 1) for f in header_text.split(" ")[1:])
+        try:
+            kv = dict(f.split("=", 1) for f in header_text.split(" ")[1:])
+            adamax = {"step": int(kv["step"]),
+                      **{key: float(kv[key]) for key in ("beta1", "beta2", "eps")}}
+        except (KeyError, ValueError):
+            raise CheckpointError(f"bad section header {header_text!r}") from None
         m: Params = {}
         u: Params = {}
         for name, shape in param_specs(config):
             m[name] = _read_array(fh, "m." + name, shape, config)
             u[name] = _read_array(fh, "u." + name, shape, config)
-        bundle.adamax = {
-            "step": int(kv["step"]), "beta1": float(kv["beta1"]),
-            "beta2": float(kv["beta2"]), "eps": float(kv["eps"]),
-            "m": m, "u": u,
-        }
+        bundle.adamax = {**adamax, "m": m, "u": u}
         bundle.sampler = _read_json_section(fh, _SAMPLER_SECTION)
         bundle.trainer = _read_json_section(fh, _TRAINER_SECTION)
         return bundle
@@ -217,13 +231,16 @@ def load(path: str | Path) -> CheckpointBundle:
 
 def _read_json_section(fh: BinaryIO, section: str) -> dict[str, Any]:
     line = _read_line(fh)
-    if not line.startswith(section):
+    if not line.startswith(section + " nbytes="):
         raise CheckpointError(f"expected section {section!r}")
-    nbytes = int(line.split("nbytes=", 1)[1])
-    blob = fh.read(nbytes)
+    nbytes = _int(line.split("nbytes=", 1)[1], f"{section} nbytes")
+    blob = fh.read(max(nbytes, 0))
     if len(blob) != nbytes:
         raise CheckpointError(f"truncated checkpoint: section {section!r}")
-    return json.loads(blob.decode("utf-8"))
+    try:
+        return json.loads(blob.decode("utf-8"))
+    except ValueError:
+        raise CheckpointError(f"corrupt checkpoint: section {section!r} is not JSON") from None
 
 
 def expected_size(config: ModelConfig, *, domain_names: list[str] | None = None,

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TextIO
@@ -108,10 +110,20 @@ class PackedCorpus:
     vocab_size: int
 
 
+@contextmanager
+def open_text(path: str | Path) -> Iterator[TextIO]:
+    """A UTF-8 text file for reading; bytes that are not UTF-8 are a CorpusError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise CorpusError(f"{path}: not UTF-8 text") from exc
+
+
 def read_records(path: str | Path) -> list[tuple[str, str]]:
     """The (domain name, text) records of a dom-corpus v1 file, in file order."""
     records: list[tuple[str, str]] = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip():
@@ -329,7 +341,7 @@ def write_packed(path: str | Path, corpus: PackedCorpus) -> None:
 
 def read_packed(path: str | Path, table: DomainTable) -> PackedCorpus:
     """The packed rows of `path`, validated against `table` and its counts."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         max_len, n_plus_1, vocab_size = _read_header(
             fh, PACKED_MAGIC, ("L_max", "n_plus_1", "vocab_size"), "packed-corpus")
         if n_plus_1 != table.n_plus_1:
@@ -366,7 +378,7 @@ def write_vocab(path: str | Path, vocab: Vocabulary) -> None:
 
 
 def read_vocab(path: str | Path) -> Vocabulary:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         (size,) = _read_header(fh, VOCAB_MAGIC, ("size",), "vocabulary")
         tokens = [tok for tok, in _read_rows(fh, size, 2, "vocabulary")]
     if tokens[:NUM_RESERVED] != RESERVED_TOKENS:
@@ -382,7 +394,7 @@ def write_domain_table(path: str | Path, table: DomainTable) -> None:
 
 
 def read_domain_table(path: str | Path) -> DomainTable:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         n_plus_1, target = _read_header(fh, TABLE_MAGIC, ("n_plus_1", "target"),
                                         "domain-table")
         rows = _read_rows(fh, n_plus_1, 3, "domain table")

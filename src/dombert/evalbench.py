@@ -20,6 +20,7 @@ from .corpus import (
     NUM_RESERVED,
     PackedExample,
     Vocabulary,
+    open_text,
     pack_domain,
     tokenize,
 )
@@ -110,7 +111,7 @@ def write_truth(path: str | Path, truth: dict[str, int]) -> None:
 
 def read_truth(path: str | Path) -> dict[str, int]:
     truth: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:

@@ -128,21 +128,27 @@ class LnCache:
 
 
 def _ln_forward(x: np.ndarray, g: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, LnCache]:
-    mu = x.mean(-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
-    return g * xhat + b, LnCache(xhat=xhat, inv=inv)
+    xhat = x - x.mean(-1, keepdims=True)
+    y = xhat * xhat
+    inv = 1.0 / np.sqrt(y.mean(-1, keepdims=True) + LN_EPS)
+    xhat *= inv
+    np.multiply(g, xhat, out=y)
+    y += b
+    return y, LnCache(xhat=xhat, inv=inv)
 
 def _ln_backward(dy: np.ndarray, cache: LnCache, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     axes = tuple(range(dy.ndim - 1))
-    dg = (dy * cache.xhat).sum(axis=axes)
+    t = dy * cache.xhat
+    dg = t.sum(axis=axes)
     db = dy.sum(axis=axes)
-    dxhat = dy * g
-    m1 = dxhat.mean(-1, keepdims=True)
-    m2 = (dxhat * cache.xhat).mean(-1, keepdims=True)
-    dx = cache.inv * (dxhat - m1 - cache.xhat * m2)
+    dx = dy * g
+    m1 = dx.mean(-1, keepdims=True)
+    np.multiply(dx, cache.xhat, out=t)
+    m2 = t.mean(-1, keepdims=True)
+    np.multiply(cache.xhat, m2, out=t)
+    dx -= m1
+    dx -= t
+    dx *= cache.inv
     return dx, dg, db
 
 
@@ -189,6 +195,13 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, l, h * dk)
 
 
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x @ w + b, the bias added into the product's own array."""
+    y = x @ w
+    y += b
+    return y
+
+
 def _at_rows(x: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
     """x[b, rows[b]] for every example b; all of x when rows is None."""
     return x if rows is None else x[np.arange(x.shape[0])[:, None], rows]
@@ -221,7 +234,8 @@ def encode(
     key_valid = np.arange(l)[None, :] < np.asarray(valid_lens)[:, None]
     key_bias = np.where(key_valid, 0.0, _NEG).astype(dt)[:, None, None, :]
 
-    x0 = params["tok_emb"][input_ids] + params["pos_emb"][:l]
+    x0 = params["tok_emb"][input_ids]
+    x0 += params["pos_emb"][:l]
     x, emb_ln = _ln_forward(x0, params["emb_ln_g"], params["emb_ln_b"])
 
     dk = config.d_hidden // config.n_heads
@@ -231,20 +245,24 @@ def encode(
         pre = f"layer{i}."
         a_in = x
         q_rows = rows if i == config.n_layers - 1 else None
-        a_q = _at_rows(a_in, q_rows)
-        q = _split_heads(a_q @ params[pre + "wq"] + params[pre + "bq"], config.n_heads)
-        k = _split_heads(a_in @ params[pre + "wk"] + params[pre + "bk"], config.n_heads)
-        v = _split_heads(a_in @ params[pre + "wv"] + params[pre + "bv"], config.n_heads)
-        scores = (q @ k.swapaxes(-1, -2)) * scale + key_bias
-        probs = softmax(scores, axis=-1)
+        a_q = _at_rows(a_in, q_rows)  # a_in itself when q_rows is None
+        q = _split_heads(_affine(a_q, params[pre + "wq"], params[pre + "bq"]), config.n_heads)
+        k = _split_heads(_affine(a_in, params[pre + "wk"], params[pre + "bk"]), config.n_heads)
+        v = _split_heads(_affine(a_in, params[pre + "wv"], params[pre + "bv"]), config.n_heads)
+        probs = q @ k.swapaxes(-1, -2)
+        probs *= scale
+        probs += key_bias
+        softmax(probs, axis=-1, out=probs)
         ctx = _merge_heads(probs @ v)
-        ao = ctx @ params[pre + "wo"] + params[pre + "bo"]
-        x1, ln1 = _ln_forward(a_q + ao, params[pre + "ln1_g"], params[pre + "ln1_b"])
-        z1 = x1 @ params[pre + "w1"] + params[pre + "b1"]
+        ao = _affine(ctx, params[pre + "wo"], params[pre + "bo"])
+        ao += a_q
+        x1, ln1 = _ln_forward(ao, params[pre + "ln1_g"], params[pre + "ln1_b"])
+        z1 = _affine(x1, params[pre + "w1"], params[pre + "b1"])
         z2, s = gelu(z1)
-        fo = z2 @ params[pre + "w2"] + params[pre + "b2"]
+        fo = _affine(z2, params[pre + "w2"], params[pre + "b2"])
         del z2  # backward rebuilds it from s; freeing it here lowers peak memory
-        x, ln2 = _ln_forward(x1 + fo, params[pre + "ln2_g"], params[pre + "ln2_b"])
+        fo += x1
+        x, ln2 = _ln_forward(fo, params[pre + "ln2_g"], params[pre + "ln2_b"])
         layers.append(LayerCache(
             a_in=a_in, rows=q_rows, q=q, k=k, v=v, probs=probs, ctx=ctx,
             ln1=ln1, x1=x1, z1=z1, s=s, ln2=ln2,
@@ -275,15 +293,18 @@ def encode_backward(
         grads[pre + "ln2_g"] += dg2
         grads[pre + "ln2_b"] += db2_
 
-        z2f = (0.5 * lc.z1 * lc.s).reshape(-1, config.d_ff)
+        z2f = 0.5 * lc.z1.reshape(-1, config.d_ff)
+        z2f *= lc.s.reshape(-1, config.d_ff)  # GELU(z1), the bytes encode computed
         grads[pre + "w2"] += z2f.T @ dres2.reshape(-1, config.d_hidden)
+        del z2f
         grads[pre + "b2"] += dres2.sum(axis=(0, 1))
-        dz2 = dres2 @ params[pre + "w2"].T
-        dz1 = dz2 * gelu_grad(lc.z1, lc.s)
+        dz1 = gelu_grad(lc.z1, lc.s)
+        dz1 *= dres2 @ params[pre + "w2"].T
         x1f = lc.x1.reshape(-1, config.d_hidden)
         grads[pre + "w1"] += x1f.T @ dz1.reshape(-1, config.d_ff)
         grads[pre + "b1"] += dz1.sum(axis=(0, 1))
-        dx1 = dres2 + dz1 @ params[pre + "w1"].T
+        dx1 = dz1 @ params[pre + "w1"].T
+        dx1 += dres2
 
         dres1, dg1, db1_ = _ln_backward(dx1, lc.ln1, params[pre + "ln1_g"])
         grads[pre + "ln1_g"] += dg1
@@ -295,19 +316,23 @@ def encode_backward(
         dctx = _split_heads(dres1 @ params[pre + "wo"].T, config.n_heads)
 
         dv = lc.probs.swapaxes(-1, -2) @ dctx
-        dprobs = dctx @ lc.v.swapaxes(-1, -2)
-        dscores = lc.probs * (dprobs - (dprobs * lc.probs).sum(-1, keepdims=True))
-        dq = (dscores @ lc.k) * scale
-        dk_ = (dscores.swapaxes(-1, -2) @ lc.q) * scale
+        dscores = dctx @ lc.v.swapaxes(-1, -2)  # d probs; d scores after the in-place steps
+        rowsum = (dscores * lc.probs).sum(-1, keepdims=True)
+        dscores -= rowsum
+        dscores *= lc.probs
+        dq = dscores @ lc.k
+        dq *= scale
+        dk_ = dscores.swapaxes(-1, -2) @ lc.q
+        dk_ *= scale
 
-        da_in = dres1
+        da_in = dres1  # ours to add into: _ln_backward returned a new array
         a_inf = lc.a_in.reshape(-1, config.d_hidden)
         a_qf = _at_rows(lc.a_in, lc.rows).reshape(-1, config.d_hidden)
         for name, dmat, af in (("wq", dq, a_qf), ("wk", dk_, a_inf), ("wv", dv, a_inf)):
             dfull = _merge_heads(dmat)
             grads[pre + name] += af.T @ dfull.reshape(-1, config.d_hidden)
             grads[pre + "b" + name[1]] += dfull.sum(axis=(0, 1))
-            da_in = da_in + dfull @ params[pre + name].T
+            da_in += dfull @ params[pre + name].T
             if name == "wq" and lc.rows is not None:
                 # Back to full width. Padding slots repeat position 0 with
                 # zero gradient; add.at keeps [CLS]'s where `=` would not.
@@ -328,8 +353,7 @@ def encode_backward(
 
 def domain_logits(h_cls: np.ndarray, params: Params) -> np.ndarray:
     """logits = D @ (W @ h_cls + b), two linear maps and nothing between."""
-    a = h_cls @ params["cls_w"].T + params["cls_b"]
-    return a @ params["dom_emb"].T
+    return _affine(h_cls, params["cls_w"].T, params["cls_b"]) @ params["dom_emb"].T
 
 
 def domain_head_backward(
@@ -339,7 +363,7 @@ def domain_head_backward(
     grads: Params,
 ) -> np.ndarray:
     """Accumulate head gradients; returns d h_cls."""
-    a = h_cls @ params["cls_w"].T + params["cls_b"]
+    a = _affine(h_cls, params["cls_w"].T, params["cls_b"])
     grads["dom_emb"] += dlogits.T @ a
     da = dlogits @ params["dom_emb"]
     grads["cls_w"] += da.T @ h_cls
@@ -375,10 +399,10 @@ def mlm_logits_eal(
     exactly T_total rows.
     """
     g = cache.h[ex_idx, slots]
-    z1 = g @ params["mlm_w"] + params["mlm_b"]
+    z1 = _affine(g, params["mlm_w"], params["mlm_b"])
     z2, s = gelu(z1)
     z3, ln = _ln_forward(z2, params["mlm_ln_g"], params["mlm_ln_b"])
-    logits = z3 @ params["tok_emb"].T + params["mlm_out_b"]
+    logits = _affine(z3, params["tok_emb"].T, params["mlm_out_b"])
     return logits, EalCache(ex_idx=ex_idx, slots=slots,
                             g=g, z1=z1, s=s, z3=z3, ln=ln)
 
@@ -386,10 +410,10 @@ def mlm_logits_eal(
 def mlm_logits_full(cache: ForwardCache, params: Params) -> np.ndarray:
     """Vocabulary logits at every position (B x L x V); reference path."""
     h = cache.h.reshape(-1, cache.h.shape[-1])  # one matmul, not one per example
-    z1 = h @ params["mlm_w"] + params["mlm_b"]
+    z1 = _affine(h, params["mlm_w"], params["mlm_b"])
     z2, _ = gelu(z1)
     z3, _ = _ln_forward(z2, params["mlm_ln_g"], params["mlm_ln_b"])
-    logits = z3 @ params["tok_emb"].T + params["mlm_out_b"]
+    logits = _affine(z3, params["tok_emb"].T, params["mlm_out_b"])
     return logits.reshape(*cache.h.shape[:2], -1)
 
 
@@ -411,7 +435,8 @@ def mlm_head_backward(
     dz2, dg, db = _ln_backward(dz3, ealc.ln, params["mlm_ln_g"])
     grads["mlm_ln_g"] += dg
     grads["mlm_ln_b"] += db
-    dz1 = dz2 * gelu_grad(ealc.z1, ealc.s)
+    dz1 = gelu_grad(ealc.z1, ealc.s)
+    dz1 *= dz2
     grads["mlm_w"] += ealc.g.T @ dz1
     grads["mlm_b"] += dz1.sum(axis=0)
     dg_rows = dz1 @ params["mlm_w"].T

@@ -32,10 +32,12 @@ def rng_from_state(state: dict) -> np.random.Generator:
     return rng
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+def softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(x - max) / sum, built in one array: `out` (which may be x) or a new one."""
+    e = np.subtract(x, np.max(x, axis=axis, keepdims=True), out=out)
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=axis, keepdims=True)
+    return e
 
 
 def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -50,13 +52,27 @@ def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     0.5 * x * (1 + erf(x / sqrt 2)): x * Phi rounds differently once Phi is
     subnormal.
     """
-    s = 1.0 + erf(x / _SQRT2)
-    return 0.5 * x * s, s
+    s = x / _SQRT2
+    erf(s, out=s)
+    s += 1.0
+    y = 0.5 * x
+    y *= s
+    return y, s
 
 
 def gelu_grad(x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """d GELU / dx from x and the s that gelu(x) returned."""
-    return 0.5 * s + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+    """d GELU / dx from x and the s that gelu(x) returned.
+
+    0.5 * s + x * exp(-0.5 * x * x) / sqrt(2 pi), each product and sum in
+    that order, in one new array.
+    """
+    t = x * -0.5
+    t *= x
+    np.exp(t, out=t)
+    t *= x
+    t *= _INV_SQRT_2PI
+    t += 0.5 * s
+    return t
 
 
 def row_norms(d: np.ndarray) -> np.ndarray:

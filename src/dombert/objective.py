@@ -31,13 +31,26 @@ class LossBreakdown:
     total: float
 
 
+def mlm_softmax(
+    eal_logits: np.ndarray, target_ids: np.ndarray,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """loss_mlm together with e = exp(logits - row max) and e's row sums.
+
+    One exp pass serves the loss and its gradient: the softmax is e / sums.
+    The loss reads only the target entries, shifted - log(sums).
+    """
+    t = eal_logits.shape[0]
+    e = eal_logits - np.max(eal_logits, axis=-1, keepdims=True)
+    shifted = e[np.arange(t), target_ids]
+    np.exp(e, out=e)
+    sums = np.sum(e, axis=-1, keepdims=True)
+    loss = float(-(shifted - np.log(sums[:, 0])).mean()) if t else 0.0
+    return loss, e, sums
+
+
 def loss_mlm(eal_logits: np.ndarray, target_ids: np.ndarray) -> float:
     """Mean cross-entropy over target positions; 0 when there are none."""
-    t = eal_logits.shape[0]
-    if t == 0:
-        return 0.0
-    logp = log_softmax(eal_logits, axis=-1)
-    return float(-logp[np.arange(t), target_ids].mean())
+    return mlm_softmax(eal_logits, target_ids)[0]
 
 
 def loss_cls(
@@ -102,7 +115,8 @@ class StepCache:
 
     fwd: model.ForwardCache
     ealc: model.EalCache
-    eal_logits: np.ndarray
+    mlm_exp: np.ndarray          # exp(logits - row max) at the targets (T, V)
+    mlm_exp_sum: np.ndarray      # its row sums (T, 1)
     dom_logits: np.ndarray
     target_ids: np.ndarray
     cls_weights: np.ndarray | None
@@ -135,12 +149,12 @@ def forward(
     fwd = model.encode(batch.input_ids, batch.valid_lens, params, config, rows)
     eal_logits, ealc = model.mlm_logits_eal(fwd, ex_idx, slots, params)
     dom = model.domain_logits(fwd.h_cls, params)
-    mlm = loss_mlm(eal_logits, target_ids)
+    mlm, mlm_exp, mlm_exp_sum = mlm_softmax(eal_logits, target_ids)
     cls = loss_cls(dom, batch.domain_labels, cls_weights)
     delta = regularizer(params["dom_emb"])
     breakdown = total_loss(mlm, cls, delta, lam)
     cache = StepCache(
-        fwd=fwd, ealc=ealc, eal_logits=eal_logits, dom_logits=dom,
+        fwd=fwd, ealc=ealc, mlm_exp=mlm_exp, mlm_exp_sum=mlm_exp_sum, dom_logits=dom,
         target_ids=target_ids, cls_weights=cls_weights,
         mlm_ce_sum=mlm * batch.n_targets,
         cls_ce_sum=cls * batch.batch_size,
@@ -173,10 +187,10 @@ def backward(
     grads = model.zero_grads(config)
     d_h = np.zeros_like(cache.fwd.h)
 
-    t = cache.eal_logits.shape[0]
+    t = cache.mlm_exp.shape[0]
     if t > 0 and lam > 0.0:
         div = t if mlm_divisor is None else mlm_divisor
-        dlogits = softmax(cache.eal_logits, axis=-1)
+        dlogits = cache.mlm_exp / cache.mlm_exp_sum
         dlogits[np.arange(t), cache.target_ids] -= 1.0
         dlogits *= lam / div
         model.mlm_head_backward(dlogits, cache.ealc, d_h, params, grads)

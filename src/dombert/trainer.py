@@ -105,12 +105,18 @@ def adamax_step(params: Params, grads: Params, state: AdamaxState, lr: float) ->
             raise NonFiniteGradientError(
                 f"non-finite gradient in {name!r} at optimizer step {state.step}"
             )
+        # `step` is the one scratch array: (1-b1)*g, then |g|, then the
+        # update. Each product keeps the docstring's operands, so the bytes do too.
         m = state.m[name]
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        step = g * (1.0 - state.beta1)
+        m += step
         u = state.u[name]
-        np.maximum(state.beta2 * u, np.abs(g), out=u)
-        params[name] -= scale * m / (u + state.eps)
+        u *= state.beta2
+        np.maximum(u, np.abs(g, out=step), out=u)
+        np.multiply(m, scale, out=step)
+        step /= u + state.eps
+        params[name] -= step
 
 
 @dataclass

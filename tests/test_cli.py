@@ -354,6 +354,41 @@ def _checkpoint_header_not_utf8(tmp_path):
     return ["report", "--ckpt", str(ckpt), "--top", "2"]
 
 
+def _edited_checkpoint(old, new):
+    """A report of a checkpoint whose header line `old` was rewritten as `new`."""
+    def argv(tmp_path):
+        ckpt = _small_checkpoint(tmp_path / "m.ckpt")
+        data = ckpt.read_bytes()
+        assert data.count(old) == 1
+        ckpt.write_bytes(data.replace(old, new))
+        return ["report", "--ckpt", str(ckpt), "--top", "2"]
+    return argv
+
+
+def _corpus_not_utf8(tmp_path):
+    corpus = tmp_path / "bad.tsv"
+    corpus.write_bytes(b"a\tx y\xff z\nb\tx w\n")
+    return ["ingest", "--corpus", str(corpus), "--target", "a",
+            "--out", str(tmp_path / "ingested")]
+
+
+def _truth_not_utf8(tmp_path):
+    truth = tmp_path / "truth.tsv"
+    truth.write_bytes(b"c0_d0\t0\nc0_d1\xff\t0\n")
+    return ["eval", "--ckpt", str(_small_checkpoint(tmp_path / "m.ckpt")),
+            "--truth", str(truth)]
+
+
+def _vocab_not_utf8(tmp_path):
+    heldout = tmp_path / "heldout.tsv"
+    heldout.write_text("c0_d0\talpha beta\n", encoding="utf-8")
+    vocab = tmp_path / "vocab.tsv"
+    write_vocab(vocab, build_vocab(["alpha beta"], min_count=1, max_size=10))
+    vocab.write_bytes(vocab.read_bytes().replace(b"alpha", b"alph\xe9"))
+    return ["eval", "--ckpt", str(_small_checkpoint(tmp_path / "m.ckpt")),
+            "--heldout", str(heldout), "--vocab", str(vocab)]
+
+
 def _negative_top(tmp_path):
     return ["report", "--ckpt", str(_small_checkpoint(tmp_path / "m.ckpt")), "--top", "-1"]
 
@@ -373,9 +408,19 @@ class TestOutsideInput:
     @pytest.mark.parametrize("argv", [
         _truth_without_tab, _truth_without_target, _checkpoint_header_not_utf8,
         _negative_top, _negative_max_vocab, _mix_not_numbers,
+        _edited_checkpoint(b"target_index=0\n", b"target_index=x\n"),
+        _edited_checkpoint(b"d_ff=8\n", b"d_ff=8x\n"),
+        _edited_checkpoint(b"tok_emb 10 8\n", b"tok_emb 10 8q\n"),
+        _edited_checkpoint(b"target_index=0\n", b"target_index=4\n"),
+        _edited_checkpoint(b"\tc1_d0\tc1_d1\n", b"\n"),
+        _corpus_not_utf8, _truth_not_utf8, _vocab_not_utf8,
     ], ids=["truth line without TAB", "truth without the target",
             "checkpoint header not UTF-8", "report --top -1",
-            "ingest --max-vocab -1", "gen-synth --mix a,b,c"])
+            "ingest --max-vocab -1", "gen-synth --mix a,b,c",
+            "checkpoint target_index=x", "checkpoint d_ff=8x",
+            "checkpoint array dimension 8q", "checkpoint target_index=4 of 4 domains",
+            "checkpoint naming 2 of 4 domains", "corpus not UTF-8",
+            "truth not UTF-8", "vocabulary not UTF-8"])
     def test_bad_input_is_error_and_exit_one(self, tmp_path, capsys, argv):
         """Malformed files and flag values exit 1 with one error line: no
         traceback, and no output computed from a silently bent value."""

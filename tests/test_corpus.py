@@ -302,6 +302,14 @@ def miscount_first_domain(root, packed):
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
+def not_utf8(name):
+    """A corruption that ends file `name` with a byte that is not UTF-8."""
+    def corrupt(root, packed):
+        path = root / name
+        path.write_bytes(path.read_bytes()[:-1] + b"\xff\n")
+    return corrupt
+
+
 CORRUPTIONS = {
     "wrong id count": edit_first_row(lambda d, n, ids, c: (d, n, ids[:-1])),
     "no leading [CLS]": edit_first_row(lambda d, n, ids, c: (d, n, [SEP_ID] + ids[1:])),
@@ -315,6 +323,8 @@ CORRUPTIONS = {
         lambda d, n, ids, c: (c.table.n_plus_1, n, ids)),
     "negative domain id": edit_first_row(lambda d, n, ids, c: (-1, n, ids)),
     "table counts disagree with the rows": miscount_first_domain,
+    "packed file not UTF-8": not_utf8("packed.tsv"),
+    "domain table not UTF-8": not_utf8("domains.tsv"),
 }
 
 

@@ -9,7 +9,7 @@ from dombert.corpus import CLS_ID, NUM_RESERVED, SEP_ID
 from dombert.errors import ConfigError, InputError
 from dombert.masking import MaskedBatch, MaskingPolicy, make_masked_batch
 from dombert.objective import loss_cls, loss_mlm
-from dombert.nputil import derive_rng, gelu, gelu_grad
+from dombert.nputil import derive_rng, gelu, gelu_grad, softmax
 
 from conftest import random_packed_example
 
@@ -301,10 +301,100 @@ class TestGelu:
         assert grad.dtype == np.dtype(dtype)
         assert np.array_equal(grad, recomputed)
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_grad_times_upstream_is_bit_identical_to_the_product(self, dtype):
+        """Backward multiplies the upstream gradient into gelu_grad's array."""
+        x = self.GRID.astype(dtype)
+        s = gelu(x)[1]
+        dz2 = np.random.default_rng(3).normal(size=x.shape).astype(dtype)
+        expected = dz2 * (0.5 * s + x * np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi)))
+        dz1 = gelu_grad(x, s)
+        dz1 *= dz2
+        assert np.array_equal(dz1, expected)
+
     def test_grad_matches_central_difference(self):
         x, h = self.GRID, 1e-5
         fd = (gelu(x + h)[0] - gelu(x - h)[0]) / (2 * h)
         np.testing.assert_allclose(gelu_grad(x, gelu(x)[1]), fd, rtol=0, atol=1e-8)
+
+
+def _reference_softmax(x):
+    shifted = x - np.max(x, axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+class TestInPlaceKernels:
+    """The in-place kernels give the bytes of the out-of-place expressions
+    they replace, and write into no argument."""
+
+    @staticmethod
+    def _rows(dtype, shape=(3, 5, 16)):
+        gen = np.random.default_rng(11)
+        # Row scales from 1e-3 to 1e3, and a constant row (variance exactly 0).
+        x = gen.normal(size=shape) * 10.0 ** gen.integers(-3, 4, size=shape[:-1] + (1,))
+        x[0, 0] = 0.75
+        return x.astype(dtype)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_softmax(self, dtype):
+        x = self._rows(dtype)
+        x[1, 2, :4] = -1e9  # masked keys
+        before = x.copy()
+        assert np.array_equal(softmax(x), _reference_softmax(x))
+        assert np.array_equal(x, before)
+        out = softmax(x, out=x)
+        assert out is x and np.array_equal(x, _reference_softmax(before))
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_attention_scores(self, dtype, rng):
+        cfg = tiny_config(dtype=dtype, d_hidden=12)  # scale 1/sqrt(6) rounds
+        params = {k: v.astype(dtype) for k, v in
+                  model.init_params(cfg, derive_rng(0, 0)).items()}
+        batch = make_batch(rng, cfg)
+        cache = model.encode(batch.input_ids, batch.valid_lens, params, cfg,
+                             batch.output_rows()[0])
+        scale = np.dtype(dtype).type(1.0 / math.sqrt(cfg.d_hidden // cfg.n_heads))
+        for lc in cache.layers:
+            scores = (lc.q @ lc.k.swapaxes(-1, -2)) * scale + cache.key_bias
+            assert lc.probs.dtype == np.dtype(dtype)
+            assert np.array_equal(lc.probs, _reference_softmax(scores))
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_layer_norm_forward(self, dtype):
+        x = self._rows(dtype)
+        gen = np.random.default_rng(12)
+        g, b = (gen.normal(size=16).astype(dtype) for _ in range(2))
+        before = x.copy()
+        y, cache = model._ln_forward(x, g, b)
+        mu = x.mean(-1, keepdims=True)
+        xc = x - mu
+        var = (xc * xc).mean(-1, keepdims=True)
+        inv = 1.0 / np.sqrt(var + model.LN_EPS)
+        xhat = xc * inv
+        assert np.array_equal(y, g * xhat + b)
+        assert np.array_equal(cache.xhat, xhat) and np.array_equal(cache.inv, inv)
+        assert y.dtype == np.dtype(dtype) and np.array_equal(x, before)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_layer_norm_backward(self, dtype):
+        x = self._rows(dtype)
+        gen = np.random.default_rng(13)
+        g, b = (gen.normal(size=16).astype(dtype) for _ in range(2))
+        dy = (gen.normal(size=x.shape) * 10.0 ** gen.integers(-3, 4, size=x.shape)).astype(dtype)
+        _, cache = model._ln_forward(x, g, b)
+        xhat, inv = cache.xhat.copy(), cache.inv.copy()
+        dy_before = dy.copy()
+        dx, dg, db = model._ln_backward(dy, cache, g)
+        dxhat = dy * g
+        m1 = dxhat.mean(-1, keepdims=True)
+        m2 = (dxhat * xhat).mean(-1, keepdims=True)
+        assert np.array_equal(dx, inv * (dxhat - m1 - xhat * m2))
+        assert np.array_equal(dg, (dy * xhat).sum(axis=(0, 1)))
+        assert np.array_equal(db, dy.sum(axis=(0, 1)))
+        assert dx.dtype == np.dtype(dtype)
+        assert np.array_equal(dy, dy_before)
+        assert np.array_equal(cache.xhat, xhat) and np.array_equal(cache.inv, inv)
 
 
 class TestTiedWeights:

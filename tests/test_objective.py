@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -63,6 +64,25 @@ class TestLossMlm:
         expected /= 3
         assert math.isclose(objective.loss_mlm(logits, target), expected,
                             rel_tol=1e-12)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("spread", [1.0, 3.0])
+    def test_one_exp_pass_gives_the_bytes_of_log_softmax_and_softmax(self, dtype, spread):
+        """The loss equals the log-softmax expression it replaces, and
+        e / sums equals the softmax backward used to recompute."""
+        gen = np.random.default_rng(5)
+        logits = (gen.normal(size=(200, 300)) * spread).astype(dtype)
+        target = gen.integers(0, 300, size=200)
+        before = logits.copy()
+        loss, e, sums = objective.mlm_softmax(logits, target)
+        shifted = logits - np.max(logits, axis=-1, keepdims=True)
+        logp = shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+        assert loss == float(-logp[np.arange(200), target].mean())
+        dlogits = e / sums
+        assert dlogits.dtype == np.dtype(dtype)
+        assert np.array_equal(dlogits, np.exp(shifted) / np.sum(np.exp(shifted), axis=-1,
+                                                                 keepdims=True))
+        assert np.array_equal(logits, before)
 
 
 class TestLossCls:
@@ -190,7 +210,41 @@ class TestTotalLoss:
             objective.total_loss(1.0, 1.0, 0.0, 1.5)
 
 
+def _cache_arrays(value, prefix="cache"):
+    """(path, copy) of every array reachable from a cache, through dataclasses."""
+    if isinstance(value, np.ndarray):
+        yield prefix, value.copy()
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _cache_arrays(getattr(value, f.name), f"{prefix}.{f.name}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _cache_arrays(item, f"{prefix}[{i}]")
+
+
 class TestBackward:
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_backward_writes_into_no_input_or_cache(self, dtype):
+        """Backward run twice on one cache gives equal gradients, and neither
+        pass nor the forward pass changes the batch, the parameters or the
+        cache."""
+        cfg, params, batch, lam = random_instance(8, n=3, dtype=dtype, n_layers=2)
+        params = {k: v.astype(cfg.np_dtype) for k, v in params.items()}
+        inputs = {"params": {k: v.copy() for k, v in params.items()},
+                  "input_ids": batch.input_ids.copy()}
+        weights = np.array([0.5, 2.0, 1.25], dtype=dtype)
+        _, cache = objective.forward(batch, params, cfg, lam, cls_weights=weights)
+        snapshot = dict(_cache_arrays(cache))
+        first = objective.backward(batch, cache, params, cfg, lam)
+        second = objective.backward(batch, cache, params, cfg, lam)
+        for name in first:
+            assert np.array_equal(first[name], second[name]), name
+        for path, arr in _cache_arrays(cache):
+            assert np.array_equal(arr, snapshot[path]), path
+        for name in params:
+            assert np.array_equal(params[name], inputs["params"][name]), name
+        assert np.array_equal(batch.input_ids, inputs["input_ids"])
+
     def test_lambda_one_zeroes_cls_head_gradients(self):
         cfg, params, batch, _ = random_instance(3, lam=1.0)
         _, cache = objective.forward(batch, params, cfg, 1.0)

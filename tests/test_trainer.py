@@ -96,6 +96,27 @@ class TestAdamax:
             assert np.isclose(params["w"][0], expected, rtol=0, atol=1e-15)
         assert abs(params["w"][0] + 0.3) < 1e-7
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_update_is_bit_identical_to_the_formula(self, dtype):
+        """Three steps give the bytes of the textbook expressions, and the
+        gradients are not written into."""
+        gen = np.random.default_rng(4)
+        shape = (50, 7)
+        params = {"w": gen.normal(size=shape).astype(dtype)}
+        state = trainer.AdamaxState(m={"w": np.zeros(shape, dtype)},
+                                    u={"w": np.zeros(shape, dtype)})
+        w, m, u = params["w"].copy(), np.zeros(shape, dtype), np.zeros(shape, dtype)
+        for step in range(1, 4):
+            g = (gen.normal(size=shape) * 10.0 ** gen.integers(-6, 2, size=shape)).astype(dtype)
+            g_before = g.copy()
+            trainer.adamax_step(params, {"w": g}, state, lr=1e-3)
+            m = 0.9 * m + (1.0 - 0.9) * g
+            u = np.maximum(0.999 * u, np.abs(g))
+            w -= 1e-3 / (1.0 - 0.9 ** step) * m / (u + 1e-8)
+            assert np.array_equal(g, g_before)
+            for got, want in ((params["w"], w), (state.m["w"], m), (state.u["w"], u)):
+                assert got.dtype == np.dtype(dtype) and np.array_equal(got, want)
+
     def test_non_finite_gradient_aborts(self):
         params = {"w": np.zeros(2)}
         state = trainer.AdamaxState(m={"w": np.zeros(2)}, u={"w": np.zeros(2)})
@@ -365,6 +386,26 @@ class TestCheckpoint:
                 continue
             with pytest.raises(CheckpointError):
                 checkpoint.load(clipped)
+
+    @pytest.mark.parametrize("old, new", [
+        (b"ADAMAX-STATE step=1 ", b"ADAMAX-STATE step=1x "),
+        (b"SAMPLER-STATE nbytes=", b"SAMPLER-STATE nbytes=q"),
+        (b"TRAINER-STATE nbytes=", b"TRAINER-STATE nbytes=-"),
+        (b"}TRAINER-STATE", b"]TRAINER-STATE"),
+    ])
+    def test_damaged_section_header_rejected(self, tmp_path, old, new):
+        """A section header whose number is not an integer, or is negative,
+        or a section that is not JSON, is a CheckpointError."""
+        tc = trainer.TrainConfig(epochs=1, seed=1, micro_batch=2, accum_steps=2,
+                                 checkpoint_interval=1)
+        corpus = make_corpus()
+        trainer.train(tc, corpus, small_model_config(corpus), out_dir=tmp_path / "run")
+        data = (tmp_path / "run" / "ckpt_step000001.ckpt").read_bytes()
+        assert data.count(old) == 1
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(data.replace(old, new))
+        with pytest.raises(CheckpointError):
+            checkpoint.load(bad)
 
     def test_shape_mismatch_rejected(self, tmp_path):
         corpus = make_corpus()

@@ -1,0 +1,122 @@
+"""Digests of the criterion-7 pipeline artifacts: the "same behaviour" gate.
+
+Runs three ingest -> train -> report pipelines, each in its own temporary
+directory, through `python -m dombert.cli` subprocesses with
+OPENBLAS_NUM_THREADS=1 in the child environment:
+
+- criterion7: the commands of tests/test_acceptance.py's
+  test_criterion_7_pipeline_determinism;
+- interval2: the same train with --checkpoint-interval 2;
+- target-only: that run with --target-only.
+
+It prints one line per artifact (pipeline, file, first 16 hex of its
+sha256; `report` is the report command's stdout). With --check it compares
+them with the digests recorded below and exits 1 on any difference.
+
+The bytes depend on the CPU's OpenBLAS kernel as well as on the code, so
+this is not a tier-1 test; the recorded values come from a 2-vCPU Xeon
+with one BLAS thread. A change that keeps behaviour keeps every digest.
+
+Usage: python3 tools/digests.py [--check]
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+GEN_SYNTH = ["gen-synth", "--clusters", "2", "--domains-per-cluster", "2",
+             "--shared-vocab", "20", "--unique-vocab", "10",
+             "--background-vocab", "30", "--docs-per-domain", "10",
+             "--min-len", "8", "--max-len", "14", "--seed", "3",
+             "--out", "synth.tsv"]
+INGEST = ["ingest", "--corpus", "synth.tsv", "--target", "c1_d1",
+          "--max-len", "32", "--out", "ingested"]
+TRAIN = ["train", "--packed", "ingested", "--epochs", "2", "--batch", "4",
+         "--accum", "1", "--m", "8", "--seed", "9", "--out", "run"]
+REPORT = ["report", "--ckpt", "run/final.ckpt", "--top", "3"]
+
+PIPELINES = {
+    "criterion7": TRAIN + ["--checkpoint-interval", "5"],
+    "interval2": TRAIN + ["--checkpoint-interval", "2"],
+    "target-only": TRAIN + ["--checkpoint-interval", "2", "--target-only"],
+}
+
+# (pipeline, artifact) -> first 16 hex of sha256; 20 artifacts, 17 values.
+RECORDED = {
+    ("criterion7", "synth.tsv"): "e391f821c574ddb5",
+    ("criterion7", "synth.tsv.truth"): "6599892ab3870759",
+    ("criterion7", "ingested/packed.tsv"): "3c89101302fd409f",
+    ("criterion7", "ingested/vocab.tsv"): "af086791c669b400",
+    ("criterion7", "ingested/domains.tsv"): "e9fc7c1a72a7eef5",
+    ("criterion7", "ingested/stats.tsv"): "21a5c37d45aeb7cb",
+    ("criterion7", "run/final.ckpt"): "f015cf1ff8106bd0",
+    ("criterion7", "run/log.tsv"): "cad7cfe0491d5fa0",
+    ("criterion7", "run/top_domains.tsv"): "d41aa71dc55da9fc",
+    ("criterion7", "report"): "35946f1c755b2be4",
+    ("interval2", "run/ckpt_step000002.ckpt"): "cac66163d6be6dbf",
+    ("interval2", "run/final.ckpt"): "f015cf1ff8106bd0",
+    ("interval2", "run/log.tsv"): "77b787132b2b4fac",
+    ("interval2", "run/top_domains.tsv"): "d41aa71dc55da9fc",
+    ("interval2", "report"): "35946f1c755b2be4",
+    ("target-only", "run/ckpt_step000002.ckpt"): "5b4f6603dabb632a",
+    ("target-only", "run/final.ckpt"): "0ce96189cba15707",
+    ("target-only", "run/log.tsv"): "781cbfdbae48e96e",
+    ("target-only", "run/top_domains.tsv"): "ec13c5dd620fae9a",
+    ("target-only", "report"): "2b4b5738258b761e",
+}
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def run_pipeline(name: str, train: list[str]) -> dict[str, str]:
+    """Digests of every artifact `name` records, from a fresh directory."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    with tempfile.TemporaryDirectory(prefix=f"digests-{name}-") as tmp:
+        root = Path(tmp)
+        report = b""
+        for argv in (GEN_SYNTH, INGEST, train, REPORT):
+            done = subprocess.run([sys.executable, "-m", "dombert.cli", *argv],
+                                  cwd=root, env=env, capture_output=True)
+            if done.returncode != 0:
+                sys.exit(f"{name}: `dombert {argv[0]}` exited {done.returncode}:\n"
+                         + done.stderr.decode(errors="replace"))
+            report = done.stdout
+        return {
+            artifact: _digest(report) if artifact == "report"
+            else _digest((root / artifact).read_bytes())
+            for (pipeline, artifact) in RECORDED if pipeline == name
+        }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare with the recorded digests; exit 1 on a difference")
+    args = parser.parse_args(argv)
+    differ = 0
+    for name, train in PIPELINES.items():
+        for artifact, digest in run_pipeline(name, train).items():
+            expected = RECORDED[(name, artifact)]
+            mark = ""
+            if args.check and digest != expected:
+                differ += 1
+                mark = f"  DIFFERS (recorded {expected})"
+            print(f"{name}\t{artifact}\t{digest}{mark}")
+    if args.check:
+        print(f"{len(RECORDED) - differ} of {len(RECORDED)} digests as recorded")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
