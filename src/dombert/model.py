@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .nputil import gelu, gelu_grad, softmax
+from .nputil import gelu, gelu_grad, scatter_add_rows, softmax
 
 LN_EPS = 1e-12
 INIT_STD = 0.02
@@ -335,16 +335,15 @@ def encode_backward(
             da_in += dfull @ params[pre + name].T
             if name == "wq" and lc.rows is not None:
                 # Back to full width. Padding slots repeat position 0 with
-                # zero gradient; add.at keeps [CLS]'s where `=` would not.
+                # zero gradient; adding keeps [CLS]'s where `=` would not.
                 da_in, da_q = np.zeros_like(lc.a_in), da_in
-                np.add.at(da_in, (np.arange(len(da_q))[:, None], lc.rows), da_q)
+                scatter_add_rows(da_in, (np.arange(len(da_q))[:, None], lc.rows), da_q)
         dx = da_in
 
     dx0, dg, db = _ln_backward(dx, cache.emb_ln, params["emb_ln_g"])
     grads["emb_ln_g"] += dg
     grads["emb_ln_b"] += db
-    np.add.at(grads["tok_emb"], cache.input_ids.reshape(-1),
-              dx0.reshape(-1, config.d_hidden))
+    scatter_add_rows(grads["tok_emb"], cache.input_ids.reshape(-1), dx0)
     grads["pos_emb"][: dx0.shape[1]] += dx0.sum(axis=0)
 
 
@@ -440,4 +439,4 @@ def mlm_head_backward(
     grads["mlm_w"] += ealc.g.T @ dz1
     grads["mlm_b"] += dz1.sum(axis=0)
     dg_rows = dz1 @ params["mlm_w"].T
-    np.add.at(d_h, (ealc.ex_idx, ealc.slots), dg_rows)
+    scatter_add_rows(d_h, (ealc.ex_idx, ealc.slots), dg_rows)

@@ -1,6 +1,8 @@
 """Shared numeric helpers and the seed-derivation scheme."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import erf
 
@@ -51,11 +53,17 @@ def gelu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Keeping s rather than Phi = s / 2 keeps the output bytes of
     0.5 * x * (1 + erf(x / sqrt 2)): x * Phi rounds differently once Phi is
     subnormal.
+
+    erf runs on |x / sqrt 2| and copysign puts the sign back. scipy's erf
+    is exactly odd (erf(-a) == -erf(a) bit for bit), so the bytes are the
+    same; its sign branch is what costs on inputs of mixed sign.
     """
     s = x / _SQRT2
-    erf(s, out=s)
+    a = np.abs(s)
+    erf(a, out=a)
+    np.copysign(a, s, out=s)
     s += 1.0
-    y = 0.5 * x
+    y = np.multiply(0.5, x, out=a)  # a's buffer: no third full-size array
     y *= s
     return y, s
 
@@ -73,6 +81,25 @@ def gelu_grad(x: np.ndarray, s: np.ndarray) -> np.ndarray:
     t *= _INV_SQRT_2PI
     t += 0.5 * s
     return t
+
+
+def scatter_add_rows(target: np.ndarray, index, rows: np.ndarray) -> None:
+    """np.add.at(target, index, rows) through add.at's fast 1-D path.
+
+    `index` picks rows of target: one index array, or a tuple of arrays that
+    index its leading axes (broadcast together). Each is turned into flat
+    element indices of target.reshape(-1), in row-major order, so every
+    element gets its additions in the order np.add.at gives them and the
+    bytes are the same. target must be C-contiguous: reshape would copy any
+    other, and the additions would land in the copy.
+    """
+    if not target.flags.c_contiguous:
+        raise ValueError("scatter_add_rows needs a C-contiguous target")
+    lead = index if isinstance(index, tuple) else (index,)
+    width = math.prod(target.shape[len(lead):])
+    row_ids = np.ravel_multi_index(lead, target.shape[:len(lead)])
+    flat = row_ids[..., None] * width + np.arange(width)
+    np.add.at(target.reshape(-1), flat.reshape(-1), np.reshape(rows, -1))
 
 
 def row_norms(d: np.ndarray) -> np.ndarray:

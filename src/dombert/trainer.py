@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -170,7 +171,9 @@ def train(
     gets each step's line as soon as the step ends, with a top-k relevance
     report and a resumable ckpt_step*.ckpt every checkpoint_interval steps;
     final.ckpt and top_domains.tsv follow the last step. Every file but the
-    log is renamed into place once complete.
+    log is renamed into place once complete. A resume into a directory that
+    holds a log keeps its lines before the checkpoint's next step, manifest
+    included, and appends to them.
     """
     tc = train_config
     mc = model_config
@@ -219,8 +222,12 @@ def train(
         start_step = int(resume.trainer["next_step"])
 
     out_path = Path(out_dir) if out_dir is not None else None
+    log_mode = "w"
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
+        if resume is not None and (out_path / "log.tsv").exists():
+            _cut_log(out_path / "log.tsv", start_step)
+            log_mode = "a"
 
     report_k = min(REPORT_K, table.n_plus_1 - 1)
 
@@ -229,9 +236,9 @@ def train(
         return [row + "\n" for row in format_top_domains(report)]
 
     records: list[StepRecord] = []
-    with (open(out_path / "log.tsv", "w", encoding="utf-8")
+    with (open(out_path / "log.tsv", log_mode, encoding="utf-8")
           if out_path is not None else nullcontext()) as log:
-        if log is not None and manifest is not None:
+        if log_mode == "w" and log is not None and manifest is not None:
             log.write(manifest + "\n")
 
         for step in range(start_step, total_steps + 1):
@@ -305,6 +312,31 @@ def train(
                                        encoding="utf-8") as fh:
             fh.writelines(top_domains())
     return TrainResult(params=params, model_config=mc, records=records)
+
+
+def _cut_log(path: Path, next_step: int) -> None:
+    """Truncate a run's log.tsv just before step next_step's line.
+
+    A step line has format_log_line's 7 fields; the manifest and top-k
+    report lines have fewer. The kept lines must end with step
+    next_step - 1 (or its report), else the log belongs to another run.
+    """
+    offset = 0
+    last = 0
+    with open(path, "rb") as fh:
+        for line in fh:
+            if not line.endswith(b"\n"):
+                break  # cut off mid-line by a crash
+            fields = line.split(b"\t")
+            if len(fields) == 7 and fields[0].isdigit():
+                if int(fields[0]) >= next_step:
+                    break
+                last = int(fields[0])
+            offset += len(line)
+    if last != next_step - 1:
+        raise CheckpointError(f"{path} ends at step {last}, not at step {next_step - 1}"
+                              " where the checkpoint resumes")
+    os.truncate(path, offset)
 
 
 def save_training_checkpoint(

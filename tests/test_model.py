@@ -9,7 +9,7 @@ from dombert.corpus import CLS_ID, NUM_RESERVED, SEP_ID
 from dombert.errors import ConfigError, InputError
 from dombert.masking import MaskedBatch, MaskingPolicy, make_masked_batch
 from dombert.objective import loss_cls, loss_mlm
-from dombert.nputil import derive_rng, gelu, gelu_grad, softmax
+from dombert.nputil import derive_rng, gelu, gelu_grad, scatter_add_rows, softmax
 
 from conftest import random_packed_example
 
@@ -316,6 +316,90 @@ class TestGelu:
         x, h = self.GRID, 1e-5
         fd = (gelu(x + h)[0] - gelu(x - h)[0]) / (2 * h)
         np.testing.assert_allclose(gelu_grad(x, gelu(x)[1]), fd, rtol=0, atol=1e-8)
+
+    @staticmethod
+    def _assert_bits_of_the_formula(bits):
+        """gelu of the float32 values with these bit patterns, and of their
+        negatives, has the bytes of the erf formula (signed zeros included)."""
+        x = np.concatenate([bits, bits | np.uint32(1 << 31)]).view(np.float32)
+        out, s = gelu(x)
+        ref_s = 1.0 + erf(x / math.sqrt(2.0))
+        assert np.array_equal(s.view(np.uint32), ref_s.view(np.uint32))
+        assert np.array_equal(out.view(np.uint32), (0.5 * x * ref_s).view(np.uint32))
+
+    @staticmethod
+    def _float32_bits(lo, hi, chunk=1 << 21):
+        """Bit patterns of every float32 in [lo, hi), in chunks."""
+        first, last = np.array([lo, hi], dtype=np.float32).view(np.uint32)
+        for start in range(int(first), int(last), chunk):
+            yield np.arange(start, min(start + chunk, int(last)), dtype=np.uint32)
+
+    def test_every_float32_around_the_erf_branch(self):
+        """scipy's erf switches method at |z| = 1, z = x / sqrt 2: every
+        float32 in [0.5, 4) covers the binades on both sides of it, and
+        erf on |z| with the sign copied back must match erf(z) on all of
+        them, positive and negative."""
+        for bits in self._float32_bits(0.5, 4.0):
+            self._assert_bits_of_the_formula(bits)
+
+    def test_signed_zeros_and_every_subnormal(self):
+        self._assert_bits_of_the_formula(np.array([0], dtype=np.uint32))
+        tiny = float(np.finfo(np.float32).smallest_normal)
+        for bits in self._float32_bits(0.0, tiny):
+            self._assert_bits_of_the_formula(bits[bits > 0])
+        out, s = gelu(np.array([-0.0], dtype=np.float32))
+        assert np.signbit(out[0]) and s[0] == 1.0
+
+
+class TestScatterAddRows:
+    """scatter_add_rows gives the bytes of np.add.at with the same index."""
+
+    @staticmethod
+    def _check(target, index, rows):
+        expected = target.copy()
+        np.add.at(expected, index, rows)
+        scatter_add_rows(target, index, rows)
+        assert target.dtype == expected.dtype
+        assert np.array_equal(target.view(np.uint8), expected.view(np.uint8))
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_repeated_row_indices(self, dtype):
+        gen = np.random.default_rng(21)
+        # Values spanning 12 decades, so the order of additions shows in the bytes.
+        index = gen.integers(0, 7, size=200)
+        rows = (gen.normal(size=(200, 5)) * 10.0 ** gen.integers(-6, 6, size=(200, 1)))
+        target = gen.normal(size=(7, 5))
+        self._check(target.astype(dtype), index, rows.astype(dtype))
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_broadcast_index_with_padding_at_position_zero(self, dtype):
+        """The pruned layer's (B,1) x (B,R) index: padding slots repeat position 0."""
+        gen = np.random.default_rng(22)
+        b, l, r, d = 4, 9, 5, 6
+        positions = np.zeros((b, r), dtype=np.int64)
+        positions[:, 1:3] = gen.integers(1, l, size=(b, 2))
+        rows = (gen.normal(size=(b, r, d)) * 10.0 ** gen.integers(-6, 6, size=(b, r, 1)))
+        rows[:, 3:] = 0.0  # padding slots carry zero gradient
+        target = np.zeros((b, l, d), dtype=dtype)
+        self._check(target, (np.arange(b)[:, None], positions), rows.astype(dtype))
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_example_slot_tuple(self, dtype):
+        """The masked-token head's (example, slot) pairs, some repeated."""
+        gen = np.random.default_rng(23)
+        ex_idx = np.sort(gen.integers(0, 3, size=40))
+        slots = gen.integers(0, 4, size=40)
+        rows = (gen.normal(size=(40, 8)) * 10.0 ** gen.integers(-6, 6, size=(40, 1)))
+        target = gen.normal(size=(3, 4, 8)).astype(dtype)
+        self._check(target, (ex_idx, slots), rows.astype(dtype))
+
+    def test_non_contiguous_target_is_refused(self):
+        target = np.zeros((6, 4))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            scatter_add_rows(target[::2], np.array([0, 1]), np.ones((2, 4)))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            scatter_add_rows(target.T, np.array([0, 1]), np.ones((2, 6)))
+        assert not target.any()
 
 
 def _reference_softmax(x):

@@ -1,4 +1,5 @@
 import dataclasses
+import shutil
 
 import numpy as np
 import pytest
@@ -435,7 +436,8 @@ class TestResume:
         for dtype in ("float32", "float64"):
             mc = small_model_config(corpus, dtype=dtype)
             full_dir, resumed_dir = tmp_path / dtype / "full", tmp_path / dtype / "resumed"
-            full = trainer.train(full_cfg, corpus, mc, out_dir=full_dir)
+            full = trainer.train(full_cfg, corpus, mc, out_dir=full_dir,
+                                 manifest="MANIFEST\tfull run")
             ckpts = sorted(full_dir.glob("ckpt_step*.ckpt"))
             assert ckpts
             bundle = checkpoint.load(ckpts[0])
@@ -453,6 +455,28 @@ class TestResume:
             full_log = read_log(full_dir)
             assert resumed_log[0].startswith(f"{bundle.trainer['next_step']}\t")
             assert resumed_log == full_log[-len(resumed_log):]
+            # Resuming into the run's own directory cuts its log back to the
+            # checkpoint (manifest and top-k reports kept) and appends.
+            copy_dir = tmp_path / dtype / "copy"
+            shutil.copytree(full_dir, copy_dir)
+            trainer.train(full_cfg, corpus, mc, out_dir=copy_dir,
+                          resume=checkpoint.load(ckpts[0]), manifest="MANIFEST\tresumed run")
+            assert (copy_dir / "log.tsv").read_bytes() == (full_dir / "log.tsv").read_bytes()
+            assert any(line.startswith("# top-") for line in full_log)
+
+    def test_resume_refuses_a_log_that_stops_before_the_checkpoint(self, tmp_path):
+        corpus = make_corpus(counts=(8, 6, 5))
+        mc = small_model_config(corpus)
+        tc = trainer.TrainConfig(epochs=2, seed=5, micro_batch=2, accum_steps=2,
+                                 checkpoint_interval=2)
+        trainer.train(tc, corpus, mc, out_dir=tmp_path)
+        bundle = checkpoint.load(sorted(tmp_path.glob("ckpt_step*.ckpt"))[-1])
+        log = tmp_path / "log.tsv"
+        lines = log.read_text(encoding="utf-8").splitlines(keepends=True)
+        log.write_text("".join(lines[:1]), encoding="utf-8")
+        with pytest.raises(CheckpointError, match="ends at step 1"):
+            trainer.train(tc, corpus, mc, out_dir=tmp_path, resume=bundle)
+        assert log.read_text(encoding="utf-8") == lines[0]
 
     def test_resume_rejects_another_run_setting(self, tmp_path):
         corpus = make_corpus()

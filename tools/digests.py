@@ -1,13 +1,16 @@
 """Digests of the criterion-7 pipeline artifacts: the "same behaviour" gate.
 
-Runs three ingest -> train -> report pipelines, each in its own temporary
-directory, through `python -m dombert.cli` subprocesses with
+Runs four gen-synth -> ingest -> train -> report pipelines, each in its own
+temporary directory, through `python -m dombert.cli` subprocesses with
 OPENBLAS_NUM_THREADS=1 in the child environment:
 
 - criterion7: the commands of tests/test_acceptance.py's
-  test_criterion_7_pipeline_determinism;
+  test_criterion_7_pipeline_determinism (4x32 batches of a tiny corpus);
 - interval2: the same train with --checkpoint-interval 2;
-- target-only: that run with --target-only.
+- target-only: that run with --target-only;
+- default-shape: the default 12-domain corpus at 8x128 micro-batches, the
+  shapes the train-default benchmark runs, for 4 steps with a checkpoint
+  and a top-20 report every 2nd.
 
 It prints one line per artifact (pipeline, file, first 16 hex of its
 sha256; `report` is the report command's stdout). With --check it compares
@@ -42,13 +45,23 @@ TRAIN = ["train", "--packed", "ingested", "--epochs", "2", "--batch", "4",
          "--accum", "1", "--m", "8", "--seed", "9", "--out", "run"]
 REPORT = ["report", "--ckpt", "run/final.ckpt", "--top", "3"]
 
+# name -> the commands it runs, in order.
 PIPELINES = {
-    "criterion7": TRAIN + ["--checkpoint-interval", "5"],
-    "interval2": TRAIN + ["--checkpoint-interval", "2"],
-    "target-only": TRAIN + ["--checkpoint-interval", "2", "--target-only"],
+    "criterion7": [GEN_SYNTH, INGEST, TRAIN + ["--checkpoint-interval", "5"], REPORT],
+    "interval2": [GEN_SYNTH, INGEST, TRAIN + ["--checkpoint-interval", "2"], REPORT],
+    "target-only": [GEN_SYNTH, INGEST,
+                    TRAIN + ["--checkpoint-interval", "2", "--target-only"], REPORT],
+    "default-shape": [
+        ["gen-synth", "--out", "synth.tsv"],
+        ["ingest", "--corpus", "synth.tsv", "--target", "c0_d0", "--max-len", "128",
+         "--out", "ingested"],
+        ["train", "--packed", "ingested", "--batch", "8", "--accum", "4", "--m", "16",
+         "--epochs", "1", "--checkpoint-interval", "2", "--out", "run"],
+        ["report", "--ckpt", "run/final.ckpt"],
+    ],
 }
 
-# (pipeline, artifact) -> first 16 hex of sha256; 20 artifacts, 17 values.
+# (pipeline, artifact) -> first 16 hex of sha256; 32 artifacts, 29 values.
 RECORDED = {
     ("criterion7", "synth.tsv"): "e391f821c574ddb5",
     ("criterion7", "synth.tsv.truth"): "6599892ab3870759",
@@ -70,6 +83,18 @@ RECORDED = {
     ("target-only", "run/log.tsv"): "781cbfdbae48e96e",
     ("target-only", "run/top_domains.tsv"): "ec13c5dd620fae9a",
     ("target-only", "report"): "2b4b5738258b761e",
+    ("default-shape", "synth.tsv"): "25f4b5b04685dec5",
+    ("default-shape", "synth.tsv.truth"): "de202817392335e4",
+    ("default-shape", "ingested/packed.tsv"): "57f8cfca1080cdf8",
+    ("default-shape", "ingested/vocab.tsv"): "49b7d19be42634a3",
+    ("default-shape", "ingested/domains.tsv"): "485677135af8dbef",
+    ("default-shape", "ingested/stats.tsv"): "1926c99d3f6cf5cc",
+    ("default-shape", "run/ckpt_step000002.ckpt"): "af02f38cddcff793",
+    ("default-shape", "run/ckpt_step000004.ckpt"): "22746d0729b71896",
+    ("default-shape", "run/final.ckpt"): "86fceb1b8ee27f8a",
+    ("default-shape", "run/log.tsv"): "f1dd96a13290abbb",
+    ("default-shape", "run/top_domains.tsv"): "437e03ee9d2a365a",
+    ("default-shape", "report"): "c6ed8218ad0a76e8",
 }
 
 
@@ -77,7 +102,7 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def run_pipeline(name: str, train: list[str]) -> dict[str, str]:
+def run_pipeline(name: str, commands: list[list[str]]) -> dict[str, str]:
     """Digests of every artifact `name` records, from a fresh directory."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
@@ -85,7 +110,7 @@ def run_pipeline(name: str, train: list[str]) -> dict[str, str]:
     with tempfile.TemporaryDirectory(prefix=f"digests-{name}-") as tmp:
         root = Path(tmp)
         report = b""
-        for argv in (GEN_SYNTH, INGEST, train, REPORT):
+        for argv in commands:
             done = subprocess.run([sys.executable, "-m", "dombert.cli", *argv],
                                   cwd=root, env=env, capture_output=True)
             if done.returncode != 0:
@@ -105,8 +130,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="compare with the recorded digests; exit 1 on a difference")
     args = parser.parse_args(argv)
     differ = 0
-    for name, train in PIPELINES.items():
-        for artifact, digest in run_pipeline(name, train).items():
+    for name, commands in PIPELINES.items():
+        for artifact, digest in run_pipeline(name, commands).items():
             expected = RECORDED[(name, artifact)]
             mark = ""
             if args.check and digest != expected:
