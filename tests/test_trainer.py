@@ -478,6 +478,22 @@ class TestResume:
             trainer.train(tc, corpus, mc, out_dir=tmp_path, resume=bundle)
         assert log.read_text(encoding="utf-8") == lines[0]
 
+    def test_resume_drops_a_log_line_cut_off_mid_write(self, tmp_path):
+        corpus = make_corpus(counts=(8, 6, 5))
+        mc = small_model_config(corpus)
+        tc = trainer.TrainConfig(epochs=2, seed=5, micro_batch=2, accum_steps=2,
+                                 checkpoint_interval=2)
+        trainer.train(tc, corpus, mc, out_dir=tmp_path)
+        full = (tmp_path / "log.tsv").read_text(encoding="utf-8")
+        lines = full.splitlines(keepends=True)
+        cut = lines.index(next(line for line in lines if line.startswith("3\t")))
+        # A crash after step 2's checkpoint, halfway through step 3's line.
+        (tmp_path / "log.tsv").write_text("".join(lines[:cut]) + lines[cut][:5],
+                                          encoding="utf-8")
+        bundle = checkpoint.load(tmp_path / "ckpt_step000002.ckpt")
+        trainer.train(tc, corpus, mc, out_dir=tmp_path, resume=bundle)
+        assert (tmp_path / "log.tsv").read_text(encoding="utf-8") == full
+
     def test_resume_rejects_another_run_setting(self, tmp_path):
         corpus = make_corpus()
         mc = small_model_config(corpus)
