@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .nputil import gelu, gelu_grad, scatter_add_rows, softmax
+from .nputil import gelu, gelu_grad, run_all, scatter_add_rows, softmax, worker_threads
 
 LN_EPS = 1e-12
 INIT_STD = 0.02
@@ -127,29 +129,92 @@ class LnCache:
     inv: np.ndarray
 
 
-def _ln_forward(x: np.ndarray, g: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, LnCache]:
-    xhat = x - x.mean(-1, keepdims=True)
-    y = xhat * xhat
-    inv = 1.0 / np.sqrt(y.mean(-1, keepdims=True) + LN_EPS)
+def _ln_forward(
+    x: np.ndarray,
+    g: np.ndarray,
+    b: np.ndarray,
+    y: np.ndarray | None = None,
+    cache: LnCache | None = None,
+) -> tuple[np.ndarray, LnCache]:
+    """Layer norm of x's last axis; y and cache, when given, are filled in
+    place of new arrays."""
+    if cache is None:
+        cache = LnCache(xhat=np.empty_like(x), inv=np.empty(x.shape[:-1] + (1,), x.dtype))
+    xhat = np.subtract(x, x.mean(-1, keepdims=True), out=cache.xhat)
+    y = np.multiply(xhat, xhat, out=y)
+    inv = np.divide(1.0, np.sqrt(y.mean(-1, keepdims=True) + LN_EPS), out=cache.inv)
     xhat *= inv
     np.multiply(g, xhat, out=y)
     y += b
-    return y, LnCache(xhat=xhat, inv=inv)
+    return y, cache
 
-def _ln_backward(dy: np.ndarray, cache: LnCache, g: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    axes = tuple(range(dy.ndim - 1))
-    t = dy * cache.xhat
-    dg = t.sum(axis=axes)
-    db = dy.sum(axis=axes)
-    dx = dy * g
+
+def _ln_dx(dy: np.ndarray, cache: LnCache, g: np.ndarray,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """Layer norm's input gradient, row by row, in `out` or a new array."""
+    dx = np.multiply(dy, g, out=out)
     m1 = dx.mean(-1, keepdims=True)
-    np.multiply(dx, cache.xhat, out=t)
+    t = dx * cache.xhat
     m2 = t.mean(-1, keepdims=True)
     np.multiply(cache.xhat, m2, out=t)
     dx -= m1
     dx -= t
     dx *= cache.inv
-    return dx, dg, db
+    return dx
+
+
+def _ln_param_grads(dy: np.ndarray, cache: LnCache, grads: Params, prefix: str) -> None:
+    """Add layer norm's gain and bias gradients, summed over every row."""
+    axes = tuple(range(dy.ndim - 1))
+    grads[prefix + "_g"] += (dy * cache.xhat).sum(axis=axes)
+    grads[prefix + "_b"] += dy.sum(axis=axes)
+
+
+# ---------------------------------------------------------------------------
+# Example shards
+#
+# Attention never crosses examples, so the forward pass and the backward
+# pass's data-gradient chain are row-local: each shard of a batch's examples
+# runs them on its own examples, writing into views of the full-batch
+# arrays. Only the parameter gradients sum over examples; they run on the
+# full-batch arrays afterwards, with the operands and order of a one-shard
+# pass. Every byte is therefore the same however the batch is split, given
+# one BLAS thread (nputil.worker_threads pins it).
+#
+# A batch is split only when every shard gets at least MIN_SHARD_ROWS rows
+# (examples x positions). Two in-process sweeps of encode + encode_backward
+# (2-vCPU Xeon, one BLAS thread, default float32 model, pruned last layer),
+# two shards against one: +11% and +24% at 128 rows a shard (8x32, 4x64),
+# +14% to -23% at 256 (16x32, 8x64, 4x128; the sweeps disagreed), -8% to
+# -15% at 384 (24x32, 12x64, 6x128) and -20% to -34% at 512 (32x32, 8x128).
+MIN_SHARD_ROWS = 384
+
+
+def _shard_count(b: int, l: int) -> int:
+    """Shards for a (b, l) batch: one per worker thread, at most one per
+    MIN_SHARD_ROWS rows."""
+    return max(1, min(worker_threads(), b // -(-MIN_SHARD_ROWS // l)))
+
+
+def _part(obj, sl: slice):
+    """obj with every array cut to the examples sl: views of the same memory."""
+    if isinstance(obj, np.ndarray):
+        return obj[sl]
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(_part(x, sl) for x in obj)
+    if dataclasses.is_dataclass(obj):
+        return dataclasses.replace(obj, **{f.name: _part(getattr(obj, f.name), sl)
+                                           for f in dataclasses.fields(obj)})
+    return obj
+
+
+def _in_shards(run: Callable, arrays, b: int, n: int) -> None:
+    """run(*part) for each of n shards' parts of the tuple `arrays`, each
+    on its own thread; on the calling thread alone when n is 1."""
+    n = min(n, b)
+    parts = [arrays] if n == 1 else [_part(arrays, slice(b * k // n, b * (k + 1) // n))
+                                     for k in range(n)]
+    run_all([partial(run, *part) for part in parts], n)
 
 
 # ---------------------------------------------------------------------------
@@ -159,11 +224,11 @@ def _ln_backward(dy: np.ndarray, cache: LnCache, g: np.ndarray) -> tuple[np.ndar
 class LayerCache:
     a_in: np.ndarray             # residual input to attention (B, L, d)
     rows: np.ndarray | None      # query rows (B, R) of a pruned layer; None = all L
-    q: np.ndarray                # (B, h, R or L, dk)
-    k: np.ndarray
+    q: np.ndarray                # (B, R or L, d), heads merged
+    k: np.ndarray                # (B, L, d), heads merged
     v: np.ndarray
     probs: np.ndarray            # attention weights (B, h, R or L, L)
-    ctx: np.ndarray              # merged heads, pre-output-projection (B, L, d)
+    ctx: np.ndarray              # merged heads, pre-output-projection (B, R or L, d)
     ln1: LnCache
     x1: np.ndarray               # post-LN1, residual input to the FF block
     z1: np.ndarray               # pre-GELU
@@ -190,14 +255,16 @@ def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
     return x.reshape(b, l, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
 
-def _merge_heads(x: np.ndarray) -> np.ndarray:
+def _merge_heads(x: np.ndarray, out: np.ndarray) -> None:
+    """(B, h, L, dk) heads copied into out, a C-contiguous (B, L, h * dk)."""
     b, h, l, dk = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, l, h * dk)
+    np.copyto(np.reshape(out, (b, l, h, dk), copy=False), x.transpose(0, 2, 1, 3))
 
 
-def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x @ w + b, the bias added into the product's own array."""
-    y = x @ w
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """x @ w + b, the bias added into the product's own array (`out` if given)."""
+    y = np.matmul(x, w, out=out)
     y += b
     return y
 
@@ -222,6 +289,9 @@ def encode(
     With rows, a (B, R) array of positions, the last layer computes all but
     its keys and values only there, and h[b, j] is position rows[b, j].
     Without rows every position is computed.
+
+    A large batch's examples are split over the worker threads (see
+    MIN_SHARD_ROWS); the bytes do not depend on the split.
     """
     input_ids = np.asarray(input_ids)
     b, l = input_ids.shape
@@ -229,49 +299,78 @@ def encode(
         raise InputError(f"sequence length {l} exceeds max_len {config.max_len}")
     if input_ids.min() < 0 or input_ids.max() >= config.vocab_size:
         raise InputError("token id out of vocabulary range")
-    dt = config.np_dtype
+    valid_lens = np.asarray(valid_lens)
+    d, ff, dt = config.d_hidden, config.d_ff, config.np_dtype
 
-    key_valid = np.arange(l)[None, :] < np.asarray(valid_lens)[:, None]
+    def empty(r: int, width: int = d) -> np.ndarray:
+        return np.empty((b, r, width), dt)
+
+    def ln(r: int) -> LnCache:
+        return LnCache(xhat=empty(r), inv=empty(r, 1))
+
+    key_valid = np.arange(l)[None, :] < valid_lens[:, None]
     key_bias = np.where(key_valid, 0.0, _NEG).astype(dt)[:, None, None, :]
-
-    x0 = params["tok_emb"][input_ids]
-    x0 += params["pos_emb"][:l]
-    x, emb_ln = _ln_forward(x0, params["emb_ln_g"], params["emb_ln_b"])
-
-    dk = config.d_hidden // config.n_heads
-    scale = dt.type(1.0 / np.sqrt(dk))
+    x = empty(l)
+    emb_ln = ln(l)
     layers: list[LayerCache] = []
     for i in range(config.n_layers):
-        pre = f"layer{i}."
-        a_in = x
         q_rows = rows if i == config.n_layers - 1 else None
-        a_q = _at_rows(a_in, q_rows)  # a_in itself when q_rows is None
-        q = _split_heads(_affine(a_q, params[pre + "wq"], params[pre + "bq"]), config.n_heads)
-        k = _split_heads(_affine(a_in, params[pre + "wk"], params[pre + "bk"]), config.n_heads)
-        v = _split_heads(_affine(a_in, params[pre + "wv"], params[pre + "bv"]), config.n_heads)
-        probs = q @ k.swapaxes(-1, -2)
+        r = l if q_rows is None else q_rows.shape[1]
+        layers.append(LayerCache(
+            a_in=x, rows=q_rows, q=empty(r), k=empty(l), v=empty(l),
+            probs=np.empty((b, config.n_heads, r, l), dt), ctx=empty(r),
+            ln1=ln(r), x1=empty(r), z1=empty(r, ff), s=empty(r, ff), ln2=ln(r),
+        ))
+        x = empty(r)
+    cache = ForwardCache(input_ids=input_ids, valid_lens=valid_lens,
+                         key_bias=key_bias, emb_ln=emb_ln, layers=layers, h=x)
+    _in_shards(partial(_encode_into, params=params, config=config), (cache,), b,
+               _shard_count(b, l))
+    return cache
+
+
+def _encode_into(c: ForwardCache, params: Params, config: ModelConfig) -> None:
+    """Fill the arrays of c, a whole ForwardCache or one shard's view of it."""
+    nh = config.n_heads
+    scale = config.np_dtype.type(1.0 / np.sqrt(config.d_hidden // nh))
+    x0 = params["tok_emb"][c.input_ids]
+    x0 += params["pos_emb"][: x0.shape[1]]
+    _ln_forward(x0, params["emb_ln_g"], params["emb_ln_b"], c.layers[0].a_in, c.emb_ln)
+    outputs = [lc.a_in for lc in c.layers[1:]] + [c.h]
+    for i, (lc, x) in enumerate(zip(c.layers, outputs)):
+        pre = f"layer{i}."
+        a_q = _at_rows(lc.a_in, lc.rows)  # a_in itself when rows is None
+        q = _split_heads(_affine(a_q, params[pre + "wq"], params[pre + "bq"], lc.q), nh)
+        k = _split_heads(_affine(lc.a_in, params[pre + "wk"], params[pre + "bk"], lc.k), nh)
+        v = _split_heads(_affine(lc.a_in, params[pre + "wv"], params[pre + "bv"], lc.v), nh)
+        probs = np.matmul(q, k.swapaxes(-1, -2), out=lc.probs)
         probs *= scale
-        probs += key_bias
+        probs += c.key_bias
         softmax(probs, axis=-1, out=probs)
-        ctx = _merge_heads(probs @ v)
-        ao = _affine(ctx, params[pre + "wo"], params[pre + "bo"])
+        _merge_heads(probs @ v, lc.ctx)
+        ao = _affine(lc.ctx, params[pre + "wo"], params[pre + "bo"])
         ao += a_q
-        x1, ln1 = _ln_forward(ao, params[pre + "ln1_g"], params[pre + "ln1_b"])
-        z1 = _affine(x1, params[pre + "w1"], params[pre + "b1"])
-        z2, s = gelu(z1)
+        _ln_forward(ao, params[pre + "ln1_g"], params[pre + "ln1_b"], lc.x1, lc.ln1)
+        _affine(lc.x1, params[pre + "w1"], params[pre + "b1"], lc.z1)
+        z2, _ = gelu(lc.z1, lc.s)
         fo = _affine(z2, params[pre + "w2"], params[pre + "b2"])
         del z2  # backward rebuilds it from s; freeing it here lowers peak memory
-        fo += x1
-        x, ln2 = _ln_forward(fo, params[pre + "ln2_g"], params[pre + "ln2_b"])
-        layers.append(LayerCache(
-            a_in=a_in, rows=q_rows, q=q, k=k, v=v, probs=probs, ctx=ctx,
-            ln1=ln1, x1=x1, z1=z1, s=s, ln2=ln2,
-        ))
+        fo += lc.x1
+        _ln_forward(fo, params[pre + "ln2_g"], params[pre + "ln2_b"], x, lc.ln2)
 
-    return ForwardCache(
-        input_ids=input_ids, valid_lens=np.asarray(valid_lens),
-        key_bias=key_bias, emb_ln=emb_ln, layers=layers, h=x,
-    )
+
+@dataclass
+class _LayerGrads:
+    """Full-batch data gradients of one layer, which the weight-gradient
+    sums read; heads merged, shaped like the forward arrays they pair with."""
+    dy: np.ndarray               # upstream gradient into LN2, like LayerCache.x1
+    dres2: np.ndarray            # into the FF block's output
+    dz1: np.ndarray              # pre-GELU
+    dx1: np.ndarray              # upstream gradient into LN1
+    dres1: np.ndarray            # into the attention block's output
+    dq: np.ndarray
+    dk: np.ndarray
+    dv: np.ndarray
 
 
 def encode_backward(
@@ -281,69 +380,121 @@ def encode_backward(
     config: ModelConfig,
     grads: Params,
 ) -> None:
-    """Accumulate encoder gradients for upstream d_h (shaped like cache.h) into `grads`."""
-    dk = config.d_hidden // config.n_heads
+    """Accumulate encoder gradients for upstream d_h (shaped like cache.h) into `grads`.
+
+    The data gradients run in example shards, as encode does; each
+    parameter's gradient is then summed over the whole batch, spread over
+    the same threads.
+    """
+    b, l = cache.input_ids.shape
+    n = _shard_count(b, l)
+    # Each layer's upstream gradient is the data gradient of the layer above.
+    dys = [np.empty_like(lc.a_in) for lc in cache.layers[1:]] + [d_h]
+    lgs = []
+    for lc, dy in zip(cache.layers, dys):
+        lgs.append(_LayerGrads(
+            dy=dy, dres2=np.empty_like(lc.x1), dz1=np.empty_like(lc.z1),
+            dx1=np.empty_like(lc.x1), dres1=np.empty_like(lc.x1),
+            dq=np.empty_like(lc.q), dk=np.empty_like(lc.k), dv=np.empty_like(lc.v)))
+    d_emb = np.empty_like(cache.layers[0].a_in)  # upstream gradient into the embedding LN
+    dx0 = np.empty_like(d_emb)
+    _in_shards(partial(_backward_into, params=params, config=config),
+               (cache, lgs, d_emb, dx0), b, n)
+
+    tasks = [partial(_embedding_grads, cache, d_emb, dx0, grads)]
+    for i, (lc, lg) in enumerate(zip(cache.layers, lgs)):
+        tasks += [partial(task, lc, lg, f"layer{i}.", config, grads)
+                  for task in _LAYER_GRAD_TASKS]
+    run_all(tasks, n)
+
+
+def _backward_into(c: ForwardCache, lgs: list[_LayerGrads], d_emb: np.ndarray,
+                   dx0: np.ndarray, params: Params, config: ModelConfig) -> None:
+    """The data-gradient chain of c's examples, from each layer's lg.dy down
+    to dx0, written into lgs, d_emb and dx0 (whole or one shard's views)."""
+    nh = config.n_heads
     # A float64 scalar here would promote every float32 gradient below it.
-    scale = config.np_dtype.type(1.0 / np.sqrt(dk))
-    dx = d_h
+    scale = config.np_dtype.type(1.0 / np.sqrt(config.d_hidden // nh))
     for i in reversed(range(config.n_layers)):
         pre = f"layer{i}."
-        lc = cache.layers[i]
-        dres2, dg2, db2_ = _ln_backward(dx, lc.ln2, params[pre + "ln2_g"])
-        grads[pre + "ln2_g"] += dg2
-        grads[pre + "ln2_b"] += db2_
+        lc, lg = c.layers[i], lgs[i]
+        da_in = lgs[i - 1].dy if i > 0 else d_emb
+        _ln_dx(lg.dy, lc.ln2, params[pre + "ln2_g"], lg.dres2)
+        dz1 = gelu_grad(lc.z1, lc.s, lg.dz1)
+        dz1 *= lg.dres2 @ params[pre + "w2"].T
+        dx1 = np.matmul(dz1, params[pre + "w1"].T, out=lg.dx1)
+        dx1 += lg.dres2
+        _ln_dx(dx1, lc.ln1, params[pre + "ln1_g"], lg.dres1)
+        dctx = _split_heads(lg.dres1 @ params[pre + "wo"].T, nh)
 
-        z2f = 0.5 * lc.z1.reshape(-1, config.d_ff)
-        z2f *= lc.s.reshape(-1, config.d_ff)  # GELU(z1), the bytes encode computed
-        grads[pre + "w2"] += z2f.T @ dres2.reshape(-1, config.d_hidden)
-        del z2f
-        grads[pre + "b2"] += dres2.sum(axis=(0, 1))
-        dz1 = gelu_grad(lc.z1, lc.s)
-        dz1 *= dres2 @ params[pre + "w2"].T
-        x1f = lc.x1.reshape(-1, config.d_hidden)
-        grads[pre + "w1"] += x1f.T @ dz1.reshape(-1, config.d_ff)
-        grads[pre + "b1"] += dz1.sum(axis=(0, 1))
-        dx1 = dz1 @ params[pre + "w1"].T
-        dx1 += dres2
-
-        dres1, dg1, db1_ = _ln_backward(dx1, lc.ln1, params[pre + "ln1_g"])
-        grads[pre + "ln1_g"] += dg1
-        grads[pre + "ln1_b"] += db1_
-
-        ctxf = lc.ctx.reshape(-1, config.d_hidden)
-        grads[pre + "wo"] += ctxf.T @ dres1.reshape(-1, config.d_hidden)
-        grads[pre + "bo"] += dres1.sum(axis=(0, 1))
-        dctx = _split_heads(dres1 @ params[pre + "wo"].T, config.n_heads)
-
-        dv = lc.probs.swapaxes(-1, -2) @ dctx
-        dscores = dctx @ lc.v.swapaxes(-1, -2)  # d probs; d scores after the in-place steps
+        q, k, v = (_split_heads(a, nh) for a in (lc.q, lc.k, lc.v))
+        _merge_heads(lc.probs.swapaxes(-1, -2) @ dctx, lg.dv)
+        dscores = dctx @ v.swapaxes(-1, -2)  # d probs; d scores after the in-place steps
         rowsum = (dscores * lc.probs).sum(-1, keepdims=True)
         dscores -= rowsum
         dscores *= lc.probs
-        dq = dscores @ lc.k
+        dq = dscores @ k
         dq *= scale
-        dk_ = dscores.swapaxes(-1, -2) @ lc.q
+        _merge_heads(dq, lg.dq)
+        dk_ = dscores.swapaxes(-1, -2) @ q
         dk_ *= scale
+        _merge_heads(dk_, lg.dk)
 
-        da_in = dres1  # ours to add into: _ln_backward returned a new array
-        a_inf = lc.a_in.reshape(-1, config.d_hidden)
-        a_qf = _at_rows(lc.a_in, lc.rows).reshape(-1, config.d_hidden)
-        for name, dmat, af in (("wq", dq, a_qf), ("wk", dk_, a_inf), ("wv", dv, a_inf)):
-            dfull = _merge_heads(dmat)
-            grads[pre + name] += af.T @ dfull.reshape(-1, config.d_hidden)
-            grads[pre + "b" + name[1]] += dfull.sum(axis=(0, 1))
-            da_in += dfull @ params[pre + name].T
-            if name == "wq" and lc.rows is not None:
-                # Back to full width. Padding slots repeat position 0 with
-                # zero gradient; adding keeps [CLS]'s where `=` would not.
-                da_in, da_q = np.zeros_like(lc.a_in), da_in
-                scatter_add_rows(da_in, (np.arange(len(da_q))[:, None], lc.rows), da_q)
-        dx = da_in
+        da_q = np.matmul(lg.dq, params[pre + "wq"].T, out=da_in if lc.rows is None else None)
+        da_q += lg.dres1
+        if lc.rows is not None:
+            # Back to full width. Padding slots repeat position 0 with
+            # zero gradient; adding keeps [CLS]'s where `=` would not.
+            da_in.fill(0)
+            scatter_add_rows(da_in, (np.arange(len(da_q))[:, None], lc.rows), da_q)
+        da_in += lg.dk @ params[pre + "wk"].T
+        da_in += lg.dv @ params[pre + "wv"].T
+    _ln_dx(d_emb, c.emb_ln, params["emb_ln_g"], dx0)
 
-    dx0, dg, db = _ln_backward(dx, cache.emb_ln, params["emb_ln_g"])
-    grads["emb_ln_g"] += dg
-    grads["emb_ln_b"] += db
-    scatter_add_rows(grads["tok_emb"], cache.input_ids.reshape(-1), dx0)
+
+# Each parameter's gradient, summed over the whole batch from the arrays the
+# shards filled; split in four tasks of similar cost per layer.
+
+def _ff_out_grads(lc: LayerCache, lg: _LayerGrads, pre: str,
+                  config: ModelConfig, grads: Params) -> None:
+    _ln_param_grads(lg.dy, lc.ln2, grads, pre + "ln2")
+    z2f = 0.5 * lc.z1.reshape(-1, config.d_ff)
+    z2f *= lc.s.reshape(-1, config.d_ff)  # GELU(z1), the bytes encode computed
+    grads[pre + "w2"] += z2f.T @ lg.dres2.reshape(-1, config.d_hidden)
+    grads[pre + "b2"] += lg.dres2.sum(axis=(0, 1))
+
+
+def _ff_in_grads(lc: LayerCache, lg: _LayerGrads, pre: str,
+                 config: ModelConfig, grads: Params) -> None:
+    x1f = lc.x1.reshape(-1, config.d_hidden)
+    grads[pre + "w1"] += x1f.T @ lg.dz1.reshape(-1, config.d_ff)
+    grads[pre + "b1"] += lg.dz1.sum(axis=(0, 1))
+
+
+def _attn_out_grads(lc: LayerCache, lg: _LayerGrads, pre: str,
+                    config: ModelConfig, grads: Params) -> None:
+    _ln_param_grads(lg.dx1, lc.ln1, grads, pre + "ln1")
+    ctxf = lc.ctx.reshape(-1, config.d_hidden)
+    grads[pre + "wo"] += ctxf.T @ lg.dres1.reshape(-1, config.d_hidden)
+    grads[pre + "bo"] += lg.dres1.sum(axis=(0, 1))
+
+
+def _qkv_grads(lc: LayerCache, lg: _LayerGrads, pre: str,
+               config: ModelConfig, grads: Params) -> None:
+    a_inf = lc.a_in.reshape(-1, config.d_hidden)
+    a_qf = _at_rows(lc.a_in, lc.rows).reshape(-1, config.d_hidden)
+    for name, dfull, af in (("q", lg.dq, a_qf), ("k", lg.dk, a_inf), ("v", lg.dv, a_inf)):
+        grads[pre + "w" + name] += af.T @ dfull.reshape(-1, config.d_hidden)
+        grads[pre + "b" + name] += dfull.sum(axis=(0, 1))
+
+
+_LAYER_GRAD_TASKS = (_ff_out_grads, _ff_in_grads, _attn_out_grads, _qkv_grads)
+
+
+def _embedding_grads(c: ForwardCache, d_emb: np.ndarray, dx0: np.ndarray,
+                     grads: Params) -> None:
+    _ln_param_grads(d_emb, c.emb_ln, grads, "emb_ln")
+    scatter_add_rows(grads["tok_emb"], c.input_ids.reshape(-1), dx0)
     grads["pos_emb"][: dx0.shape[1]] += dx0.sum(axis=0)
 
 
@@ -431,9 +582,8 @@ def mlm_head_backward(
     grads["tok_emb"] += dlogits.T @ ealc.z3
     grads["mlm_out_b"] += dlogits.sum(axis=0)
     dz3 = dlogits @ params["tok_emb"]
-    dz2, dg, db = _ln_backward(dz3, ealc.ln, params["mlm_ln_g"])
-    grads["mlm_ln_g"] += dg
-    grads["mlm_ln_b"] += db
+    dz2 = _ln_dx(dz3, ealc.ln, params["mlm_ln_g"])
+    _ln_param_grads(dz3, ealc.ln, grads, "mlm_ln")
     dz1 = gelu_grad(ealc.z1, ealc.s)
     dz1 *= dz2
     grads["mlm_w"] += ealc.g.T @ dz1

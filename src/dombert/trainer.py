@@ -14,6 +14,7 @@ sampler with the unweighted loss; target_only runs never weight.
 """
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 import os
@@ -97,15 +98,17 @@ def adamax_step(params: Params, grads: Params, state: AdamaxState, lr: float) ->
     """In-place Adamax update.
 
     m <- b1*m + (1-b1)*g; u <- max(b2*u, |g|); theta -= lr/(1-b1^t) * m/(u+eps).
-    Non-finite gradients abort; nothing is clipped silently.
+    Non-finite gradients abort before anything changes; nothing is clipped
+    silently.
     """
-    state.step += 1
-    scale = lr / (1.0 - state.beta1 ** state.step)
     for name, g in grads.items():
         if not np.isfinite(g).all():
             raise NonFiniteGradientError(
-                f"non-finite gradient in {name!r} at optimizer step {state.step}"
+                f"non-finite gradient in {name!r} at optimizer step {state.step + 1}"
             )
+    state.step += 1
+    scale = lr / (1.0 - state.beta1 ** state.step)
+    for name, g in grads.items():
         # `step` is the one scratch array: (1-b1)*g, then |g|, then the
         # update. Each product keeps the docstring's operands, so the bytes do too.
         m = state.m[name]
@@ -215,8 +218,9 @@ def train(
             if theirs.get(name) != value:
                 raise ConfigError(f"checkpoint {name}={theirs.get(name)} "
                                   f"differs from this run's {name}={value}")
-        params = resume.params
-        opt = AdamaxState(**resume.adamax)
+        # Copies: the run updates them in place, and the bundle may resume again.
+        params = copy.deepcopy(resume.params)
+        opt = copy.deepcopy(AdamaxState(**resume.adamax))
         state = state_from_json(resume.sampler, corpus)
         mask_rng = rng_from_state(resume.trainer["mask_rng"])
         start_step = int(resume.trainer["next_step"])

@@ -1,15 +1,18 @@
 import math
+import sys
+import time
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy.special import erf
 
 from dombert import model
-from dombert.corpus import CLS_ID, NUM_RESERVED, SEP_ID
+from dombert.corpus import CLS_ID, NUM_RESERVED, PAD_ID, SEP_ID
 from dombert.errors import ConfigError, InputError
 from dombert.masking import MaskedBatch, MaskingPolicy, make_masked_batch
 from dombert.objective import loss_cls, loss_mlm
-from dombert.nputil import derive_rng, gelu, gelu_grad, scatter_add_rows, softmax
+from dombert.nputil import derive_rng, gelu, gelu_grad, run_all, scatter_add_rows, softmax
 
 from conftest import random_packed_example
 
@@ -178,6 +181,73 @@ class TestPrunedLastLayer:
         for name, g in grads.items():
             assert g.dtype == cfg.np_dtype
             assert np.linalg.norm(g - grads_full[name]) <= tol * scale, name
+
+
+class TestExampleShards:
+    """encode and encode_backward give the same bytes however the batch's
+    examples are split over threads."""
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("b", [1, 5, 8])
+    @pytest.mark.parametrize("pruned", [False, True])
+    def test_every_split_gives_the_same_bytes(self, dtype, b, pruned, monkeypatch):
+        cfg = model.ModelConfig(vocab_size=300, n_domains=3, max_len=128, dtype=dtype)
+        params = model.init_params(cfg, derive_rng(b, 0))
+        gen = np.random.default_rng(b)
+        l = cfg.max_len
+        ids = gen.integers(NUM_RESERVED, cfg.vocab_size, size=(b, l))
+        ids[:, 0] = CLS_ID
+        valid = np.full(b, l)
+        valid[b // 2:] = gen.integers(10, l, size=b - b // 2)  # padded examples
+        ids[np.arange(l) >= valid[:, None]] = PAD_ID
+        rows = None
+        if pruned:  # [CLS], then up to 12 targets; spare slots repeat position 0
+            rows = np.zeros((b, 13), dtype=np.int64)
+            for i, n in enumerate(gen.integers(0, 13, size=b)):
+                rows[i, 1:n + 1] = np.sort(gen.choice(np.arange(1, valid[i]), n, replace=False))
+        out = []
+        for shards in (1, 2, 3):
+            monkeypatch.setattr(model, "_shard_count", lambda b_, l_, n=shards: n)
+            cache = model.encode(ids, valid, params, cfg, rows)
+            if not out:
+                d_h = gen.normal(size=cache.h.shape).astype(cfg.np_dtype)
+            grads = model.zero_grads(cfg)
+            model.encode_backward(d_h, cache, params, cfg, grads)
+            assert cache.h.dtype == cfg.np_dtype
+            out.append((cache.h, grads))
+        (h1, grads1), *split = out
+        for h, grads in split:
+            assert h.tobytes() == h1.tobytes()
+            for name, g in grads.items():
+                assert g.tobytes() == grads1[name].tobytes(), name
+
+
+class TestRunAll:
+    def test_each_task_runs_once_and_errors_reach_the_caller(self):
+        """Many tiny tasks over the worker threads, switching threads often."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [0] * 2000
+
+            def bump(i):
+                runs[i] += 1
+                np.add(np.ones(64), 1.0)  # numpy releases the lock here
+
+            start = time.monotonic()
+            run_all([partial(bump, i) for i in range(len(runs))], 3)
+            assert runs == [1] * len(runs)
+
+            def fail():
+                raise ValueError("task failed")
+
+            tasks = [partial(bump, i) for i in range(len(runs))]
+            with pytest.raises(ValueError, match="task failed"):
+                run_all(tasks[:1000] + [fail] + tasks[1000:], 3)
+            assert runs == [2] * len(runs)
+            assert time.monotonic() - start < 60
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestDomainLogits:
@@ -440,7 +510,8 @@ class TestInPlaceKernels:
                              batch.output_rows()[0])
         scale = np.dtype(dtype).type(1.0 / math.sqrt(cfg.d_hidden // cfg.n_heads))
         for lc in cache.layers:
-            scores = (lc.q @ lc.k.swapaxes(-1, -2)) * scale + cache.key_bias
+            q, k = (model._split_heads(a, cfg.n_heads) for a in (lc.q, lc.k))
+            scores = (q @ k.swapaxes(-1, -2)) * scale + cache.key_bias
             assert lc.probs.dtype == np.dtype(dtype)
             assert np.array_equal(lc.probs, _reference_softmax(scores))
 
@@ -469,7 +540,10 @@ class TestInPlaceKernels:
         _, cache = model._ln_forward(x, g, b)
         xhat, inv = cache.xhat.copy(), cache.inv.copy()
         dy_before = dy.copy()
-        dx, dg, db = model._ln_backward(dy, cache, g)
+        dx = model._ln_dx(dy, cache, g)
+        grads = {"ln_g": np.zeros(16, dtype), "ln_b": np.zeros(16, dtype)}
+        model._ln_param_grads(dy, cache, grads, "ln")
+        dg, db = grads["ln_g"], grads["ln_b"]
         dxhat = dy * g
         m1 = dxhat.mean(-1, keepdims=True)
         m2 = (dxhat * xhat).mean(-1, keepdims=True)

@@ -119,10 +119,18 @@ class TestAdamax:
                 assert got.dtype == np.dtype(dtype) and np.array_equal(got, want)
 
     def test_non_finite_gradient_aborts(self):
-        params = {"w": np.zeros(2)}
-        state = trainer.AdamaxState(m={"w": np.zeros(2)}, u={"w": np.zeros(2)})
-        with pytest.raises(NonFiniteGradientError, match="'w'"):
-            trainer.adamax_step(params, {"w": np.array([1.0, np.nan])}, state, 0.1)
+        """The bad gradient is found before any parameter or moment moves."""
+        params = {"a": np.ones(2), "w": np.zeros(2)}
+        state = trainer.AdamaxState(m={k: np.full(2, 0.5) for k in params},
+                                    u={k: np.full(2, 0.25) for k in params}, step=3)
+        grads = {"a": np.array([1.0, -2.0]), "w": np.array([1.0, np.nan])}
+        with pytest.raises(NonFiniteGradientError, match="'w' at optimizer step 4"):
+            trainer.adamax_step(params, grads, state, 0.1)
+        assert state.step == 3
+        for k in params:
+            assert np.array_equal(params[k], np.ones(2) if k == "a" else np.zeros(2))
+            assert np.array_equal(state.m[k], np.full(2, 0.5))
+            assert np.array_equal(state.u[k], np.full(2, 0.25))
 
 
 class TestTrainLoop:
@@ -463,6 +471,20 @@ class TestResume:
                           resume=checkpoint.load(ckpts[0]), manifest="MANIFEST\tresumed run")
             assert (copy_dir / "log.tsv").read_bytes() == (full_dir / "log.tsv").read_bytes()
             assert any(line.startswith("# top-") for line in full_log)
+
+    def test_one_bundle_resumes_twice_alike(self, tmp_path):
+        """A resume trains in copies: the loaded bundle keeps its arrays."""
+        corpus = make_corpus(counts=(8, 6, 5))
+        mc = small_model_config(corpus)
+        tc = trainer.TrainConfig(epochs=2, seed=5, micro_batch=2, accum_steps=2,
+                                 checkpoint_interval=2)
+        trainer.train(tc, corpus, mc, out_dir=tmp_path / "full")
+        bundle = checkpoint.load(tmp_path / "full" / "ckpt_step000002.ckpt")
+        runs = [trainer.train(tc, corpus, mc, out_dir=tmp_path / name, resume=bundle)
+                for name in ("a", "b")]
+        for name in runs[0].params:
+            assert np.array_equal(runs[0].params[name], runs[1].params[name]), name
+        assert read_log(tmp_path / "a") == read_log(tmp_path / "b")
 
     def test_resume_refuses_a_log_that_stops_before_the_checkpoint(self, tmp_path):
         corpus = make_corpus(counts=(8, 6, 5))

@@ -1,8 +1,7 @@
 """Digests of the criterion-7 pipeline artifacts: the "same behaviour" gate.
 
 Runs four gen-synth -> ingest -> train -> report pipelines, each in its own
-temporary directory, through `python -m dombert.cli` subprocesses with
-OPENBLAS_NUM_THREADS=1 in the child environment:
+temporary directory, through `python -m dombert.cli` subprocesses:
 
 - criterion7: the commands of tests/test_acceptance.py's
   test_criterion_7_pipeline_determinism (4x32 batches of a tiny corpus);
@@ -12,13 +11,18 @@ OPENBLAS_NUM_THREADS=1 in the child environment:
   shapes the train-default benchmark runs, for 4 steps with a checkpoint
   and a top-20 report every 2nd.
 
-It prints one line per artifact (pipeline, file, first 16 hex of its
-sha256; `report` is the report command's stdout). With --check it compares
-them with the digests recorded below and exits 1 on any difference.
+Every pipeline runs twice: once with OPENBLAS_NUM_THREADS=1 in the child
+environment and once with the variable unset. The program pins OpenBLAS to
+one thread itself, so both settings must give the recorded bytes.
+
+It prints one line per artifact and setting (setting, pipeline, file,
+first 16 hex of its sha256; `report` is the report command's stdout). With
+--check it compares them with the digests recorded below and exits 1 on
+any difference.
 
 The bytes depend on the CPU's OpenBLAS kernel as well as on the code, so
-this is not a tier-1 test; the recorded values come from a 2-vCPU Xeon
-with one BLAS thread. A change that keeps behaviour keeps every digest.
+this is not a tier-1 test; the recorded values come from a 2-vCPU Xeon. A
+change that keeps behaviour keeps every digest.
 
 Usage: python3 tools/digests.py [--check]
 """
@@ -102,9 +106,15 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def run_pipeline(name: str, commands: list[list[str]]) -> dict[str, str]:
+# BLAS setting -> the OPENBLAS_NUM_THREADS each child gets (None: unset).
+SETTINGS = {"blas-1": "1", "blas-unset": None}
+
+
+def run_pipeline(name: str, commands: list[list[str]], blas_threads: str | None) -> dict[str, str]:
     """Digests of every artifact `name` records, from a fresh directory."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
     env["PYTHONPATH"] = os.pathsep.join(
         [str(REPO / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     with tempfile.TemporaryDirectory(prefix=f"digests-{name}-") as tmp:
@@ -129,18 +139,21 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--check", action="store_true",
                         help="compare with the recorded digests; exit 1 on a difference")
     args = parser.parse_args(argv)
-    differ = 0
-    for name, commands in PIPELINES.items():
-        for artifact, digest in run_pipeline(name, commands).items():
-            expected = RECORDED[(name, artifact)]
-            mark = ""
-            if args.check and digest != expected:
-                differ += 1
-                mark = f"  DIFFERS (recorded {expected})"
-            print(f"{name}\t{artifact}\t{digest}{mark}")
-    if args.check:
-        print(f"{len(RECORDED) - differ} of {len(RECORDED)} digests as recorded")
-    return 1 if differ else 0
+    any_differ = False
+    for setting, blas_threads in SETTINGS.items():
+        differ = 0
+        for name, commands in PIPELINES.items():
+            for artifact, digest in run_pipeline(name, commands, blas_threads).items():
+                expected = RECORDED[(name, artifact)]
+                mark = ""
+                if args.check and digest != expected:
+                    differ += 1
+                    mark = f"  DIFFERS (recorded {expected})"
+                print(f"{setting}\t{name}\t{artifact}\t{digest}{mark}")
+        if args.check:
+            print(f"{setting}: {len(RECORDED) - differ} of {len(RECORDED)} digests as recorded")
+        any_differ = any_differ or differ > 0
+    return 1 if any_differ else 0
 
 
 if __name__ == "__main__":
