@@ -290,8 +290,10 @@ def encode(
     its keys and values only there, and h[b, j] is position rows[b, j].
     Without rows every position is computed.
 
-    A large batch's examples are split over the worker threads (see
-    MIN_SHARD_ROWS); the bytes do not depend on the split.
+    The examples are split over the worker threads when each shard gets at
+    least MIN_SHARD_ROWS = 384 rows (examples x positions), a threshold
+    chosen from the in-process sweep noted at MIN_SHARD_ROWS; the bytes do
+    not depend on the split.
     """
     input_ids = np.asarray(input_ids)
     b, l = input_ids.shape
