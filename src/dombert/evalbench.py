@@ -28,7 +28,7 @@ from .errors import ConfigError, CorpusError
 from .masking import MaskingPolicy, make_masked_batch
 from .model import ModelConfig, Params, init_params
 from .nputil import STREAM_EVAL, STREAM_SYNTH, derive_rng
-from .objective import loss_mlm
+from .objective import loss_mlm, mean_nll
 from .sampler import report_top_domains
 
 
@@ -183,8 +183,8 @@ def eval_pseudo_perplexity(
         ex_idx, _, target_ids = batch.flat_targets()
         rows, slots = batch.output_rows()
         fwd = model_ops.encode(batch.input_ids, batch.valid_lens, params, config, rows)
-        logits, _ = model_ops.mlm_logits_eal(fwd, ex_idx, slots, params)
-        ce_sum += loss_mlm(logits, target_ids) * batch.n_targets
+        _, ealc = model_ops.mlm_logits_eal(fwd, ex_idx, slots, params, target_ids)
+        ce_sum += mean_nll(ealc.picked, ealc.exp_sum) * batch.n_targets
         n_targets += batch.n_targets
     if n_targets == 0:
         raise ConfigError("masking selected no positions in the held-out set")

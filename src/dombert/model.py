@@ -21,7 +21,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .nputil import gelu, gelu_grad, run_all, scatter_add_rows, softmax, worker_threads
+from .nputil import (gelu, gelu_grad, run_all, scatter_add_rows, softmax, softmax_parts,
+                     worker_threads)
 
 LN_EPS = 1e-12
 INIT_STD = 0.02
@@ -197,7 +198,8 @@ def _shard_count(b: int, l: int) -> int:
 
 
 def _part(obj, sl: slice):
-    """obj with every array cut to the examples sl: views of the same memory."""
+    """obj with every array cut to the rows sl of its first axis (examples,
+    or the head's targets): views of the same memory."""
     if isinstance(obj, np.ndarray):
         return obj[sl]
     if isinstance(obj, (list, tuple)):
@@ -208,13 +210,17 @@ def _part(obj, sl: slice):
     return obj
 
 
-def _in_shards(run: Callable, arrays, b: int, n: int) -> None:
-    """run(*part) for each of n shards' parts of the tuple `arrays`, each
-    on its own thread; on the calling thread alone when n is 1."""
-    n = min(n, b)
-    parts = [arrays] if n == 1 else [_part(arrays, slice(b * k // n, b * (k + 1) // n))
-                                     for k in range(n)]
-    run_all([partial(run, *part) for part in parts], n)
+def _even_parts(b: int, n: int) -> list[slice]:
+    """b rows cut into min(n, b) contiguous parts of near-equal size."""
+    n = max(1, min(n, b))
+    return [slice(b * k // n, b * (k + 1) // n) for k in range(n)]
+
+
+def _in_shards(run: Callable, arrays, parts: list[slice]) -> None:
+    """run(*views) for each part's views of the tuple `arrays`, each on its
+    own thread; with one part, run(*arrays) on the calling thread alone."""
+    views = [arrays] if len(parts) == 1 else [_part(arrays, sl) for sl in parts]
+    run_all([partial(run, *v) for v in views], len(views))
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +332,8 @@ def encode(
         x = empty(r)
     cache = ForwardCache(input_ids=input_ids, valid_lens=valid_lens,
                          key_bias=key_bias, emb_ln=emb_ln, layers=layers, h=x)
-    _in_shards(partial(_encode_into, params=params, config=config), (cache,), b,
-               _shard_count(b, l))
+    _in_shards(partial(_encode_into, params=params, config=config), (cache,),
+               _even_parts(b, _shard_count(b, l)))
     return cache
 
 
@@ -401,7 +407,7 @@ def encode_backward(
     d_emb = np.empty_like(cache.layers[0].a_in)  # upstream gradient into the embedding LN
     dx0 = np.empty_like(d_emb)
     _in_shards(partial(_backward_into, params=params, config=config),
-               (cache, lgs, d_emb, dx0), b, n)
+               (cache, lgs, d_emb, dx0), _even_parts(b, n))
 
     tasks = [partial(_embedding_grads, cache, d_emb, dx0, grads)]
     for i, (lc, lg) in enumerate(zip(cache.layers, lgs)):
@@ -525,6 +531,40 @@ def domain_head_backward(
 
 # ---------------------------------------------------------------------------
 # Masked-token head
+#
+# When encode splits a batch, the head splits its target rows over the
+# same threads, in parts large enough to keep the bytes (below): each part
+# runs the row-local chain (forward: gather, transform, tied projection,
+# softmax pieces; backward: the data gradients) into views of full-size
+# arrays. The scatter into d_h and every parameter gradient then run on the
+# full arrays, with the operands and order of an unsplit pass.
+#
+# A row of a matrix product keeps its bytes in a part only when OpenBLAS
+# computes the part with the kernel and row tiling it uses for the whole.
+# At the head's shapes (d_hidden 64, OpenBLAS 0.3.31) that fails for a
+# one-row part (gemv); for a part of at most 100^3 multiply-adds, which the
+# SkylakeX kernels hand to small-matrix code whose bytes change with the
+# row count (dz1 @ mlm_w.T up to 18 rows, dlogits @ tok_emb up to 6 at
+# vocabulary 2,305); and for a cut off the kernel's row tile (12 rows for
+# SkylakeX float64 z3 @ tok_emb.T and for Haswell float32, 2 for Haswell
+# float64). So parts are cut at multiples of HEAD_ROWS, and each part does
+# more than SMALL_GEMM multiply-adds in its vocabulary-wide products. Checked
+# byte for byte against the unsplit head for vocabularies of 20 to 8,005 and
+# up to 700 targets, float32 and float64, with OpenBLAS's SkylakeX, Haswell
+# and Sandybridge kernels.
+HEAD_ROWS = 24
+SMALL_GEMM = 100 ** 3
+
+
+def _large_parts(rows: int, n: int, width: int, align: int = 1) -> list[slice]:
+    """rows cut into at most n contiguous parts at multiples of align, each
+    more than SMALL_GEMM multiply-adds at width a row (and at least align
+    rows); one part when rows do not allow two."""
+    blocks = rows // align
+    n = max(1, min(n, blocks // (SMALL_GEMM // max(width * align, 1) + 1)))
+    cuts = [align * (blocks * k // n) for k in range(n)] + [rows]
+    return [slice(a, z) for a, z in zip(cuts, cuts[1:])]
+
 
 @dataclass
 class EalCache:
@@ -535,6 +575,12 @@ class EalCache:
     s: np.ndarray                # 1 + erf(z1 / sqrt 2), as in LayerCache
     z3: np.ndarray               # post-LN rows entering the tied projection
     ln: LnCache
+    shards: int                  # threads the encoder split this batch over
+    # With target ids, the pieces of the softmax at them (softmax_parts).
+    target_ids: np.ndarray | None = None
+    exp: np.ndarray | None = None        # exp(logits - row max) (T, V), in the logits' array
+    exp_sum: np.ndarray | None = None    # its row sums (T, 1)
+    picked: np.ndarray | None = None     # logits - row max at each target (T,)
 
 
 def mlm_logits_eal(
@@ -542,21 +588,47 @@ def mlm_logits_eal(
     ex_idx: np.ndarray,
     slots: np.ndarray,
     params: Params,
-) -> tuple[np.ndarray, EalCache]:
+    target_ids: np.ndarray | None = None,
+) -> tuple[np.ndarray | None, EalCache]:
     """Vocabulary logits at target positions only (T_total x V).
 
     Target t is row slots[t] of example ex_idx[t] in cache.h; on a
     full-width cache the slot is the position. Hidden states are gathered
     before the output transform, so the expensive tied projection touches
-    exactly T_total rows.
+    exactly T_total rows. With target_ids, the returned cache holds the
+    softmax's pieces at those ids instead (nputil.softmax_parts): its exp
+    pass overwrites the logits in their array, so None is returned for them.
+
+    When encode split the batch, the target rows are split over the same
+    threads where each part is large enough (see HEAD_ROWS); the bytes do
+    not depend on the split.
     """
-    g = cache.h[ex_idx, slots]
-    z1 = _affine(g, params["mlm_w"], params["mlm_b"])
-    z2, s = gelu(z1)
-    z3, ln = _ln_forward(z2, params["mlm_ln_g"], params["mlm_ln_b"])
-    logits = _affine(z3, params["tok_emb"].T, params["mlm_out_b"])
-    return logits, EalCache(ex_idx=ex_idx, slots=slots,
-                            g=g, z1=z1, s=s, z3=z3, ln=ln)
+    b, l = cache.input_ids.shape
+    t, (v, d), dt = len(ex_idx), params["tok_emb"].shape, cache.h.dtype
+
+    def rows(*width: int) -> np.ndarray:
+        return np.empty((t, *width), dt)
+
+    logits = rows(v)
+    ealc = EalCache(ex_idx=ex_idx, slots=slots, g=rows(d), z1=rows(d), s=rows(d),
+                    z3=rows(d), ln=LnCache(xhat=rows(d), inv=rows(1)),
+                    shards=_shard_count(b, l))
+    if target_ids is not None:
+        ealc.target_ids, ealc.exp, ealc.exp_sum, ealc.picked = target_ids, logits, rows(1), rows()
+    _in_shards(partial(_head_into, h=cache.h, params=params), (logits, ealc),
+               _large_parts(t, ealc.shards, d * v, HEAD_ROWS))
+    return (logits if target_ids is None else None), ealc
+
+
+def _head_into(logits: np.ndarray, c: EalCache, h: np.ndarray, params: Params) -> None:
+    """Fill logits and c, whole or one part's views, from the rows of h."""
+    c.g[...] = h[c.ex_idx, c.slots]
+    _affine(c.g, params["mlm_w"], params["mlm_b"], c.z1)
+    z2, _ = gelu(c.z1, c.s)
+    _ln_forward(z2, params["mlm_ln_g"], params["mlm_ln_b"], c.z3, c.ln)
+    _affine(c.z3, params["tok_emb"].T, params["mlm_out_b"], logits)
+    if c.target_ids is not None:
+        softmax_parts(logits, c.target_ids, logits, c.exp_sum, c.picked)
 
 
 def mlm_logits_full(cache: ForwardCache, params: Params) -> np.ndarray:
@@ -580,15 +652,40 @@ def mlm_head_backward(
 
     The tied projection contributes to the token-embedding gradient here;
     the input-embedding contribution is added later by encode_backward.
+    The data gradients run in the parts mlm_logits_eal used; the parameter
+    gradients and the scatter into d_h then run on the full arrays, spread
+    over the same threads.
     """
-    grads["tok_emb"] += dlogits.T @ ealc.z3
-    grads["mlm_out_b"] += dlogits.sum(axis=0)
-    dz3 = dlogits @ params["tok_emb"]
-    dz2 = _ln_dx(dz3, ealc.ln, params["mlm_ln_g"])
-    _ln_param_grads(dz3, ealc.ln, grads, "mlm_ln")
-    dz1 = gelu_grad(ealc.z1, ealc.s)
+    (t, d), v = ealc.g.shape, dlogits.shape[1]
+    dz3, dz1, dg_rows = (np.empty_like(ealc.g) for _ in range(3))
+    _in_shards(partial(_head_backward_into, params=params), (dlogits, ealc, dz3, dz1, dg_rows),
+               _large_parts(t, ealc.shards, d * v, HEAD_ROWS))
+    tasks = [partial(_tied_grads, dlogits, ealc.z3, grads, cols)
+             for cols in _large_parts(v, ealc.shards, t * d, HEAD_ROWS)]
+    tasks += [partial(_head_dense_grads, ealc, dz3, dz1, grads),
+              partial(scatter_add_rows, d_h, (ealc.ex_idx, ealc.slots), dg_rows)]
+    run_all(tasks, ealc.shards)
+
+
+def _head_backward_into(dlogits: np.ndarray, c: EalCache, dz3: np.ndarray, dz1: np.ndarray,
+                        dg_rows: np.ndarray, params: Params) -> None:
+    """The data gradients of c's targets, from dlogits to dg_rows (whole or
+    one part's views)."""
+    np.matmul(dlogits, params["tok_emb"], out=dz3)
+    dz2 = _ln_dx(dz3, c.ln, params["mlm_ln_g"])
+    gelu_grad(c.z1, c.s, dz1)
     dz1 *= dz2
-    grads["mlm_w"] += ealc.g.T @ dz1
+    np.matmul(dz1, params["mlm_w"].T, out=dg_rows)
+
+
+def _tied_grads(dlogits: np.ndarray, z3: np.ndarray, grads: Params, cols: slice) -> None:
+    """The tied projection's gradients at the vocabulary rows cols."""
+    part = dlogits[:, cols]
+    grads["tok_emb"][cols] += part.T @ z3
+    grads["mlm_out_b"][cols] += part.sum(axis=0)
+
+
+def _head_dense_grads(c: EalCache, dz3: np.ndarray, dz1: np.ndarray, grads: Params) -> None:
+    _ln_param_grads(dz3, c.ln, grads, "mlm_ln")
+    grads["mlm_w"] += c.g.T @ dz1
     grads["mlm_b"] += dz1.sum(axis=0)
-    dg_rows = dz1 @ params["mlm_w"].T
-    scatter_add_rows(d_h, (ealc.ex_idx, ealc.slots), dg_rows)

@@ -4,8 +4,8 @@ from __future__ import annotations
 import ctypes
 import math
 import os
+import queue
 import threading
-from concurrent import futures
 from typing import Callable
 
 import numpy as np
@@ -45,6 +45,31 @@ def softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.
     np.exp(e, out=e)
     e /= np.sum(e, axis=axis, keepdims=True)
     return e
+
+
+def softmax_parts(
+    x: np.ndarray,
+    picks: np.ndarray,
+    e: np.ndarray | None = None,
+    sums: np.ndarray | None = None,
+    picked: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One exp pass over the rows of a 2-D x, for a softmax and its log.
+
+    Returns e = exp(x - row max), e's row sums (rows, 1) and x - row max at
+    column picks[i] of each row i, read before the exp: the softmax is
+    e / sums, its log at the picks is picked - log(sums). e, sums and
+    picked, when given, are filled in place of new arrays (e may be x).
+    """
+    e = np.subtract(x, np.max(x, axis=-1, keepdims=True), out=e)
+    at_picks = e[np.arange(len(picks)), picks]
+    if picked is None:
+        picked = at_picks
+    else:
+        picked[...] = at_picks
+    np.exp(e, out=e)
+    sums = np.sum(e, axis=-1, keepdims=True, out=sums)
+    return e, sums, picked
 
 
 def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -132,7 +157,9 @@ _SET_BLAS_THREADS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_nu
                      "openblas_set_num_threads64_", "openblas_set_num_threads")
 _pool_lock = threading.Lock()
 _threads: int | None = None
-_helpers: futures.ThreadPoolExecutor | None = None
+# Work for the helper threads, which the first run_all over more than one
+# thread starts: each takes one callable at a time and runs it.
+_inbox: queue.SimpleQueue | None = None
 
 
 def _pin_openblas() -> bool:
@@ -164,24 +191,40 @@ def worker_threads() -> int:
     """Threads a batch's examples may be split over: one per available core.
 
     The first call pins OpenBLAS to one thread, so every core runs one
-    shard and no matrix product's bytes depend on a thread count, and
-    starts the helper threads. With one core, or no OpenBLAS to pin, it
-    returns 1 and starts none.
+    shard and no matrix product's bytes depend on a thread count. With one
+    core, or no OpenBLAS to pin, it returns 1.
     """
-    global _threads, _helpers
+    global _threads
     with _pool_lock:
         if _threads is None:
             cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
             _threads = cores if cores > 1 and _pin_openblas() else 1
-            if _threads > 1:
-                _helpers = futures.ThreadPoolExecutor(_threads - 1, "dombert-shard")
         return _threads
+
+
+def _helpers() -> queue.SimpleQueue:
+    """The helper threads' inbox, starting the helpers (which live as long
+    as the process) on the first call. A process whose batches never split
+    starts none."""
+    global _inbox
+    with _pool_lock:
+        if _inbox is None:
+            _inbox = queue.SimpleQueue()
+            for i in range(1, _threads):
+                threading.Thread(target=_helper, args=(_inbox,), daemon=True,
+                                 name=f"dombert-shard-{i}").start()
+        return _inbox
+
+
+def _helper(inbox: queue.SimpleQueue) -> None:
+    while True:
+        inbox.get()()
 
 
 def _forget_threads() -> None:
     """A forked child has none of its parent's helper threads: start afresh."""
-    global _threads, _helpers
-    _threads, _helpers = None, None
+    global _threads, _inbox
+    _threads, _inbox = None, None
 
 
 if hasattr(os, "register_at_fork"):
@@ -194,7 +237,8 @@ def run_all(tasks: list[Callable[[], None]], threads: int) -> None:
     thread count balances itself. With one thread it is a plain loop.
 
     Returns once all have finished, raising the calling thread's exception
-    or else the first helper's.
+    or else the first helper's. A task must not call run_all: the inner
+    call could wait for a helper that is running the outer one.
     """
     n = min(threads, worker_threads(), len(tasks))
     if n <= 1:
@@ -212,10 +256,23 @@ def run_all(tasks: list[Callable[[], None]], threads: int) -> None:
                 return
             task()
 
-    helpers = [_helpers.submit(drain) for _ in range(n - 1)]
+    finished: queue.SimpleQueue = queue.SimpleQueue()  # one None or exception per helper
+
+    def helper_drain() -> None:
+        try:
+            drain()
+        except BaseException as exc:  # the helper lives on; the caller raises it
+            finished.put(exc)
+        else:
+            finished.put(None)
+
+    inbox = _helpers()
+    for _ in range(n - 1):
+        inbox.put(helper_drain)
     try:
         drain()
     finally:
-        futures.wait(helpers)
-    for done in helpers:
-        done.result()
+        errors = [finished.get() for _ in range(n - 1)]
+    for exc in errors:
+        if exc is not None:
+            raise exc

@@ -19,7 +19,7 @@ import numpy as np
 from . import model
 from .errors import ConfigError, InputError
 from .masking import MaskedBatch
-from .nputil import log_softmax, normalize_rows, softmax
+from .nputil import log_softmax, normalize_rows, softmax, softmax_parts
 
 
 @dataclass(frozen=True)
@@ -37,15 +37,16 @@ def mlm_softmax(
     """loss_mlm together with e = exp(logits - row max) and e's row sums.
 
     One exp pass serves the loss and its gradient: the softmax is e / sums.
-    The loss reads only the target entries, shifted - log(sums).
     """
-    t = eal_logits.shape[0]
-    e = eal_logits - np.max(eal_logits, axis=-1, keepdims=True)
-    shifted = e[np.arange(t), target_ids]
-    np.exp(e, out=e)
-    sums = np.sum(e, axis=-1, keepdims=True)
-    loss = float(-(shifted - np.log(sums[:, 0])).mean()) if t else 0.0
-    return loss, e, sums
+    e, sums, picked = softmax_parts(eal_logits, target_ids)
+    return mean_nll(picked, sums), e, sums
+
+
+def mean_nll(picked: np.ndarray, sums: np.ndarray) -> float:
+    """Mean negative log-softmax at the targets, from softmax_parts' pieces:
+    logits - row max at each target, and the row sums of the exp; 0 when
+    there are no targets."""
+    return float(-(picked - np.log(sums[:, 0])).mean()) if len(picked) else 0.0
 
 
 def loss_mlm(eal_logits: np.ndarray, target_ids: np.ndarray) -> float:
@@ -114,11 +115,8 @@ class StepCache:
     """Everything backward() needs from one forward pass."""
 
     fwd: model.ForwardCache
-    ealc: model.EalCache
-    mlm_exp: np.ndarray          # exp(logits - row max) at the targets (T, V)
-    mlm_exp_sum: np.ndarray      # its row sums (T, 1)
+    ealc: model.EalCache         # with the softmax pieces at the target ids
     dom_logits: np.ndarray
-    target_ids: np.ndarray
     cls_weights: np.ndarray | None
     mlm_ce_sum: float
     cls_ce_sum: float
@@ -147,15 +145,14 @@ def forward(
     ex_idx, _, target_ids = batch.flat_targets()
     rows, slots = batch.output_rows()
     fwd = model.encode(batch.input_ids, batch.valid_lens, params, config, rows)
-    eal_logits, ealc = model.mlm_logits_eal(fwd, ex_idx, slots, params)
+    _, ealc = model.mlm_logits_eal(fwd, ex_idx, slots, params, target_ids)
     dom = model.domain_logits(fwd.h_cls, params)
-    mlm, mlm_exp, mlm_exp_sum = mlm_softmax(eal_logits, target_ids)
+    mlm = mean_nll(ealc.picked, ealc.exp_sum)
     cls = loss_cls(dom, batch.domain_labels, cls_weights)
     delta = regularizer(params["dom_emb"])
     breakdown = total_loss(mlm, cls, delta, lam)
     cache = StepCache(
-        fwd=fwd, ealc=ealc, mlm_exp=mlm_exp, mlm_exp_sum=mlm_exp_sum, dom_logits=dom,
-        target_ids=target_ids, cls_weights=cls_weights,
+        fwd=fwd, ealc=ealc, dom_logits=dom, cls_weights=cls_weights,
         mlm_ce_sum=mlm * batch.n_targets,
         cls_ce_sum=cls * batch.batch_size,
         delta=delta,
@@ -187,13 +184,14 @@ def backward(
     grads = model.zero_grads(config)
     d_h = np.zeros_like(cache.fwd.h)
 
-    t = cache.mlm_exp.shape[0]
+    ealc = cache.ealc
+    t = len(ealc.target_ids)
     if t > 0 and lam > 0.0:
         div = t if mlm_divisor is None else mlm_divisor
-        dlogits = cache.mlm_exp / cache.mlm_exp_sum
-        dlogits[np.arange(t), cache.target_ids] -= 1.0
+        dlogits = ealc.exp / ealc.exp_sum
+        dlogits[np.arange(t), ealc.target_ids] -= 1.0
         dlogits *= lam / div
-        model.mlm_head_backward(dlogits, cache.ealc, d_h, params, grads)
+        model.mlm_head_backward(dlogits, ealc, d_h, params, grads)
 
     if lam < 1.0:
         div = batch.batch_size if cls_divisor is None else cls_divisor

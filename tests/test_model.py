@@ -1,5 +1,8 @@
 import math
+import os
+import signal
 import sys
+import threading
 import time
 from functools import partial
 
@@ -11,10 +14,11 @@ from dombert import model
 from dombert.corpus import CLS_ID, NUM_RESERVED, PAD_ID, SEP_ID
 from dombert.errors import ConfigError, InputError
 from dombert.masking import MaskedBatch, MaskingPolicy, make_masked_batch
-from dombert.objective import loss_cls, loss_mlm
-from dombert.nputil import derive_rng, gelu, gelu_grad, run_all, scatter_add_rows, softmax
+from dombert.objective import loss_cls, loss_mlm, mean_nll
+from dombert.nputil import (derive_rng, gelu, gelu_grad, run_all, scatter_add_rows, softmax,
+                            worker_threads)
 
-from conftest import random_packed_example
+from conftest import batch_with_target_counts, random_packed_example
 
 
 def tiny_config(**overrides):
@@ -222,6 +226,73 @@ class TestExampleShards:
                 assert g.tobytes() == grads1[name].tobytes(), name
 
 
+# Per-example target counts of an 8-example batch: enough targets for three
+# head parts; none in the first four examples (the first example shards);
+# none at all; and fewer targets than shards.
+HEAD_SHARD_CASES = {
+    "three parts": [12] * 8,
+    "first examples without targets": [0, 0, 0, 0, 12, 12, 12, 12],
+    "no targets": [0] * 8,
+    "fewer targets than shards": [1, 0, 0, 0, 0, 0, 0, 1],
+}
+
+
+class TestHeadShards:
+    """The masked-token head gives the same bytes however its targets are
+    split over threads."""
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("case", list(HEAD_SHARD_CASES))
+    def test_every_split_gives_the_same_bytes(self, dtype, case, monkeypatch):
+        cfg = model.ModelConfig(vocab_size=2305, n_domains=3, max_len=128, dtype=dtype)
+        params = model.init_params(cfg, derive_rng(4, 0))
+        batch = batch_with_target_counts(5, cfg.vocab_size, cfg.max_len, HEAD_SHARD_CASES[case])
+        ex_idx, _, tok = batch.flat_targets()
+        rows, slots = batch.output_rows()
+        t = len(tok)
+        if case == "three parts":  # the split this test is for does happen
+            width = cfg.d_hidden * cfg.vocab_size
+            assert len(model._large_parts(t, 3, width, model.HEAD_ROWS)) == 3
+            assert len(model._large_parts(cfg.vocab_size, 3, t * cfg.d_hidden,
+                                          model.HEAD_ROWS)) == 3
+        dlogits = np.random.default_rng(6).normal(size=(t, cfg.vocab_size)).astype(cfg.np_dtype)
+        out = []
+        for shards in (1, 2, 3):
+            monkeypatch.setattr(model, "_shard_count", lambda b_, l_, n=shards: n)
+            cache = model.encode(batch.input_ids, batch.valid_lens, params, cfg, rows)
+            logits, _ = model.mlm_logits_eal(cache, ex_idx, slots, params)
+            no_logits, ealc = model.mlm_logits_eal(cache, ex_idx, slots, params, tok)
+            assert no_logits is None
+            grads = model.zero_grads(cfg)
+            d_h = np.zeros_like(cache.h)
+            model.mlm_head_backward(dlogits, ealc, d_h, params, grads)
+            arrays = {"logits": logits, "exp": ealc.exp, "exp_sum": ealc.exp_sum,
+                      "picked": ealc.picked, "d_h": d_h, **grads}
+            assert all(a.dtype == cfg.np_dtype for a in arrays.values())
+            out.append((mean_nll(ealc.picked, ealc.exp_sum), arrays))
+        (loss1, arrays1), *split = out
+        for loss, arrays in split:
+            assert loss == loss1
+            for name, a in arrays.items():
+                assert a.tobytes() == arrays1[name].tobytes(), name
+
+    def test_parts_are_aligned_and_large(self):
+        """Cuts fall on multiples of the alignment, the parts tile the rows,
+        and each holds more than SMALL_GEMM multiply-adds (or is the only one)."""
+        for rows in (0, 1, 23, 24, 47, 48, 95, 96, 114, 247, 2305):
+            for n in (1, 2, 3):
+                for width, align in ((64 * 2305, model.HEAD_ROWS), (64 * 20, model.HEAD_ROWS),
+                                     (114 * 64, model.HEAD_ROWS), (1, 1)):
+                    parts = model._large_parts(rows, n, width, align)
+                    assert 1 <= len(parts) <= n
+                    assert parts[0].start == 0 and parts[-1].stop == rows
+                    assert all(a.stop == z.start for a, z in zip(parts, parts[1:]))
+                    if len(parts) > 1:
+                        assert all(p.start % align == 0 for p in parts)
+                        assert all((p.stop - p.start) * width > model.SMALL_GEMM
+                                   for p in parts)
+
+
 class TestRunAll:
     def test_each_task_runs_once_and_errors_reach_the_caller(self):
         """Many tiny tasks over the worker threads, switching threads often."""
@@ -248,6 +319,62 @@ class TestRunAll:
             assert time.monotonic() - start < 60
         finally:
             sys.setswitchinterval(interval)
+
+    @staticmethod
+    def _threads_seen(n: int) -> set[int]:
+        """The threads a run_all of n tasks ran on, each task held until n
+        threads hold one, so a missing helper breaks the barrier. run_all
+        is called from a thread joined with a timeout: a lost helper fails
+        the test rather than hanging it."""
+        meet = threading.Barrier(n, timeout=20)
+        seen = set()
+
+        def record():
+            meet.wait()
+            seen.add(threading.get_ident())
+
+        caller = threading.Thread(target=run_all, args=([record] * n, n), daemon=True)
+        caller.start()
+        caller.join(60)
+        assert not caller.is_alive(), "run_all did not return"
+        return seen
+
+    def test_helpers_outlive_a_failed_task(self):
+        n = worker_threads()
+        if n < 2:
+            pytest.skip("one worker thread: run_all is a plain loop")
+        meet = threading.Barrier(n, timeout=20)
+
+        def fail_on_a_helper():
+            meet.wait()
+            if threading.current_thread() is not threading.main_thread():
+                raise ValueError("helper task failed")
+
+        with pytest.raises(ValueError, match="helper task failed"):
+            run_all([fail_on_a_helper] * n, n)
+        assert len(self._threads_seen(n)) == n
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_starts_its_own_helpers(self):
+        n = worker_threads()
+        if n < 2:
+            pytest.skip("one worker thread: run_all is a plain loop")
+        assert len(self._threads_seen(n)) == n  # the parent's helpers exist
+        pid = os.fork()
+        if pid == 0:  # the child: only the forking thread came along
+            code = 1
+            try:
+                code = 0 if len(self._threads_seen(n)) == n else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child did not finish its run_all")
+            time.sleep(0.05)
+        assert os.waitstatus_to_exitcode(status[1]) == 0
 
 
 class TestDomainLogits:

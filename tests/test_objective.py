@@ -10,7 +10,7 @@ from dombert.errors import ConfigError, DegenerateEmbeddingError, InputError
 from dombert.masking import MaskingPolicy, make_masked_batch
 from dombert.nputil import derive_rng
 
-from conftest import random_packed_example
+from conftest import batch_with_target_counts, random_packed_example
 
 
 def tiny_config(**overrides):
@@ -352,6 +352,34 @@ class TestBackward:
         for name in reference:
             np.testing.assert_allclose(total[name], reference[name],
                                        rtol=1e-9, atol=1e-12)
+
+
+class TestHeadShards:
+    """forward and backward give the same bytes however the batch's
+    examples and targets are split over threads."""
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("counts", [[12] * 8, [0, 0, 0, 0, 12, 12, 12, 12], [0] * 8,
+                                        [1, 0, 0, 0, 0, 0, 0, 1]],
+                             ids=["three parts", "first examples without targets",
+                                  "no targets", "fewer targets than shards"])
+    def test_every_split_gives_the_same_bytes(self, dtype, counts, monkeypatch):
+        cfg = model.ModelConfig(vocab_size=2305, n_domains=3, max_len=128, dtype=dtype)
+        params = model.init_params(cfg, derive_rng(7, 0))
+        batch = batch_with_target_counts(8, cfg.vocab_size, cfg.max_len, counts)
+        weights = np.linspace(0.5, 2.0, batch.batch_size).astype(dtype)
+        out = []
+        for shards in (1, 2, 3):
+            monkeypatch.setattr(model, "_shard_count", lambda b_, l_, n=shards: n)
+            loss, cache = objective.forward(batch, params, cfg, 0.7, cls_weights=weights)
+            grads = objective.backward(batch, cache, params, cfg, 0.7, mlm_divisor=97)
+            out.append((loss, {"exp": cache.ealc.exp, "exp_sum": cache.ealc.exp_sum, **grads}))
+        (loss1, arrays1), *split = out
+        for loss, arrays in split:
+            assert loss == loss1
+            for name, a in arrays.items():
+                assert a.dtype == cfg.np_dtype, name
+                assert a.tobytes() == arrays1[name].tobytes(), name
 
 
 class TestClassificationWeights:

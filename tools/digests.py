@@ -9,14 +9,15 @@ temporary directory, through `python -m dombert.cli` subprocesses:
 - target-only: that run with --target-only;
 - default-shape: the default 12-domain corpus at 8x128 micro-batches, the
   shapes the train-default benchmark runs, for 4 steps with a checkpoint
-  and a top-20 report every 2nd.
+  and a top-20 report every 2nd, then the trained model scores the corpus
+  with `eval --heldout` in 16x128 batches, the shapes score-heldout runs.
 
 Every pipeline runs twice: once with OPENBLAS_NUM_THREADS=1 in the child
 environment and once with the variable unset. The program pins OpenBLAS to
 one thread itself, so both settings must give the recorded bytes.
 
 It prints one line per artifact and setting (setting, pipeline, file,
-first 16 hex of its sha256; `report` is the report command's stdout). With
+first 16 hex of its sha256; `report` and `eval` are those commands' stdout). With
 --check it compares them with the digests recorded below and exits 1 on
 any difference.
 
@@ -62,10 +63,13 @@ PIPELINES = {
         ["train", "--packed", "ingested", "--batch", "8", "--accum", "4", "--m", "16",
          "--epochs", "1", "--checkpoint-interval", "2", "--out", "run"],
         ["report", "--ckpt", "run/final.ckpt"],
+        ["eval", "--ckpt", "run/final.ckpt", "--heldout", "synth.tsv",
+         "--vocab", "ingested/vocab.tsv"],
     ],
 }
+STDOUT_ARTIFACTS = ("report", "eval")
 
-# (pipeline, artifact) -> first 16 hex of sha256; 32 artifacts, 29 values.
+# (pipeline, artifact) -> first 16 hex of sha256; 33 artifacts, 30 values.
 RECORDED = {
     ("criterion7", "synth.tsv"): "e391f821c574ddb5",
     ("criterion7", "synth.tsv.truth"): "6599892ab3870759",
@@ -99,6 +103,7 @@ RECORDED = {
     ("default-shape", "run/log.tsv"): "f1dd96a13290abbb",
     ("default-shape", "run/top_domains.tsv"): "437e03ee9d2a365a",
     ("default-shape", "report"): "c6ed8218ad0a76e8",
+    ("default-shape", "eval"): "324c6bfef421ef2f",
 }
 
 
@@ -119,16 +124,16 @@ def run_pipeline(name: str, commands: list[list[str]], blas_threads: str | None)
         [str(REPO / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     with tempfile.TemporaryDirectory(prefix=f"digests-{name}-") as tmp:
         root = Path(tmp)
-        report = b""
+        stdout = {}
         for argv in commands:
             done = subprocess.run([sys.executable, "-m", "dombert.cli", *argv],
                                   cwd=root, env=env, capture_output=True)
             if done.returncode != 0:
                 sys.exit(f"{name}: `dombert {argv[0]}` exited {done.returncode}:\n"
                          + done.stderr.decode(errors="replace"))
-            report = done.stdout
+            stdout[argv[0]] = done.stdout
         return {
-            artifact: _digest(report) if artifact == "report"
+            artifact: _digest(stdout[artifact]) if artifact in STDOUT_ARTIFACTS
             else _digest((root / artifact).read_bytes())
             for (pipeline, artifact) in RECORDED if pipeline == name
         }
