@@ -556,13 +556,13 @@ HEAD_ROWS = 24
 SMALL_GEMM = 100 ** 3
 
 
-def _large_parts(rows: int, n: int, width: int, align: int = 1) -> list[slice]:
-    """rows cut into at most n contiguous parts at multiples of align, each
-    more than SMALL_GEMM multiply-adds at width a row (and at least align
-    rows); one part when rows do not allow two."""
-    blocks = rows // align
-    n = max(1, min(n, blocks // (SMALL_GEMM // max(width * align, 1) + 1)))
-    cuts = [align * (blocks * k // n) for k in range(n)] + [rows]
+def _large_parts(rows: int, n: int, width: int) -> list[slice]:
+    """rows cut into at most n contiguous parts at multiples of HEAD_ROWS,
+    each more than SMALL_GEMM multiply-adds at width a row; one part when
+    rows do not allow two."""
+    blocks = rows // HEAD_ROWS
+    n = max(1, min(n, blocks // (SMALL_GEMM // max(width * HEAD_ROWS, 1) + 1)))
+    cuts = [HEAD_ROWS * (blocks * k // n) for k in range(n)] + [rows]
     return [slice(a, z) for a, z in zip(cuts, cuts[1:])]
 
 
@@ -616,7 +616,7 @@ def mlm_logits_eal(
     if target_ids is not None:
         ealc.target_ids, ealc.exp, ealc.exp_sum, ealc.picked = target_ids, logits, rows(1), rows()
     _in_shards(partial(_head_into, h=cache.h, params=params), (logits, ealc),
-               _large_parts(t, ealc.shards, d * v, HEAD_ROWS))
+               _large_parts(t, ealc.shards, d * v))
     return (logits if target_ids is None else None), ealc
 
 
@@ -659,9 +659,9 @@ def mlm_head_backward(
     (t, d), v = ealc.g.shape, dlogits.shape[1]
     dz3, dz1, dg_rows = (np.empty_like(ealc.g) for _ in range(3))
     _in_shards(partial(_head_backward_into, params=params), (dlogits, ealc, dz3, dz1, dg_rows),
-               _large_parts(t, ealc.shards, d * v, HEAD_ROWS))
+               _large_parts(t, ealc.shards, d * v))
     tasks = [partial(_tied_grads, dlogits, ealc.z3, grads, cols)
-             for cols in _large_parts(v, ealc.shards, t * d, HEAD_ROWS)]
+             for cols in _large_parts(v, ealc.shards, t * d)]
     tasks += [partial(_head_dense_grads, ealc, dz3, dz1, grads),
               partial(scatter_add_rows, d_h, (ealc.ex_idx, ealc.slots), dg_rows)]
     run_all(tasks, ealc.shards)

@@ -202,7 +202,7 @@ def worker_threads() -> int:
         return _threads
 
 
-def _helpers() -> queue.SimpleQueue:
+def _helper_inbox() -> queue.SimpleQueue:
     """The helper threads' inbox, starting the helpers (which live as long
     as the process) on the first call. A process whose batches never split
     starts none."""
@@ -211,12 +211,12 @@ def _helpers() -> queue.SimpleQueue:
         if _inbox is None:
             _inbox = queue.SimpleQueue()
             for i in range(1, _threads):
-                threading.Thread(target=_helper, args=(_inbox,), daemon=True,
+                threading.Thread(target=_serve, args=(_inbox,), daemon=True,
                                  name=f"dombert-shard-{i}").start()
         return _inbox
 
 
-def _helper(inbox: queue.SimpleQueue) -> None:
+def _serve(inbox: queue.SimpleQueue) -> None:
     while True:
         inbox.get()()
 
@@ -266,7 +266,7 @@ def run_all(tasks: list[Callable[[], None]], threads: int) -> None:
         else:
             finished.put(None)
 
-    inbox = _helpers()
+    inbox = _helper_inbox()
     for _ in range(n - 1):
         inbox.put(helper_drain)
     try:

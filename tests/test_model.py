@@ -252,9 +252,8 @@ class TestHeadShards:
         t = len(tok)
         if case == "three parts":  # the split this test is for does happen
             width = cfg.d_hidden * cfg.vocab_size
-            assert len(model._large_parts(t, 3, width, model.HEAD_ROWS)) == 3
-            assert len(model._large_parts(cfg.vocab_size, 3, t * cfg.d_hidden,
-                                          model.HEAD_ROWS)) == 3
+            assert len(model._large_parts(t, 3, width)) == 3
+            assert len(model._large_parts(cfg.vocab_size, 3, t * cfg.d_hidden)) == 3
         dlogits = np.random.default_rng(6).normal(size=(t, cfg.vocab_size)).astype(cfg.np_dtype)
         out = []
         for shards in (1, 2, 3):
@@ -277,18 +276,17 @@ class TestHeadShards:
                 assert a.tobytes() == arrays1[name].tobytes(), name
 
     def test_parts_are_aligned_and_large(self):
-        """Cuts fall on multiples of the alignment, the parts tile the rows,
-        and each holds more than SMALL_GEMM multiply-adds (or is the only one)."""
+        """Cuts fall on multiples of HEAD_ROWS, the parts tile the rows, and
+        each holds more than SMALL_GEMM multiply-adds (or is the only one)."""
         for rows in (0, 1, 23, 24, 47, 48, 95, 96, 114, 247, 2305):
             for n in (1, 2, 3):
-                for width, align in ((64 * 2305, model.HEAD_ROWS), (64 * 20, model.HEAD_ROWS),
-                                     (114 * 64, model.HEAD_ROWS), (1, 1)):
-                    parts = model._large_parts(rows, n, width, align)
+                for width in (64 * 2305, 64 * 20, 114 * 64, 1):
+                    parts = model._large_parts(rows, n, width)
                     assert 1 <= len(parts) <= n
                     assert parts[0].start == 0 and parts[-1].stop == rows
                     assert all(a.stop == z.start for a, z in zip(parts, parts[1:]))
                     if len(parts) > 1:
-                        assert all(p.start % align == 0 for p in parts)
+                        assert all(p.start % model.HEAD_ROWS == 0 for p in parts)
                         assert all((p.stop - p.start) * width > model.SMALL_GEMM
                                    for p in parts)
 
