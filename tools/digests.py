@@ -17,9 +17,9 @@ environment and once with the variable unset. The program pins OpenBLAS to
 one thread itself, so both settings must give the recorded bytes.
 
 It prints one line per artifact and setting (setting, pipeline, file,
-first 16 hex of its sha256; `report` and `eval` are those commands' stdout). With
---check it compares them with the digests recorded below and exits 1 on
-any difference.
+first 16 hex of its sha256; `report` and `eval` are those commands'
+stdout). With --check it compares them with the digests recorded below
+and exits 1 on any difference.
 
 The bytes depend on the CPU's OpenBLAS kernel as well as on the code, so
 this is not a tier-1 test; the recorded values come from a 2-vCPU Xeon. A
