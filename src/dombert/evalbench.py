@@ -28,7 +28,7 @@ from .errors import ConfigError, CorpusError
 from .masking import MaskingPolicy, make_masked_batch
 from .model import ModelConfig, Params, init_params
 from .nputil import STREAM_EVAL, STREAM_SYNTH, derive_rng
-from .objective import loss_mlm, mean_nll
+from .objective import loss_mlm, masked_token_pass
 from .sampler import report_top_domains
 
 
@@ -180,11 +180,12 @@ def eval_pseudo_perplexity(
         )
         if batch.n_targets == 0:
             continue
-        ex_idx, _, target_ids = batch.flat_targets()
-        rows, slots = batch.output_rows()
-        fwd = model_ops.encode(batch.input_ids, batch.valid_lens, params, config, rows)
-        _, ealc = model_ops.mlm_logits_eal(fwd, ex_idx, slots, params, target_ids)
-        ce_sum += mean_nll(ealc.picked, ealc.exp_sum) * batch.n_targets
+        # Only the head cache outlives this batch. Both dropped here, glibc
+        # trims the heap and every batch faults it back in (-20% tokens/s);
+        # both kept, peak memory holds two batches' encoder caches.
+        loss, fwd, ealc = masked_token_pass(batch, params, config)
+        del fwd
+        ce_sum += loss * batch.n_targets
         n_targets += batch.n_targets
     if n_targets == 0:
         raise ConfigError("masking selected no positions in the held-out set")

@@ -35,11 +35,14 @@ class MaskingPolicy:
 
 @dataclass
 class MaskedBatch:
-    """Corrupted input rows plus per-example (position, original id) targets."""
+    """Corrupted input rows plus the prediction targets, one array entry per
+    target, grouped by example in example order and by position within one."""
 
     input_ids: np.ndarray          # (B, L) after corruption
     valid_lens: np.ndarray         # (B,)
-    targets: list[list[tuple[int, int]]]
+    target_ex: np.ndarray          # (T,) example index of each target
+    target_pos: np.ndarray         # (T,) its position
+    target_ids: np.ndarray         # (T,) the original id there
     domain_labels: np.ndarray      # (B,)
 
     @property
@@ -48,21 +51,11 @@ class MaskedBatch:
 
     @property
     def n_targets(self) -> int:
-        return sum(len(t) for t in self.targets)
+        return len(self.target_ids)
 
     def flat_targets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(example index, position, original id) arrays over all targets."""
-        ex, pos, tok = [], [], []
-        for i, tlist in enumerate(self.targets):
-            for p, t in tlist:
-                ex.append(i)
-                pos.append(p)
-                tok.append(t)
-        return (
-            np.asarray(ex, dtype=np.int64),
-            np.asarray(pos, dtype=np.int64),
-            np.asarray(tok, dtype=np.int64),
-        )
+        return self.target_ex, self.target_pos, self.target_ids
 
     def output_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """The positions the two heads read, as (B, R) rows, and each
@@ -71,12 +64,12 @@ class MaskedBatch:
         Slot 0 is [CLS]; slots 1..n_b hold example b's targets; the rest
         repeat position 0. R is 1 + the largest per-example target count.
         """
-        rows = np.zeros((self.batch_size, 1 + max(map(len, self.targets))), np.int64)
-        slots = []
-        for i, tlist in enumerate(self.targets):
-            rows[i, 1 : 1 + len(tlist)] = [p for p, _ in tlist]
-            slots.extend(range(1, 1 + len(tlist)))
-        return rows, np.asarray(slots, dtype=np.int64)
+        counts = np.bincount(self.target_ex, minlength=self.batch_size)
+        firsts = np.cumsum(counts) - counts
+        slots = np.arange(1, 1 + self.n_targets) - firsts[self.target_ex]
+        rows = np.zeros((self.batch_size, 1 + counts.max()), np.int64)
+        rows[self.target_ex, slots] = self.target_pos
+        return rows, slots
 
 
 def apply_dynamic_masking(
@@ -84,36 +77,37 @@ def apply_dynamic_masking(
     policy: MaskingPolicy,
     rng: np.random.Generator,
     vocab_size: int,
-) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Corrupt one example; returns (corrupted ids, targets).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Corrupt one example; returns (corrupted ids, target positions in
+    increasing order, the original ids there).
 
     Candidate positions are the non-reserved tokens inside the valid region;
     [CLS], [SEP], [PAD] (and all other reserved ids) are never selected.
     Random replacements draw uniformly from the non-reserved id range.
     """
     ids = example.ids.copy()
+    none = np.zeros(0, np.int64)
     candidates = np.flatnonzero(
         (np.arange(ids.shape[0]) < example.valid_len) & (ids >= NUM_RESERVED)
     )
     if candidates.size == 0 or policy.select_prob == 0.0:
-        return ids, []
+        return ids, none, none
 
     selected = candidates[rng.random(candidates.size) < policy.select_prob]
     if selected.size == 0:
-        return ids, []
+        return ids, none, none
 
     rolls = rng.random(selected.size)
     to_mask = selected[rolls < policy.mask_frac]
     to_random = selected[
         (rolls >= policy.mask_frac) & (rolls < policy.mask_frac + policy.random_frac)
     ]
-    targets = [(int(p), int(ids[p])) for p in np.sort(selected)]
     ids[to_mask] = MASK_ID
     if to_random.size:
         if vocab_size <= NUM_RESERVED:
             raise ConfigError("vocabulary has no non-reserved ids to draw from")
         ids[to_random] = rng.integers(NUM_RESERVED, vocab_size, size=to_random.size)
-    return ids, targets
+    return ids, selected, example.ids[selected]
 
 
 def make_masked_batch(
@@ -123,14 +117,13 @@ def make_masked_batch(
     vocab_size: int,
 ) -> MaskedBatch:
     """Mask a list of same-length examples into one batch."""
-    rows, all_targets = [], []
-    for ex in examples:
-        ids, targets = apply_dynamic_masking(ex, policy, rng, vocab_size)
-        rows.append(ids)
-        all_targets.append(targets)
+    rows, positions, originals = zip(
+        *(apply_dynamic_masking(ex, policy, rng, vocab_size) for ex in examples))
     return MaskedBatch(
         input_ids=np.stack(rows),
         valid_lens=np.array([ex.valid_len for ex in examples], dtype=np.int64),
-        targets=all_targets,
+        target_ex=np.repeat(np.arange(len(examples)), [len(p) for p in positions]),
+        target_pos=np.concatenate(positions),
+        target_ids=np.concatenate(originals),
         domain_labels=np.array([ex.domain_id for ex in examples], dtype=np.int64),
     )

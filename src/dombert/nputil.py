@@ -6,7 +6,7 @@ import math
 import os
 import queue
 import threading
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy.special import erf
@@ -70,11 +70,6 @@ def softmax_parts(
     np.exp(e, out=e)
     sums = np.sum(e, axis=-1, keepdims=True, out=sums)
     return e, sums, picked
-
-
-def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
 
 
 def gelu(x: np.ndarray, s: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -162,22 +157,30 @@ _threads: int | None = None
 _inbox: queue.SimpleQueue | None = None
 
 
+def _openblas_paths(maps_lines: Iterable[str]) -> list[str]:
+    """The OpenBLAS files named in /proc/self/maps lines, sorted. The
+    pathname is the sixth field and may hold spaces; a deleted file cannot
+    be opened."""
+    fields = (line.rstrip("\n").split(maxsplit=5) for line in maps_lines)
+    paths = {f[5] for f in fields if len(f) == 6 and "openblas" in f[5].rsplit("/", 1)[-1]}
+    return sorted(p for p in paths if not p.endswith(" (deleted)"))
+
+
 def _pin_openblas() -> bool:
     """Set every OpenBLAS loaded in this process to one thread.
 
-    False when there is none to set: not Linux, or numpy uses another BLAS.
+    False when there is none to set: not Linux, numpy uses another BLAS, or
+    one cannot be opened, whose thread count then stays unknown.
     openblas_set_num_threads_local is no use here: in a pthreads build it
     sets the process-wide count too.
     """
     try:
         with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
-            paths = {line.split()[-1] for line in fh
-                     if "openblas" in line.rsplit("/", 1)[-1]}
+            libs = [ctypes.CDLL(path, mode=os.RTLD_NOLOAD) for path in _openblas_paths(fh)]
     except OSError:
         return False
     pinned = False
-    for path in sorted(paths):
-        lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+    for lib in libs:
         setter = next((getattr(lib, name) for name in _SET_BLAS_THREADS
                        if hasattr(lib, name)), None)
         if setter is not None:

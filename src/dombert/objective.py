@@ -19,7 +19,7 @@ import numpy as np
 from . import model
 from .errors import ConfigError, InputError
 from .masking import MaskedBatch
-from .nputil import log_softmax, normalize_rows, softmax, softmax_parts
+from .nputil import normalize_rows, softmax, softmax_parts
 
 
 @dataclass(frozen=True)
@@ -31,27 +31,18 @@ class LossBreakdown:
     total: float
 
 
-def mlm_softmax(
-    eal_logits: np.ndarray, target_ids: np.ndarray,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """loss_mlm together with e = exp(logits - row max) and e's row sums.
-
-    One exp pass serves the loss and its gradient: the softmax is e / sums.
-    """
-    e, sums, picked = softmax_parts(eal_logits, target_ids)
-    return mean_nll(picked, sums), e, sums
-
-
-def mean_nll(picked: np.ndarray, sums: np.ndarray) -> float:
+def mean_nll(picked: np.ndarray, sums: np.ndarray, weights: np.ndarray | None = None) -> float:
     """Mean negative log-softmax at the targets, from softmax_parts' pieces:
-    logits - row max at each target, and the row sums of the exp; 0 when
-    there are no targets."""
-    return float(-(picked - np.log(sums[:, 0])).mean()) if len(picked) else 0.0
+    logits - row max at each target, and the row sums of the exp; with
+    weights, the mean of weight * nll. 0 when there are no targets."""
+    nll = -(picked - np.log(sums[:, 0]))
+    return float((nll if weights is None else nll * weights).mean()) if len(nll) else 0.0
 
 
 def loss_mlm(eal_logits: np.ndarray, target_ids: np.ndarray) -> float:
     """Mean cross-entropy over target positions; 0 when there are none."""
-    return mlm_softmax(eal_logits, target_ids)[0]
+    _, sums, picked = softmax_parts(eal_logits, target_ids)
+    return mean_nll(picked, sums)
 
 
 def loss_cls(
@@ -64,11 +55,8 @@ def loss_cls(
     labels = np.asarray(labels)
     if labels.min() < 0 or labels.max() >= logits.shape[1]:
         raise InputError("domain label out of range")
-    logp = log_softmax(logits, axis=-1)
-    ce = -logp[np.arange(logits.shape[0]), labels]
-    if weights is not None:
-        ce = ce * weights
-    return float(ce.mean())
+    _, sums, picked = softmax_parts(logits, labels)
+    return mean_nll(picked, sums, weights)
 
 
 def regularizer(dom_emb: np.ndarray) -> float:
@@ -123,6 +111,18 @@ class StepCache:
     delta: float
 
 
+def masked_token_pass(
+    batch: MaskedBatch, params: model.Params, config: model.ModelConfig,
+) -> tuple[float, model.ForwardCache, model.EalCache]:
+    """loss_mlm of a masked batch encoded at the heads' rows, with the
+    encoder's cache and the head's, which holds the softmax's pieces."""
+    ex_idx, _, target_ids = batch.flat_targets()
+    rows, slots = batch.output_rows()
+    fwd = model.encode(batch.input_ids, batch.valid_lens, params, config, rows)
+    _, ealc = model.mlm_logits_eal(fwd, ex_idx, slots, params, target_ids)
+    return mean_nll(ealc.picked, ealc.exp_sum), fwd, ealc
+
+
 def forward(
     batch: MaskedBatch,
     params: model.Params,
@@ -142,12 +142,8 @@ def forward(
                 f"cls_weights has shape {cls_weights.shape}, batch holds "
                 f"{batch.batch_size} examples"
             )
-    ex_idx, _, target_ids = batch.flat_targets()
-    rows, slots = batch.output_rows()
-    fwd = model.encode(batch.input_ids, batch.valid_lens, params, config, rows)
-    _, ealc = model.mlm_logits_eal(fwd, ex_idx, slots, params, target_ids)
+    mlm, fwd, ealc = masked_token_pass(batch, params, config)
     dom = model.domain_logits(fwd.h_cls, params)
-    mlm = mean_nll(ealc.picked, ealc.exp_sum)
     cls = loss_cls(dom, batch.domain_labels, cls_weights)
     delta = regularizer(params["dom_emb"])
     breakdown = total_loss(mlm, cls, delta, lam)

@@ -145,14 +145,20 @@ def state_from_json(raw: dict[str, Any], corpus: PackedCorpus) -> SamplerState:
     queues = []
     for i, q in enumerate(raw["queues"]):
         order = np.asarray(q["order"], dtype=np.int64)
-        if order.shape[0] != len(by_domain[i]):
-            raise CheckpointError(
-                f"queue {i} covers {order.shape[0]} examples, corpus has "
-                f"{len(by_domain[i])}"
-            )
-        queues.append(DomainQueue(order=order, cursor=int(q["cursor"])))
+        n = len(by_domain[i])
+        if not np.array_equal(np.sort(order), np.arange(n)):
+            raise CheckpointError(f"queue {i} order is not a permutation of its {n} examples")
+        cursor = int(q["cursor"])
+        if not 0 <= cursor <= n:
+            raise CheckpointError(f"queue {i} cursor {cursor} is outside [0, {n}]")
+        queues.append(DomainQueue(order=order, cursor=cursor))
+    probs = np.asarray(raw["probs"], dtype=np.float64)
+    if not (probs.shape == (len(by_domain),) and np.all(probs >= 0.0)
+            and abs(probs.sum() - 1.0) <= 1e-9):
+        raise CheckpointError("sampler probs are not a distribution over the "
+                              f"{len(by_domain)} domains")
     return SamplerState(
-        queues=queues, probs=np.asarray(raw["probs"], dtype=np.float64),
+        queues=queues, probs=probs,
         target=int(raw["target"]), tau=float(raw["tau"]),
         rng=rng_from_state(raw["rng"]), examples_by_domain=by_domain,
         explore=float(raw["explore"]),

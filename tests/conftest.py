@@ -36,8 +36,19 @@ def batch_with_target_counts(seed: int, vocab_size: int, max_len: int,
         positions = np.sort(gen.choice(np.arange(1, valid[i]), n, replace=False))
         targets.append([(int(p), int(gen.integers(NUM_RESERVED, vocab_size)))
                         for p in positions])
-    return MaskedBatch(input_ids=ids, valid_lens=valid, targets=targets,
-                       domain_labels=gen.integers(0, n_domains, size=b))
+    return masked_batch(ids, valid, targets, gen.integers(0, n_domains, size=b))
+
+
+def masked_batch(input_ids: np.ndarray, valid_lens: np.ndarray,
+                 targets: list[list[tuple[int, int]]],
+                 domain_labels: np.ndarray) -> MaskedBatch:
+    """A MaskedBatch whose targets are given per example, as (position,
+    original id) pairs."""
+    pairs = np.array([pair for tlist in targets for pair in tlist], np.int64).reshape(-1, 2)
+    return MaskedBatch(input_ids=input_ids, valid_lens=valid_lens,
+                       target_ex=np.repeat(np.arange(len(targets)), list(map(len, targets))),
+                       target_pos=pairs[:, 0], target_ids=pairs[:, 1],
+                       domain_labels=domain_labels)
 
 
 @pytest.fixture

@@ -416,9 +416,9 @@ def test_criterion_8_masking_statistics():
     while n_candidates < 110_000:
         ex = random_packed_example(gen, max_len=130, vocab_size=vocab_size)
         n_candidates += max(0, ex.valid_len - 2)
-        ids, targets = apply_dynamic_masking(ex, policy, mask_rng, vocab_size)
-        n_selected += len(targets)
-        for p, orig in targets:
+        ids, positions, originals = apply_dynamic_masking(ex, policy, mask_rng, vocab_size)
+        n_selected += len(positions)
+        for p, orig in zip(positions, originals):
             if not (0 < p < ex.valid_len) or ex.ids[p] < corpuslib.NUM_RESERVED:
                 special_hit = True
             if ids[p] == corpuslib.MASK_ID:

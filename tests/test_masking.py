@@ -8,7 +8,13 @@ from dombert.errors import ConfigError
 from dombert.masking import MaskingPolicy, apply_dynamic_masking, make_masked_batch
 from dombert.nputil import derive_rng
 
-from conftest import random_packed_example
+from conftest import batch_with_target_counts, random_packed_example
+
+
+def mask(example, policy, rng, vocab_size):
+    """apply_dynamic_masking with its targets as (position, original id) pairs."""
+    ids, positions, originals = apply_dynamic_masking(example, policy, rng, vocab_size)
+    return ids, list(zip(positions.tolist(), originals.tolist()))
 
 
 class TestPolicy:
@@ -30,7 +36,7 @@ class TestApplyDynamicMasking:
     def test_zero_select_prob_changes_nothing(self, rng):
         ex = random_packed_example(rng)
         policy = MaskingPolicy(select_prob=0.0)
-        ids, targets = apply_dynamic_masking(ex, policy, derive_rng(0, 0), 30)
+        ids, targets = mask(ex, policy, derive_rng(0, 0), 30)
         assert targets == []
         assert np.array_equal(ids, ex.ids)
 
@@ -38,7 +44,7 @@ class TestApplyDynamicMasking:
         policy = MaskingPolicy(select_prob=1.0)
         for seed in range(40):
             ex = random_packed_example(rng)
-            ids, targets = apply_dynamic_masking(ex, policy, derive_rng(seed, 0), 30)
+            ids, targets = mask(ex, policy, derive_rng(seed, 0), 30)
             positions = {p for p, _ in targets}
             for p in positions:
                 assert 0 < p < ex.valid_len
@@ -51,7 +57,7 @@ class TestApplyDynamicMasking:
     def test_positions_strictly_increasing(self, rng):
         policy = MaskingPolicy(select_prob=0.5)
         ex = random_packed_example(rng, max_len=24)
-        _, targets = apply_dynamic_masking(ex, policy, derive_rng(3, 0), 30)
+        _, targets = mask(ex, policy, derive_rng(3, 0), 30)
         positions = [p for p, _ in targets]
         assert positions == sorted(set(positions))
 
@@ -62,7 +68,7 @@ class TestApplyDynamicMasking:
         gen = np.random.default_rng(seed)
         ex = random_packed_example(gen, max_len=16, vocab_size=40)
         policy = MaskingPolicy(select_prob=0.4)
-        ids, targets = apply_dynamic_masking(ex, policy, derive_rng(seed, 1), 40)
+        ids, targets = mask(ex, policy, derive_rng(seed, 1), 40)
         for p, orig in targets:
             ids[p] = orig
         assert np.array_equal(ids, ex.ids)
@@ -70,16 +76,16 @@ class TestApplyDynamicMasking:
     def test_same_seed_same_corruption(self, rng):
         ex = random_packed_example(rng)
         policy = MaskingPolicy()
-        a = apply_dynamic_masking(ex, policy, derive_rng(9, 2), 30)
-        b = apply_dynamic_masking(ex, policy, derive_rng(9, 2), 30)
+        a = mask(ex, policy, derive_rng(9, 2), 30)
+        b = mask(ex, policy, derive_rng(9, 2), 30)
         assert np.array_equal(a[0], b[0])
         assert a[1] == b[1]
 
     def test_different_rng_state_differs(self, rng):
         ex = random_packed_example(rng, max_len=64, vocab_size=50)
         policy = MaskingPolicy(select_prob=0.5)
-        a = apply_dynamic_masking(ex, policy, derive_rng(1, 2), 50)
-        b = apply_dynamic_masking(ex, policy, derive_rng(2, 2), 50)
+        a = mask(ex, policy, derive_rng(1, 2), 50)
+        b = mask(ex, policy, derive_rng(2, 2), 50)
         assert a[1] != b[1] or not np.array_equal(a[0], b[0])
 
     def test_selection_and_category_statistics(self):
@@ -102,7 +108,7 @@ class TestApplyDynamicMasking:
         while n_candidates < 120_000:
             ex = random_packed_example(gen, max_len=130, vocab_size=vocab_size)
             n_candidates += max(0, ex.valid_len - 2)
-            ids, targets = apply_dynamic_masking(ex, policy, mask_rng, vocab_size)
+            ids, targets = mask(ex, policy, mask_rng, vocab_size)
             n_selected += len(targets)
             for p, orig in targets:
                 if ids[p] == MASK_ID:
@@ -127,13 +133,49 @@ class TestMakeMaskedBatch:
         assert batch.batch_size == 3
 
     def test_flat_targets_match_lists(self, rng):
-        exs = [random_packed_example(rng, max_len=20) for _ in range(4)]
-        batch = make_masked_batch(exs, MaskingPolicy(select_prob=0.5),
-                                  derive_rng(5, 0), 30)
-        ex_idx, pos, tok = batch.flat_targets()
-        assert len(ex_idx) == batch.n_targets
-        flat = [(int(e), int(p), int(t)) for e, p, t in zip(ex_idx, pos, tok)]
-        expected = [
-            (i, p, t) for i, tlist in enumerate(batch.targets) for p, t in tlist
-        ]
-        assert flat == expected
+        """The batch's rows and target arrays are those of masking each
+        example in turn from the same generator."""
+        for select_prob in (0.0, 0.15, 0.5):
+            policy = MaskingPolicy(select_prob=select_prob)
+            for seed in range(10):
+                exs = [random_packed_example(rng, max_len=20) for _ in range(4)]
+                batch = make_masked_batch(exs, policy, derive_rng(seed, 0), 30)
+                rng_again = derive_rng(seed, 0)
+                per_example = [mask(ex, policy, rng_again, 30) for ex in exs]
+                assert np.array_equal(batch.input_ids, [ids for ids, _ in per_example])
+                ex_idx, pos, tok = batch.flat_targets()
+                assert ex_idx.dtype == pos.dtype == tok.dtype == np.int64
+                assert len(ex_idx) == batch.n_targets
+                flat = [(int(e), int(p), int(t)) for e, p, t in zip(ex_idx, pos, tok)]
+                expected = [
+                    (i, p, t) for i, (_, tlist) in enumerate(per_example) for p, t in tlist
+                ]
+                assert flat == expected
+
+
+def rows_by_loop(batch):
+    """output_rows() written as a loop over examples."""
+    ex_idx, pos, _ = batch.flat_targets()
+    per_example = [[int(p) for e, p in zip(ex_idx, pos) if e == i]
+                   for i in range(batch.batch_size)]
+    rows = np.zeros((batch.batch_size, 1 + max(map(len, per_example))), np.int64)
+    slots = []
+    for i, positions in enumerate(per_example):
+        rows[i, 1 : 1 + len(positions)] = positions
+        slots.extend(range(1, 1 + len(positions)))
+    return rows, np.asarray(slots, dtype=np.int64)
+
+
+class TestOutputRows:
+    @pytest.mark.parametrize("counts", [
+        [0, 3, 1, 2], [3, 0, 2, 1], [2, 1, 3, 0], [0, 0, 5, 0, 0, 1, 0], [0, 0, 0], [4], [0],
+    ], ids=["none at the start", "none in the middle", "none at the end",
+            "several without", "no targets", "one example", "one example, no targets"])
+    def test_matches_a_loop_over_examples(self, counts):
+        batch = batch_with_target_counts(3, 50, 16, counts)
+        rows, slots = batch.output_rows()
+        want_rows, want_slots = rows_by_loop(batch)
+        assert rows.shape == (len(counts), 1 + max(counts))
+        assert rows.dtype == slots.dtype == np.int64
+        assert np.array_equal(rows, want_rows)
+        assert np.array_equal(slots, want_slots)

@@ -10,15 +10,15 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from dombert import model
+from dombert import model, nputil
 from dombert.corpus import CLS_ID, NUM_RESERVED, PAD_ID, SEP_ID
 from dombert.errors import ConfigError, InputError
-from dombert.masking import MaskedBatch, MaskingPolicy, make_masked_batch
+from dombert.masking import MaskingPolicy, make_masked_batch
 from dombert.objective import loss_cls, loss_mlm, mean_nll
 from dombert.nputil import (derive_rng, gelu, gelu_grad, run_all, scatter_add_rows, softmax,
                             worker_threads)
 
-from conftest import batch_with_target_counts, random_packed_example
+from conftest import batch_with_target_counts, masked_batch, random_packed_example
 
 
 def tiny_config(**overrides):
@@ -141,8 +141,7 @@ class TestPrunedLastLayer:
                    [(2, 7), (5, 8)],                      # padded: valid_len 7 < L
                    [],                                    # zero targets: padding slots
                    [(1, 5), (4, 6), (6, 7), (8, 9)]]
-        return MaskedBatch(input_ids=ids, valid_lens=np.array([l, 7, l, 10]),
-                           targets=targets, domain_labels=np.array([0, 2, 1, 0]))
+        return masked_batch(ids, np.array([l, 7, l, 10]), targets, np.array([0, 2, 1, 0]))
 
     @pytest.mark.parametrize("dtype, tol", [("float64", 1e-12), ("float32", 1e-6)])
     @pytest.mark.parametrize("n_layers", [1, 2])
@@ -373,6 +372,26 @@ class TestRunAll:
                 pytest.fail("the forked child did not finish its run_all")
             time.sleep(0.05)
         assert os.waitstatus_to_exitcode(status[1]) == 0
+
+
+class TestPinOpenblas:
+    LIB = "/home/user/my envs/numpy.libs/libscipy_openblas64_-32a4b2a6.so"
+    MAPS = [
+        f"7f00-7f10 r--p 00000000 08:01 1234                       {LIB}\n",
+        f"7f10-7f20 r-xp 00010000 08:01 1234                       {LIB}\n",
+        "7f20-7f30 r-xp 00000000 08:01 1235     /usr/lib/libopenblas.so.0 (deleted)\n",
+        "7f30-7f40 rw-p 00000000 00:00 0                          [heap]\n",
+        "7f40-7f50 rw-p 00000000 00:00 0 \n",
+        "7f50-7f60 r-xp 00000000 08:01 1236                       /usr/lib/libm.so.6\n",
+    ]
+
+    def test_paths_keep_their_spaces_and_skip_deleted_files(self):
+        assert nputil._openblas_paths(self.MAPS) == [self.LIB]
+
+    def test_an_openblas_that_cannot_be_opened_is_not_pinned(self, monkeypatch):
+        """The documented fallback: one worker thread, batches unsplit."""
+        monkeypatch.setattr(nputil, "_openblas_paths", lambda lines: [self.LIB])
+        assert nputil._pin_openblas() is False
 
 
 class TestDomainLogits:

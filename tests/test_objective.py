@@ -8,7 +8,7 @@ import pytest
 from dombert import model, objective
 from dombert.errors import ConfigError, DegenerateEmbeddingError, InputError
 from dombert.masking import MaskingPolicy, make_masked_batch
-from dombert.nputil import derive_rng
+from dombert.nputil import derive_rng, softmax_parts
 
 from conftest import batch_with_target_counts, random_packed_example
 
@@ -68,16 +68,20 @@ class TestLossMlm:
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     @pytest.mark.parametrize("spread", [1.0, 3.0])
     def test_one_exp_pass_gives_the_bytes_of_log_softmax_and_softmax(self, dtype, spread):
-        """The loss equals the log-softmax expression it replaces, and
-        e / sums equals the softmax backward used to recompute."""
+        """Both heads' losses equal the log-softmax expression, weighted or
+        not, and softmax_parts' e / sums equals the softmax."""
         gen = np.random.default_rng(5)
         logits = (gen.normal(size=(200, 300)) * spread).astype(dtype)
         target = gen.integers(0, 300, size=200)
+        weights = gen.uniform(0.2, 5.0, size=200).astype(dtype)
         before = logits.copy()
-        loss, e, sums = objective.mlm_softmax(logits, target)
         shifted = logits - np.max(logits, axis=-1, keepdims=True)
         logp = shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
-        assert loss == float(-logp[np.arange(200), target].mean())
+        ce = -logp[np.arange(200), target]
+        assert objective.loss_mlm(logits, target) == float(-logp[np.arange(200), target].mean())
+        assert objective.loss_cls(logits, target) == float(ce.mean())
+        assert objective.loss_cls(logits, target, weights) == float((ce * weights).mean())
+        e, sums, _ = softmax_parts(logits, target)
         dlogits = e / sums
         assert dlogits.dtype == np.dtype(dtype)
         assert np.array_equal(dlogits, np.exp(shifted) / np.sum(np.exp(shifted), axis=-1,
@@ -468,7 +472,10 @@ class TestFloat32Contract:
         cfg, params, batch, lam = random_instance(
             36, lam=0.6, n=3, dtype="float32", n_layers=2)
         params = {k: v.astype(cfg.np_dtype) for k, v in params.items()}
-        batch.targets[1] = []  # its row of the pruned last layer is all padding slots
+        # example 1 loses its targets: its row of the pruned last layer is all padding slots
+        keep = batch.target_ex != 1
+        batch.target_ex, batch.target_pos, batch.target_ids = (
+            a[keep] for a in batch.flat_targets())
         assert batch.n_targets > 0
         modules = {model.__name__, objective.__name__}
         exempt = {"regularizer", "regularizer_grad"}

@@ -153,6 +153,25 @@ class TestQueues:
             state_from_json(saved, make_corpus(rng, [2, 1, 1], target=2))
         assert state_from_json(saved, make_corpus(rng, [2, 1, 1])).target == 0
 
+    @pytest.mark.parametrize("key, value, match", [
+        ("cursor", -1, "queue 0 cursor -1"),
+        ("cursor", 99, "queue 0 cursor 99"),
+        ("order", [0, 0, 2], "queue 0 order is not a permutation"),
+        ("order", [0, 1], "queue 0 order is not a permutation"),
+        ("probs", [0.5, 0.5], "probs are not a distribution over the 3 domains"),
+        ("probs", [float("nan"), 0.5, 0.5], "probs are not a distribution"),
+    ], ids=["cursor below the queue", "cursor past the queue", "repeated example",
+            "order of another length", "probs of another length", "NaN in probs"])
+    def test_damaged_state_rejected(self, rng, key, value, match):
+        """A damaged state would resume with other draws than the
+        uninterrupted run, or fail in the first sample_batch."""
+        saved = state_to_json(self._state(rng, [3, 1, 1]))
+        corpus = make_corpus(rng, [3, 1, 1])
+        assert state_from_json(saved, corpus).queues[0].cursor == 0
+        (saved if key == "probs" else saved["queues"][0])[key] = value
+        with pytest.raises(CheckpointError, match=match):
+            state_from_json(saved, corpus)
+
     def test_each_example_once_per_refill_window(self, rng):
         state = self._state(rng, [3, 2])
         seen = [id(next_example(state, 0)) for _ in range(6)]
