@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from collections.abc import Iterator
 from contextlib import contextmanager
@@ -91,7 +92,7 @@ def open_replacing(path: str | Path, mode: str = "wb", **kwargs: Any) -> Iterato
 def _write_array(fh: BinaryIO, name: str, arr: np.ndarray, config: ModelConfig) -> None:
     dims = " ".join(str(d) for d in arr.shape)
     _write_line(fh, f"{name} {dims}")
-    fh.write(np.ascontiguousarray(arr, dtype=config.np_dtype.newbyteorder("<")).tobytes())
+    fh.write(np.ascontiguousarray(arr, dtype=config.np_dtype.newbyteorder("<")).data)
 
 
 def _read_array(fh: BinaryIO, name: str, shape: tuple[int, ...],
@@ -173,7 +174,8 @@ def save_model(
 
 def load(path: str | Path) -> CheckpointBundle:
     """Read a checkpoint; rejects bad versions, numbers, shapes and truncation,
-    and domain names or a target index that do not fit the model."""
+    domain names or a target index that do not fit the model, and Adamax
+    settings outside step >= 0, 0 <= beta1, beta2 < 1 and finite eps > 0."""
     with open(path, "rb") as fh:
         if _read_line(fh) != MAGIC:
             raise CheckpointError("not a DOMBERT-CKPT v1 file")
@@ -218,6 +220,12 @@ def load(path: str | Path) -> CheckpointBundle:
                       **{key: float(kv[key]) for key in ("beta1", "beta2", "eps")}}
         except (KeyError, ValueError):
             raise CheckpointError(f"bad section header {header_text!r}") from None
+        for key, ok in (("step", adamax["step"] >= 0),
+                        ("beta1", 0.0 <= adamax["beta1"] < 1.0),
+                        ("beta2", 0.0 <= adamax["beta2"] < 1.0),
+                        ("eps", math.isfinite(adamax["eps"]) and adamax["eps"] > 0.0)):
+            if not ok:
+                raise CheckpointError(f"{_ADAMAX_SECTION} {key}={adamax[key]} is out of range")
         m: Params = {}
         u: Params = {}
         for name, shape in param_specs(config):

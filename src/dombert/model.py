@@ -13,7 +13,9 @@ defined in exactly one place.
 """
 from __future__ import annotations
 
+import ctypes
 import dataclasses
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -102,23 +104,68 @@ def _is_bias(name: str) -> bool:
     return leaf.endswith("_b") or leaf.startswith("b")
 
 
+def flat_views(specs: list[tuple[str, tuple[int, ...]]], dtype: np.dtype,
+               alloc: Callable = np.empty) -> Params:
+    """One (name, shape) view per spec, in order, of one new 1-D C-contiguous
+    buffer made by alloc(size, dtype=dtype)."""
+    sizes = [math.prod(shape) for _, shape in specs]
+    flat = alloc(sum(sizes), dtype=dtype)
+    views: Params = {}
+    start = 0
+    for (name, shape), size in zip(specs, sizes):
+        views[name] = flat[start:start + size].reshape(shape)
+        start += size
+    return views
+
+
+def flat_buffer(params: Params) -> np.ndarray:
+    """The one 1-D buffer that params' arrays are writable C-contiguous views
+    of, one after another in dict order and covering all of it; ValueError
+    otherwise."""
+    arrays = list(params.values())
+    flat = arrays[0].base if arrays else None
+    if not (isinstance(flat, np.ndarray) and flat.ndim == 1):
+        raise ValueError("arrays are not views of one flat buffer")
+    # ctypes reads a buffer's address in a third of the time arr.ctypes.data
+    # takes, and refuses (TypeError) one that is read-only or not C-contiguous.
+    try:
+        start = addr = ctypes.addressof(ctypes.c_char.from_buffer(flat))
+        for arr in arrays:
+            if (arr.base is not flat or arr.dtype != flat.dtype
+                    or ctypes.addressof(ctypes.c_char.from_buffer(arr)) != addr):
+                raise ValueError("arrays are not views of one flat buffer in order")
+            addr += arr.nbytes
+    except TypeError:
+        raise ValueError("arrays are not writable C-contiguous views") from None
+    if addr != start + flat.nbytes:
+        raise ValueError("arrays do not cover their flat buffer")
+    return flat
+
+
+def flat_copy(params: Params) -> Params:
+    """Copies of params' arrays, in dict order, as views of one new buffer
+    of the first array's dtype."""
+    dtype = next(iter(params.values())).dtype
+    copies = flat_views([(name, arr.shape) for name, arr in params.items()], dtype)
+    for name, arr in params.items():
+        copies[name][...] = arr
+    return copies
+
+
 def init_params(config: ModelConfig, rng: np.random.Generator) -> Params:
-    """Weights ~ N(0, 0.02^2); biases 0; layer-norm gain 1, bias 0."""
-    params: Params = {}
-    for name, shape in param_specs(config):
+    """Weights ~ N(0, 0.02^2); biases 0; layer-norm gain 1, bias 0; all views
+    of one flat buffer in param_specs order."""
+    params = flat_views(param_specs(config), config.np_dtype, np.zeros)
+    for name, arr in params.items():
         if _is_gain(name):
-            arr = np.ones(shape)
-        elif _is_bias(name):
-            arr = np.zeros(shape)
-        else:
-            arr = rng.normal(0.0, INIT_STD, size=shape)
-        params[name] = arr.astype(config.np_dtype)
+            arr.fill(1.0)
+        elif not _is_bias(name):
+            arr[...] = rng.normal(0.0, INIT_STD, size=arr.shape).astype(config.np_dtype)
     return params
 
 
 def zero_grads(config: ModelConfig) -> Params:
-    return {name: np.zeros(shape, dtype=config.np_dtype)
-            for name, shape in param_specs(config)}
+    return flat_views(param_specs(config), config.np_dtype, np.zeros)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ sampler with the unweighted loss; target_only runs never weight.
 """
 from __future__ import annotations
 
-import copy
 import dataclasses
 import math
 import os
@@ -29,7 +28,7 @@ from . import checkpoint, objective
 from .corpus import DomainTable, PackedCorpus
 from .errors import CheckpointError, ConfigError, NonFiniteGradientError
 from .masking import MaskingPolicy, make_masked_batch
-from .model import ModelConfig, Params, init_params, zero_grads
+from .model import ModelConfig, Params, flat_buffer, flat_copy, init_params, zero_grads
 from .nputil import STREAM_INIT, STREAM_MASKING, STREAM_SAMPLER, derive_rng, rng_from_state
 from .objective import LossBreakdown, total_loss
 from .sampler import (
@@ -64,12 +63,12 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.lam <= 1.0:
             raise ConfigError("lam must be in [0, 1]")
-        if self.tau <= 0.0:
-            raise ConfigError("tau must be > 0")
+        if not (math.isfinite(self.tau) and self.tau > 0.0):
+            raise ConfigError("tau must be finite and > 0")
         if not 0.0 <= self.explore < 1.0:
             raise ConfigError("explore must be in [0, 1)")
-        if self.lr <= 0.0:
-            raise ConfigError("lr must be > 0")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ConfigError("lr must be finite and > 0")
         if min(self.micro_batch, self.accum_steps) < 1:
             raise ConfigError("micro_batch and accum_steps must be >= 1")
         if min(self.epochs, self.checkpoint_interval) < 0:
@@ -94,33 +93,57 @@ def init_adamax(config: ModelConfig) -> AdamaxState:
     return AdamaxState(m=zero_grads(config), u=zero_grads(config))
 
 
+# Bytes of each array that one block of the Adamax sweep touches: small
+# enough that a block's gradient, moments, parameters and two scratch arrays
+# stay in cache across its numpy calls.
+ADAMAX_BLOCK_BYTES = 256 * 1024
+
+
 def adamax_step(params: Params, grads: Params, state: AdamaxState, lr: float) -> None:
     """In-place Adamax update.
 
     m <- b1*m + (1-b1)*g; u <- max(b2*u, |g|); theta -= lr/(1-b1^t) * m/(u+eps).
+    params, grads, state.m and state.u are each views of one flat buffer
+    (model.flat_buffer) with the same names in the same order; the update is
+    elementwise, so it runs as one sweep over the flat buffers in blocks of
+    ADAMAX_BLOCK_BYTES per array.
     Non-finite gradients abort before anything changes; nothing is clipped
     silently.
     """
-    for name, g in grads.items():
-        if not np.isfinite(g).all():
-            raise NonFiniteGradientError(
-                f"non-finite gradient in {name!r} at optimizer step {state.step + 1}"
-            )
+    flats = [flat_buffer(d) for d in (params, grads, state.m, state.u)]
+    theta, g, m, u = flats
+    names = list(grads)
+    if (any(list(d) != names for d in (params, state.m, state.u))
+            or any(f.shape != g.shape or f.dtype != g.dtype for f in flats)):
+        raise ValueError("parameters, gradients and moments differ in layout")
+    block = ADAMAX_BLOCK_BYTES // g.itemsize
+    # The two scratch arrays: (1-b1)*g, then |g|, then the update; and u+eps.
+    # Each product keeps the docstring's operands, so the bytes do too.
+    scratch = np.empty(min(block, g.size), g.dtype)
+    denom = np.empty_like(scratch)
+    starts = range(0, g.size, block)
+    # max propagates NaN and inf, so one finite max per block clears it.
+    if not all(np.isfinite(np.abs(g[i:i + block], out=scratch[:g.size - i]).max())
+               for i in starts):
+        name = next(name for name, arr in grads.items() if not np.isfinite(arr).all())
+        raise NonFiniteGradientError(
+            f"non-finite gradient in {name!r} at optimizer step {state.step + 1}"
+        )
     state.step += 1
     scale = lr / (1.0 - state.beta1 ** state.step)
-    for name, g in grads.items():
-        # `step` is the one scratch array: (1-b1)*g, then |g|, then the
-        # update. Each product keeps the docstring's operands, so the bytes do too.
-        m = state.m[name]
-        m *= state.beta1
-        step = g * (1.0 - state.beta1)
-        m += step
-        u = state.u[name]
-        u *= state.beta2
-        np.maximum(u, np.abs(g, out=step), out=u)
-        np.multiply(m, scale, out=step)
-        step /= u + state.eps
-        params[name] -= step
+    for i in starts:
+        part = slice(i, i + block)
+        gb, mb, ub = g[part], m[part], u[part]
+        step, den = scratch[:len(gb)], denom[:len(gb)]
+        mb *= state.beta1
+        np.multiply(gb, 1.0 - state.beta1, out=step)
+        mb += step
+        ub *= state.beta2
+        np.maximum(ub, np.abs(gb, out=step), out=ub)
+        np.multiply(mb, scale, out=step)
+        np.add(ub, state.eps, out=den)
+        step /= den
+        theta[part] -= step
 
 
 @dataclass
@@ -218,12 +241,16 @@ def train(
             if theirs.get(name) != value:
                 raise ConfigError(f"checkpoint {name}={theirs.get(name)} "
                                   f"differs from this run's {name}={value}")
+        start_step = int(resume.trainer["next_step"])
+        if resume.adamax["step"] != start_step - 1:
+            raise CheckpointError(f"checkpoint's Adamax step {resume.adamax['step']} is not "
+                                  f"the step {start_step - 1} before its next step")
         # Copies: the run updates them in place, and the bundle may resume again.
-        params = copy.deepcopy(resume.params)
-        opt = copy.deepcopy(AdamaxState(**resume.adamax))
+        params = flat_copy(resume.params)
+        opt = AdamaxState(**{**resume.adamax, "m": flat_copy(resume.adamax["m"]),
+                             "u": flat_copy(resume.adamax["u"])})
         state = state_from_json(resume.sampler, corpus)
         mask_rng = rng_from_state(resume.trainer["mask_rng"])
-        start_step = int(resume.trainer["next_step"])
 
     out_path = Path(out_dir) if out_dir is not None else None
     log_mode = "w"
@@ -257,7 +284,7 @@ def train(
             t_tot = sum(mb.n_targets for mb in masked)
             b_tot = tc.effective_batch
 
-            grads = zero_grads(mc)
+            grads: Params | None = None
             mlm_sum = 0.0
             cls_sum = 0.0
             delta = 0.0
@@ -269,8 +296,13 @@ def train(
                     mlm_divisor=max(t_tot, 1), cls_divisor=b_tot,
                     include_regularizer=False,
                 )
-                for name in grads:
-                    grads[name] += g[name]
+                if grads is None:
+                    # The first micro-batch's gradients start the step's sum:
+                    # 0 + g differs from g only in the sign of a zero, which
+                    # no Adamax output or logged norm can show.
+                    grads, grads_flat = g, flat_buffer(g)
+                else:
+                    grads_flat += flat_buffer(g)
                 mlm_sum += cache.mlm_ce_sum
                 cls_sum += cache.cls_ce_sum
                 delta = cache.delta

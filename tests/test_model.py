@@ -78,6 +78,69 @@ class TestInitParams:
         assert np.all(params["layer1.ln2_b"] == 0)
 
 
+class TestFlatLayout:
+    @staticmethod
+    def assert_views_in_spec_order(params, cfg):
+        flat = model.flat_buffer(params)
+        assert flat.ndim == 1 and flat.flags.c_contiguous and flat.dtype == cfg.np_dtype
+        specs = model.param_specs(cfg)
+        assert [(name, arr.shape) for name, arr in params.items()] == specs
+        start = 0
+        for name, arr in params.items():
+            assert np.shares_memory(arr, flat[start:start + arr.size]), name
+            start += arr.size
+        assert start == flat.size
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_params_and_grads_are_one_buffer_in_spec_order(self, dtype):
+        cfg = tiny_config(dtype=dtype)
+        for params in (model.init_params(cfg, derive_rng(3, 0)), model.zero_grads(cfg)):
+            self.assert_views_in_spec_order(params, cfg)
+        assert not model.flat_buffer(model.zero_grads(cfg)).any()
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_init_params_keeps_the_per_name_bytes(self, dtype):
+        """The flat init draws and casts as one array per name did."""
+        cfg = tiny_config(dtype=dtype)
+        rng = derive_rng(3, 0)
+        reference = {}
+        for name, shape in model.param_specs(cfg):
+            if model._is_gain(name):
+                arr = np.ones(shape)
+            elif model._is_bias(name):
+                arr = np.zeros(shape)
+            else:
+                arr = rng.normal(0.0, model.INIT_STD, size=shape)
+            reference[name] = arr.astype(cfg.np_dtype)
+        params = model.init_params(cfg, derive_rng(3, 0))
+        for name, arr in reference.items():
+            assert params[name].dtype == arr.dtype and params[name].tobytes() == arr.tobytes()
+
+    def test_flat_copy_owns_a_new_buffer(self):
+        params = model.init_params(tiny_config(), derive_rng(3, 0))
+        copies = model.flat_copy(params)
+        assert not np.shares_memory(model.flat_buffer(copies), model.flat_buffer(params))
+        assert model.flat_buffer(copies).tobytes() == model.flat_buffer(params).tobytes()
+
+    def test_other_layouts_are_rejected(self):
+        params = model.init_params(tiny_config(), derive_rng(3, 0))
+        names = list(params)
+        flat = model.flat_buffer(params)
+        square = model.flat_views([("a", (3, 3)), ("b", (2,))], np.float64)
+        for bad in (
+            {},
+            {name: arr.copy() for name, arr in params.items()},     # one buffer each
+            {name: params[name] for name in reversed(names)},        # out of order
+            {name: params[name] for name in names[:-1]},             # the buffer's end uncovered
+            {name: params[name] for name in names[1:]},              # its start uncovered
+            {"a": square["a"].T, "b": square["b"]},                  # not C-contiguous
+            {"all": flat},                                           # the buffer, not a view
+            {"all": flat[:].view(np.int64)},                         # another dtype
+        ):
+            with pytest.raises(ValueError):
+                model.flat_buffer(bad)
+
+
 class TestEncode:
     def test_identical_rows_identical_outputs(self, rng):
         cfg = tiny_config()

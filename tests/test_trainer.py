@@ -8,7 +8,7 @@ from dombert import checkpoint, trainer
 from dombert.corpus import DomainTable, PackedCorpus
 from dombert.errors import CheckpointError, ConfigError, NonFiniteGradientError
 from dombert.masking import MaskingPolicy
-from dombert.model import ModelConfig, init_params, param_specs
+from dombert.model import ModelConfig, flat_buffer, flat_copy, init_params, param_specs
 from dombert.nputil import derive_rng
 from dombert.sampler import domain_probabilities, sampling_probabilities
 
@@ -60,6 +60,10 @@ class TestTrainConfig:
                 trainer.TrainConfig(explore=explore)
         with pytest.raises(ConfigError, match="checkpoint_interval"):
             trainer.TrainConfig(checkpoint_interval=-3)
+        for name in ("lr", "tau"):
+            for value in (float("nan"), float("inf"), float("-inf")):
+                with pytest.raises(ConfigError, match=name):
+                    trainer.TrainConfig(**{name: value})
 
 
 class TestAdamax:
@@ -73,7 +77,7 @@ class TestAdamax:
         params = init_params(cfg, derive_rng(0, 0))
         before = {k: v.copy() for k, v in params.items()}
         state = trainer.init_adamax(cfg)
-        grads = {k: np.zeros_like(v) for k, v in params.items()}
+        grads = flat_copy({k: np.zeros_like(v) for k, v in params.items()})
         trainer.adamax_step(params, grads, state, lr=0.1)
         for name in params:
             assert np.array_equal(params[name], before[name])
@@ -85,12 +89,13 @@ class TestAdamax:
         is exactly lr * g / (1 + eps); theta walks -0.1, -0.2, -0.3.
         """
         theta = np.array([0.0], dtype=np.float64)
-        params = {"w": theta}
-        state = trainer.AdamaxState(m={"w": np.zeros(1)}, u={"w": np.zeros(1)})
+        params = flat_copy({"w": theta})
+        state = trainer.AdamaxState(m=flat_copy({"w": np.zeros(1)}),
+                                    u=flat_copy({"w": np.zeros(1)}))
         m, u = 0.0, 0.0
         expected = 0.0
         for step in range(1, 4):
-            trainer.adamax_step(params, {"w": np.ones(1)}, state, lr=0.1)
+            trainer.adamax_step(params, flat_copy({"w": np.ones(1)}), state, lr=0.1)
             m = 0.9 * m + 0.1 * 1.0
             u = max(0.999 * u, 1.0)
             expected -= (0.1 / (1.0 - 0.9 ** step)) * m / (u + 1e-8)
@@ -103,14 +108,16 @@ class TestAdamax:
         gradients are not written into."""
         gen = np.random.default_rng(4)
         shape = (50, 7)
-        params = {"w": gen.normal(size=shape).astype(dtype)}
-        state = trainer.AdamaxState(m={"w": np.zeros(shape, dtype)},
-                                    u={"w": np.zeros(shape, dtype)})
+        params = flat_copy({"w": gen.normal(size=shape).astype(dtype)})
+        state = trainer.AdamaxState(m=flat_copy({"w": np.zeros(shape, dtype)}),
+                                    u=flat_copy({"w": np.zeros(shape, dtype)}))
         w, m, u = params["w"].copy(), np.zeros(shape, dtype), np.zeros(shape, dtype)
         for step in range(1, 4):
-            g = (gen.normal(size=shape) * 10.0 ** gen.integers(-6, 2, size=shape)).astype(dtype)
+            grads = flat_copy({"w": (gen.normal(size=shape)
+                                     * 10.0 ** gen.integers(-6, 2, size=shape)).astype(dtype)})
+            g = grads["w"]
             g_before = g.copy()
-            trainer.adamax_step(params, {"w": g}, state, lr=1e-3)
+            trainer.adamax_step(params, grads, state, lr=1e-3)
             m = 0.9 * m + (1.0 - 0.9) * g
             u = np.maximum(0.999 * u, np.abs(g))
             w -= 1e-3 / (1.0 - 0.9 ** step) * m / (u + 1e-8)
@@ -120,10 +127,10 @@ class TestAdamax:
 
     def test_non_finite_gradient_aborts(self):
         """The bad gradient is found before any parameter or moment moves."""
-        params = {"a": np.ones(2), "w": np.zeros(2)}
-        state = trainer.AdamaxState(m={k: np.full(2, 0.5) for k in params},
-                                    u={k: np.full(2, 0.25) for k in params}, step=3)
-        grads = {"a": np.array([1.0, -2.0]), "w": np.array([1.0, np.nan])}
+        params = flat_copy({"a": np.ones(2), "w": np.zeros(2)})
+        state = trainer.AdamaxState(m=flat_copy({k: np.full(2, 0.5) for k in params}),
+                                    u=flat_copy({k: np.full(2, 0.25) for k in params}), step=3)
+        grads = flat_copy({"a": np.array([1.0, -2.0]), "w": np.array([1.0, np.nan])})
         with pytest.raises(NonFiniteGradientError, match="'w' at optimizer step 4"):
             trainer.adamax_step(params, grads, state, 0.1)
         assert state.step == 3
@@ -131,6 +138,78 @@ class TestAdamax:
             assert np.array_equal(params[k], np.ones(2) if k == "a" else np.zeros(2))
             assert np.array_equal(state.m[k], np.full(2, 0.5))
             assert np.array_equal(state.u[k], np.full(2, 0.25))
+
+
+class TestFlatAdamax:
+    """Adamax sweeps the flat buffers in blocks of ADAMAX_BLOCK_BYTES."""
+
+    @staticmethod
+    def block_plus_7_layout(dtype):
+        """Shapes of two blocks and 7 elements; "w" and "z" cross a block edge."""
+        block = trainer.ADAMAX_BLOCK_BYTES // np.dtype(dtype).itemsize
+        return {"a": (block - 3,), "w": (5, 2), "z": (block,)}
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_blocked_sweep_is_bit_identical_to_the_formula(self, dtype):
+        gen = np.random.default_rng(5)
+        shapes = self.block_plus_7_layout(dtype)
+        block = trainer.ADAMAX_BLOCK_BYTES // np.dtype(dtype).itemsize
+        assert sum(int(np.prod(s)) for s in shapes.values()) == 2 * block + 7
+        params = flat_copy({k: gen.normal(size=s).astype(dtype) for k, s in shapes.items()})
+        state = trainer.AdamaxState(m=flat_copy({k: np.zeros(s, dtype) for k, s in shapes.items()}),
+                                    u=flat_copy({k: np.zeros(s, dtype) for k, s in shapes.items()}))
+        want = {k: (params[k].copy(), np.zeros(s, dtype), np.zeros(s, dtype))
+                for k, s in shapes.items()}
+        for step in range(1, 4):
+            grads = flat_copy({k: (gen.normal(size=s) * 10.0 ** gen.integers(-6, 2, size=s))
+                               .astype(dtype) for k, s in shapes.items()})
+            trainer.adamax_step(params, grads, state, lr=1e-3)
+            for k, (w, m, u) in want.items():
+                g = grads[k]
+                m[...] = 0.9 * m + (1.0 - 0.9) * g
+                u[...] = np.maximum(0.999 * u, np.abs(g))
+                w -= 1e-3 / (1.0 - 0.9 ** step) * m / (u + 1e-8)
+                for got, ref in ((params[k], w), (state.m[k], m), (state.u[k], u)):
+                    assert got.dtype == np.dtype(dtype) and np.array_equal(got, ref), k
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_in_the_last_block_aborts(self, bad):
+        shapes = self.block_plus_7_layout("float32")
+        params = flat_copy({k: np.ones(s, np.float32) for k, s in shapes.items()})
+        state = trainer.AdamaxState(
+            m=flat_copy({k: np.full(s, 0.5, np.float32) for k, s in shapes.items()}),
+            u=flat_copy({k: np.full(s, 0.25, np.float32) for k, s in shapes.items()}), step=6)
+        grads = flat_copy({k: np.full(s, 0.1, np.float32) for k, s in shapes.items()})
+        grads["z"][-1] = bad
+        before = [flat_buffer(d).copy() for d in (params, state.m, state.u)]
+        with pytest.raises(NonFiniteGradientError, match="'z' at optimizer step 7"):
+            trainer.adamax_step(params, grads, state, 0.1)
+        assert state.step == 6
+        for d, was in zip((params, state.m, state.u), before):
+            assert np.array_equal(flat_buffer(d), was)
+
+    def test_float32_buffers_stay_float32_and_in_place(self):
+        corpus = make_corpus()
+        mc = small_model_config(corpus)
+        params = init_params(mc, derive_rng(0, 0))
+        state = trainer.init_adamax(mc)
+        grads = flat_copy(params)
+        flats = [flat_buffer(d) for d in (params, state.m, state.u)]
+        trainer.adamax_step(params, grads, state, lr=1e-3)
+        for d, flat in zip((params, state.m, state.u), flats):
+            assert flat_buffer(d) is flat and flat.dtype == np.float32
+        result = trainer.train(trainer.TrainConfig(epochs=1, micro_batch=2, accum_steps=2),
+                               corpus, mc)
+        assert flat_buffer(result.params).dtype == np.float32
+
+    def test_layouts_that_differ_are_rejected(self):
+        params = flat_copy({"a": np.ones(2), "w": np.zeros(3)})
+        state = trainer.AdamaxState(m=flat_copy(params), u=flat_copy(params))
+        for grads in (flat_copy({"w": np.zeros(3), "a": np.ones(2)}),
+                      flat_copy({"a": np.ones(2), "w": np.zeros(4)}),
+                      {"a": np.ones(2), "w": np.zeros(3)}):
+            with pytest.raises(ValueError):
+                trainer.adamax_step(params, grads, state, 0.1)
 
 
 class TestTrainLoop:
@@ -416,6 +495,25 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             checkpoint.load(bad)
 
+    @pytest.mark.parametrize("field, value", [
+        ("step", "-5"), ("beta1", "1.0"), ("beta1", "-0.1"), ("beta2", "1.5"),
+        ("eps", "nan"), ("eps", "inf"), ("eps", "0.0"),
+    ])
+    def test_adamax_setting_out_of_range_rejected(self, tmp_path, field, value):
+        tc = trainer.TrainConfig(epochs=1, seed=1, micro_batch=2, accum_steps=2,
+                                 checkpoint_interval=1)
+        corpus = make_corpus()
+        trainer.train(tc, corpus, small_model_config(corpus), out_dir=tmp_path / "run")
+        data = (tmp_path / "run" / "ckpt_step000001.ckpt").read_bytes()
+        old = b"ADAMAX-STATE step=1 beta1=0.9 beta2=0.999 eps=1e-08\n"
+        assert data.count(old) == 1
+        header = {"step": "1", "beta1": "0.9", "beta2": "0.999", "eps": "1e-08", field: value}
+        new = "ADAMAX-STATE " + " ".join(f"{k}={v}" for k, v in header.items()) + "\n"
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(data.replace(old, new.encode()))
+        with pytest.raises(CheckpointError, match=f"{field}={value}"):
+            checkpoint.load(bad)
+
     def test_shape_mismatch_rejected(self, tmp_path):
         corpus = make_corpus()
         mc = small_model_config(corpus)
@@ -485,6 +583,45 @@ class TestResume:
         for name in runs[0].params:
             assert np.array_equal(runs[0].params[name], runs[1].params[name]), name
         assert read_log(tmp_path / "a") == read_log(tmp_path / "b")
+
+    def test_resumes_train_in_buffers_of_their_own(self, tmp_path, monkeypatch):
+        """Two resumes from one bundle share no buffer with it or each other."""
+        corpus = make_corpus(counts=(8, 6, 5))
+        mc = small_model_config(corpus)
+        tc = trainer.TrainConfig(epochs=2, seed=5, micro_batch=2, accum_steps=2,
+                                 checkpoint_interval=2)
+        trainer.train(tc, corpus, mc, out_dir=tmp_path / "full")
+        bundle = checkpoint.load(tmp_path / "full" / "ckpt_step000002.ckpt")
+        firsts = []
+        adamax_step = trainer.adamax_step
+
+        def recording_step(params, grads, state, lr):
+            if state.step == bundle.adamax["step"]:
+                firsts.append([flat_buffer(d) for d in (params, state.m, state.u)])
+            adamax_step(params, grads, state, lr)
+
+        monkeypatch.setattr(trainer, "adamax_step", recording_step)
+        for _ in range(2):
+            trainer.train(tc, corpus, mc, resume=bundle)
+        assert len(firsts) == 2
+        theirs = [*bundle.params.values(), *bundle.adamax["m"].values(),
+                  *bundle.adamax["u"].values()]
+        for flat in firsts[0] + firsts[1]:
+            assert not any(np.shares_memory(flat, arr) for arr in theirs)
+        for a in firsts[0]:
+            assert not any(np.shares_memory(a, b) for b in firsts[1])
+
+    def test_resume_refuses_an_adamax_step_off_the_next_step(self, tmp_path):
+        corpus = make_corpus(counts=(8, 6, 5))
+        mc = small_model_config(corpus)
+        tc = trainer.TrainConfig(epochs=2, seed=5, micro_batch=2, accum_steps=2,
+                                 checkpoint_interval=2)
+        trainer.train(tc, corpus, mc, out_dir=tmp_path)
+        bundle = checkpoint.load(tmp_path / "ckpt_step000002.ckpt")
+        for step in (1, 3, 0):
+            bundle.adamax["step"] = step
+            with pytest.raises(CheckpointError, match=f"Adamax step {step} "):
+                trainer.train(tc, corpus, mc, resume=bundle)
 
     def test_resume_refuses_a_log_that_stops_before_the_checkpoint(self, tmp_path):
         corpus = make_corpus(counts=(8, 6, 5))

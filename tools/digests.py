@@ -1,6 +1,6 @@
 """Digests of the criterion-7 pipeline artifacts: the "same behaviour" gate.
 
-Runs four gen-synth -> ingest -> train -> report pipelines, each in its own
+Runs five gen-synth -> ingest -> train -> report pipelines, each in its own
 temporary directory, through `python -m dombert.cli` subprocesses:
 
 - criterion7: the commands of tests/test_acceptance.py's
@@ -10,7 +10,10 @@ temporary directory, through `python -m dombert.cli` subprocesses:
 - default-shape: the default 12-domain corpus at 8x128 micro-batches, the
   shapes the train-default benchmark runs, for 4 steps with a checkpoint
   and a top-20 report every 2nd, then the trained model scores the corpus
-  with `eval --heldout` in 16x128 batches, the shapes score-heldout runs.
+  with `eval --heldout` in 16x128 batches, the shapes score-heldout runs;
+- wide-pool: the train-wide-pool benchmark's corpus and settings (128
+  domains, vocabulary 8,005, 32-token rows, 8-row steps) for one epoch of
+  10 steps, with Adamax state in the checkpoints of steps 5 and 10.
 
 Every pipeline runs twice: once with OPENBLAS_NUM_THREADS=1 in the child
 environment and once with the variable unset. The program pins OpenBLAS to
@@ -66,10 +69,19 @@ PIPELINES = {
         ["eval", "--ckpt", "run/final.ckpt", "--heldout", "synth.tsv",
          "--vocab", "ingested/vocab.tsv"],
     ],
+    "wide-pool": [
+        ["gen-synth", "--clusters", "16", "--domains-per-cluster", "8",
+         "--unique-vocab", "40", "--docs-per-domain", "60", "--out", "synth.tsv"],
+        ["ingest", "--corpus", "synth.tsv", "--target", "c0_d0", "--max-len", "32",
+         "--out", "ingested"],
+        ["train", "--packed", "ingested", "--tau", "0.65", "--lr", "1e-3", "--batch", "8",
+         "--accum", "1", "--checkpoint-interval", "5", "--epochs", "1", "--out", "run"],
+        ["report", "--ckpt", "run/final.ckpt"],
+    ],
 }
 STDOUT_ARTIFACTS = ("report", "eval")
 
-# (pipeline, artifact) -> first 16 hex of sha256; 33 artifacts, 30 values.
+# (pipeline, artifact) -> first 16 hex of sha256; 45 artifacts, 42 values.
 RECORDED = {
     ("criterion7", "synth.tsv"): "e391f821c574ddb5",
     ("criterion7", "synth.tsv.truth"): "6599892ab3870759",
@@ -104,6 +116,18 @@ RECORDED = {
     ("default-shape", "run/top_domains.tsv"): "437e03ee9d2a365a",
     ("default-shape", "report"): "c6ed8218ad0a76e8",
     ("default-shape", "eval"): "324c6bfef421ef2f",
+    ("wide-pool", "synth.tsv"): "c1f6636eeec1701b",
+    ("wide-pool", "synth.tsv.truth"): "4f17baf0d039933a",
+    ("wide-pool", "ingested/packed.tsv"): "569b8b35f6db3919",
+    ("wide-pool", "ingested/vocab.tsv"): "f812bc4249642fc5",
+    ("wide-pool", "ingested/domains.tsv"): "be284a4378d5441f",
+    ("wide-pool", "ingested/stats.tsv"): "ff89eddcd783caa0",
+    ("wide-pool", "run/ckpt_step000005.ckpt"): "fd73cb3d1d89c8a6",
+    ("wide-pool", "run/ckpt_step000010.ckpt"): "3afb55000a21611d",
+    ("wide-pool", "run/final.ckpt"): "a315586dabac39e5",
+    ("wide-pool", "run/log.tsv"): "8725338e52914609",
+    ("wide-pool", "run/top_domains.tsv"): "9b1977ffd2ddefaa",
+    ("wide-pool", "report"): "ff9f09067be4f457",
 }
 
 
