@@ -193,6 +193,7 @@ class TestFlatAdamax:
         mc = small_model_config(corpus)
         params = init_params(mc, derive_rng(0, 0))
         state = trainer.init_adamax(mc)
+        assert list(state.m) == list(state.u) == [name for name, _ in param_specs(mc)]
         grads = flat_copy(params)
         flats = [flat_buffer(d) for d in (params, state.m, state.u)]
         trainer.adamax_step(params, grads, state, lr=1e-3)
