@@ -25,17 +25,15 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
-from collections.abc import Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Any, BinaryIO
+from typing import Any, BinaryIO
 
 import numpy as np
 
 from .errors import CheckpointError
 from .model import CONFIG_FIELDS, ModelConfig, Params, param_specs
+from .nputil import open_replacing
 
 MAGIC = "DOMBERT-CKPT v1"
 _ADAMAX_SECTION = "ADAMAX-STATE"
@@ -73,20 +71,6 @@ def _int(text: str, what: str) -> int:
         return int(text)
     except ValueError:
         raise CheckpointError(f"corrupt checkpoint: {what} {text!r} is not an integer") from None
-
-
-@contextmanager
-def open_replacing(path: str | Path, mode: str = "wb", **kwargs: Any) -> Iterator[IO]:
-    """Open a temporary sibling of path for writing and rename it over path
-    once the block completes; on failure the temporary file is removed and
-    path keeps its old content. The temporary name ends in ``.tmp``."""
-    tmp = Path(f"{path}.tmp")
-    try:
-        with open(tmp, mode, **kwargs) as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def _write_array(fh: BinaryIO, name: str, arr: np.ndarray, config: ModelConfig) -> None:

@@ -102,8 +102,6 @@ def _gen_synth(args: argparse.Namespace) -> int:
 
 
 def _eval(args: argparse.Namespace) -> int:
-    if args.truth is None and args.heldout is None:
-        raise DombertError("nothing to evaluate: pass --truth and/or --heldout")
     bundle = checkpoint.load(args.ckpt)
     names, target = _domains(bundle)
     if args.truth is not None:
@@ -114,8 +112,6 @@ def _eval(args: argparse.Namespace) -> int:
         k = len(evalbench.cluster_mates(truth, names, target))
         print(f"precision_at_{k}\t{precision:.6f}")
     if args.heldout is not None:
-        if args.vocab is None:
-            raise DombertError("--heldout requires --vocab")
         vocab = corpus.read_vocab(args.vocab)
         texts = [text for _, text in corpus.read_records(args.heldout)]
         ppl = evalbench.eval_pseudo_perplexity(
@@ -218,6 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "eval" and args.truth is None and args.heldout is None:
+        parser.error("eval: nothing to evaluate: pass --truth and/or --heldout")
+    if args.command == "eval" and args.heldout is not None and args.vocab is None:
+        parser.error("eval: --heldout requires --vocab")
     print(manifest_line(args))
     try:
         return args.func(args)

@@ -21,6 +21,7 @@ from typing import TextIO
 import numpy as np
 
 from .errors import ConfigError, CorpusError
+from .nputil import open_replacing
 
 PAD_ID = 0
 UNK_ID = 1
@@ -67,9 +68,6 @@ class DomainTable:
     @property
     def n_plus_1(self) -> int:
         return len(self.names)
-
-    def domain_id(self, name: str) -> int:
-        return self.names.index(name)
 
 
 class Vocabulary:
@@ -329,7 +327,7 @@ def _read_rows(fh: TextIO, n: int, n_fields: int, what: str) -> list[list[str]]:
 def write_packed(path: str | Path, corpus: PackedCorpus) -> None:
     """Packed-corpus file: one header line, then one line per example
     ``domain_id<TAB>valid_len<TAB>space-separated ids`` (all max_len ids)."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_replacing(path, "w", encoding="utf-8") as fh:
         fh.write(
             f"{PACKED_MAGIC} L_max={corpus.max_len} "
             f"n_plus_1={corpus.table.n_plus_1} vocab_size={corpus.vocab_size}\n"
@@ -371,7 +369,7 @@ def read_packed(path: str | Path, table: DomainTable) -> PackedCorpus:
 
 
 def write_vocab(path: str | Path, vocab: Vocabulary) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_replacing(path, "w", encoding="utf-8") as fh:
         fh.write(f"{VOCAB_MAGIC} size={vocab.size}\n")
         for i, tok in enumerate(vocab.id_to_token):
             fh.write(f"{i}\t{tok}\n")
@@ -387,7 +385,7 @@ def read_vocab(path: str | Path) -> Vocabulary:
 
 
 def write_domain_table(path: str | Path, table: DomainTable) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_replacing(path, "w", encoding="utf-8") as fh:
         fh.write(f"{TABLE_MAGIC} n_plus_1={table.n_plus_1} target={table.target_index}\n")
         for i, name in enumerate(table.names):
             fh.write(f"{i}\t{name}\t{table.counts[i]}\n")
@@ -408,6 +406,6 @@ def read_domain_table(path: str | Path) -> DomainTable:
 
 def write_stats(path: str | Path, stats: list[tuple[str, int]]) -> None:
     """Rank-size report: ``rank<TAB>name<TAB>count``, rank starting at 1."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_replacing(path, "w", encoding="utf-8") as fh:
         for rank, (name, count) in enumerate(stats, start=1):
             fh.write(f"{rank}\t{name}\t{count}\n")

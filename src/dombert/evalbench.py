@@ -27,7 +27,7 @@ from .corpus import (
 from .errors import ConfigError, CorpusError
 from .masking import MaskingPolicy, make_masked_batch
 from .model import ModelConfig, Params, init_params
-from .nputil import STREAM_EVAL, STREAM_SYNTH, derive_rng
+from .nputil import STREAM_EVAL, STREAM_SYNTH, derive_rng, open_replacing
 from .objective import loss_mlm, masked_token_pass
 from .sampler import report_top_domains
 
@@ -98,13 +98,13 @@ def gen_synthetic_corpus(spec: SyntheticSpec) -> tuple[list[tuple[str, str]], di
 
 
 def write_corpus(path: str | Path, records: list[tuple[str, str]]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_replacing(path, "w", encoding="utf-8") as fh:
         for name, text in records:
             fh.write(f"{name}\t{text}\n")
 
 
 def write_truth(path: str | Path, truth: dict[str, int]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_replacing(path, "w", encoding="utf-8") as fh:
         for name, cluster in truth.items():
             fh.write(f"{name}\t{cluster}\n")
 

@@ -13,8 +13,8 @@ defined in exactly one place.
 """
 from __future__ import annotations
 
-import ctypes
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -104,57 +104,56 @@ def _is_bias(name: str) -> bool:
     return leaf.endswith("_b") or leaf.startswith("b")
 
 
+class FlatParams(dict):
+    """Named views of `flat`, a 1-D C-contiguous buffer, one per (name, shape)
+    in `specs`, in order, tiling all of it. Entries cannot be replaced, added
+    or removed, so the views always lay out the buffer as `specs` says."""
+
+    __slots__ = ("specs", "flat")
+
+    def __init__(self, specs: list[tuple[str, tuple[int, ...]]], flat: np.ndarray) -> None:
+        sizes = [math.prod(shape) for _, shape in specs]
+        if not (isinstance(flat, np.ndarray) and flat.ndim == 1
+                and flat.flags.c_contiguous and flat.size == sum(sizes)):
+            raise ValueError("the buffer is not 1-D, C-contiguous and exactly the specs' size")
+        self.specs = list(specs)
+        self.flat = flat
+        starts = itertools.accumulate(sizes, initial=0)
+        super().__init__((name, flat[start:start + size].reshape(shape))
+                         for (name, shape), start, size in zip(self.specs, starts, sizes))
+
+    def __setitem__(self, name: str, value: np.ndarray) -> None:
+        # grads[name] += x stores back the very view it updated in place.
+        if value is not self.get(name):
+            raise TypeError(f"{name!r} is a fixed view of the flat buffer")
+
+    def _fixed(self, *args: object) -> None:
+        raise TypeError("a FlatParams' entries are fixed views of its flat buffer")
+
+    __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _fixed
+
+    def __reduce__(self) -> tuple:
+        # copy, deepcopy and pickle lay new views over the (copied) buffer.
+        return FlatParams, (self.specs, self.flat)
+
+
 def flat_views(specs: list[tuple[str, tuple[int, ...]]], dtype: np.dtype,
-               alloc: Callable = np.empty) -> Params:
-    """One (name, shape) view per spec, in order, of one new 1-D C-contiguous
-    buffer made by alloc(size, dtype=dtype)."""
-    sizes = [math.prod(shape) for _, shape in specs]
-    flat = alloc(sum(sizes), dtype=dtype)
-    views: Params = {}
-    start = 0
-    for (name, shape), size in zip(specs, sizes):
-        views[name] = flat[start:start + size].reshape(shape)
-        start += size
-    return views
+               alloc: Callable = np.empty) -> FlatParams:
+    """A FlatParams over one new buffer made by alloc(size, dtype=dtype)."""
+    return FlatParams(specs, alloc(sum(math.prod(shape) for _, shape in specs), dtype=dtype))
 
 
-def flat_buffer(params: Params) -> np.ndarray:
-    """The one 1-D buffer that params' arrays are writable C-contiguous views
-    of, one after another in dict order and covering all of it; ValueError
-    otherwise."""
-    arrays = list(params.values())
-    flat = arrays[0].base if arrays else None
-    if not (isinstance(flat, np.ndarray) and flat.ndim == 1):
-        raise ValueError("arrays are not views of one flat buffer")
-    # ctypes reads a buffer's address in a third of the time arr.ctypes.data
-    # takes, and refuses (TypeError) one that is read-only or not C-contiguous.
-    try:
-        start = addr = ctypes.addressof(ctypes.c_char.from_buffer(flat))
-        for arr in arrays:
-            if (arr.base is not flat or arr.dtype != flat.dtype
-                    or ctypes.addressof(ctypes.c_char.from_buffer(arr)) != addr):
-                raise ValueError("arrays are not views of one flat buffer in order")
-            addr += arr.nbytes
-    except TypeError:
-        raise ValueError("arrays are not writable C-contiguous views") from None
-    if addr != start + flat.nbytes:
-        raise ValueError("arrays do not cover their flat buffer")
-    return flat
-
-
-def flat_copy(params: Params) -> Params:
-    """Copies of params' arrays, in dict order, as views of one new buffer
-    of the first array's dtype."""
+def flat_copy(params: Params) -> FlatParams:
+    """Copies of params' arrays, in dict order, as a FlatParams over one new
+    buffer of the first array's dtype."""
     dtype = next(iter(params.values())).dtype
-    copies = flat_views([(name, arr.shape) for name, arr in params.items()], dtype)
-    for name, arr in params.items():
-        copies[name][...] = arr
-    return copies
+    return FlatParams([(name, arr.shape) for name, arr in params.items()],
+                      np.concatenate([arr.ravel() for arr in params.values()], dtype=dtype))
 
 
-def init_params(config: ModelConfig, rng: np.random.Generator) -> Params:
-    """Weights ~ N(0, 0.02^2); biases 0; layer-norm gain 1, bias 0; all views
-    of one flat buffer in param_specs order."""
+def init_params(config: ModelConfig, rng: np.random.Generator) -> FlatParams:
+    """Weights ~ N(0, 0.02^2); biases 0; layer-norm gain 1, bias 0; a
+    FlatParams in param_specs order."""
     params = flat_views(param_specs(config), config.np_dtype, np.zeros)
     for name, arr in params.items():
         if _is_gain(name):
@@ -164,7 +163,7 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> Params:
     return params
 
 
-def zero_grads(config: ModelConfig) -> Params:
+def zero_grads(config: ModelConfig) -> FlatParams:
     return flat_views(param_specs(config), config.np_dtype, np.zeros)
 
 

@@ -1,4 +1,5 @@
-"""Shared numeric helpers, the seed-derivation scheme and the worker threads."""
+"""Shared numeric helpers, the seed-derivation scheme, the worker threads and
+the replace-on-success file writer."""
 from __future__ import annotations
 
 import ctypes
@@ -6,12 +7,15 @@ import math
 import os
 import queue
 import threading
-from typing import Callable, Iterable
+from collections.abc import Iterator
+from contextlib import contextmanager
+from pathlib import Path
+from typing import IO, Any, Callable, Iterable
 
 import numpy as np
 from scipy.special import erf
 
-from .errors import DegenerateEmbeddingError
+from .errors import ConfigError, DegenerateEmbeddingError
 
 _SQRT2 = float(np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
@@ -29,6 +33,8 @@ STREAM_EVAL = 5
 
 def derive_rng(seed: int, stream: int) -> np.random.Generator:
     """Child generator `stream` of the root `seed` (spawn-key derivation)."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
 
 
@@ -279,3 +285,17 @@ def run_all(tasks: list[Callable[[], None]], threads: int) -> None:
     for exc in errors:
         if exc is not None:
             raise exc
+
+
+@contextmanager
+def open_replacing(path: str | Path, mode: str = "wb", **kwargs: Any) -> Iterator[IO]:
+    """Open a temporary sibling of path for writing and rename it over path
+    once the block completes; on failure the temporary file is removed and
+    path keeps its old content. The temporary name ends in ``.tmp``."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)

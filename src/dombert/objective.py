@@ -166,7 +166,7 @@ def backward(
     mlm_divisor: int | None = None,
     cls_divisor: int | None = None,
     include_regularizer: bool = True,
-) -> model.Params:
+) -> model.FlatParams:
     """Exact gradients of the combined loss for one batch.
 
     With the default divisors this is the gradient of forward()'s total,

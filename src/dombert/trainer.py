@@ -28,8 +28,9 @@ from . import checkpoint, objective
 from .corpus import DomainTable, PackedCorpus
 from .errors import CheckpointError, ConfigError, NonFiniteGradientError
 from .masking import MaskingPolicy, make_masked_batch
-from .model import ModelConfig, Params, flat_buffer, flat_copy, init_params, zero_grads
-from .nputil import STREAM_INIT, STREAM_MASKING, STREAM_SAMPLER, derive_rng, rng_from_state
+from .model import FlatParams, ModelConfig, Params, flat_copy, init_params, zero_grads
+from .nputil import (STREAM_INIT, STREAM_MASKING, STREAM_SAMPLER, derive_rng, open_replacing,
+                     rng_from_state)
 from .objective import LossBreakdown, total_loss
 from .sampler import (
     SamplerState,
@@ -81,8 +82,8 @@ class TrainConfig:
 
 @dataclass
 class AdamaxState:
-    m: Params
-    u: Params
+    m: FlatParams
+    u: FlatParams
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
@@ -99,23 +100,21 @@ def init_adamax(config: ModelConfig) -> AdamaxState:
 ADAMAX_BLOCK_BYTES = 256 * 1024
 
 
-def adamax_step(params: Params, grads: Params, state: AdamaxState, lr: float) -> None:
+def adamax_step(params: FlatParams, grads: FlatParams, state: AdamaxState, lr: float) -> None:
     """In-place Adamax update.
 
     m <- b1*m + (1-b1)*g; u <- max(b2*u, |g|); theta -= lr/(1-b1^t) * m/(u+eps).
-    params, grads, state.m and state.u are each views of one flat buffer
-    (model.flat_buffer) with the same names in the same order; the update is
-    elementwise, so it runs as one sweep over the flat buffers in blocks of
-    ADAMAX_BLOCK_BYTES per array.
+    params, grads, state.m and state.u are FlatParams with the same specs and
+    dtype (ValueError otherwise); the update is elementwise, so it runs as one
+    sweep over their flat buffers in blocks of ADAMAX_BLOCK_BYTES per array.
     Non-finite gradients abort before anything changes; nothing is clipped
     silently.
     """
-    flats = [flat_buffer(d) for d in (params, grads, state.m, state.u)]
-    theta, g, m, u = flats
-    names = list(grads)
-    if (any(list(d) != names for d in (params, state.m, state.u))
-            or any(f.shape != g.shape or f.dtype != g.dtype for f in flats)):
+    mappings = (grads, params, state.m, state.u)
+    if not all(isinstance(d, FlatParams) and d.specs == grads.specs
+               and d.flat.dtype == grads.flat.dtype for d in mappings):
         raise ValueError("parameters, gradients and moments differ in layout")
+    g, theta, m, u = (d.flat for d in mappings)
     block = ADAMAX_BLOCK_BYTES // g.itemsize
     # The two scratch arrays: (1-b1)*g, then |g|, then the update; and u+eps.
     # Each product keeps the docstring's operands, so the bytes do too.
@@ -284,7 +283,7 @@ def train(
             t_tot = sum(mb.n_targets for mb in masked)
             b_tot = tc.effective_batch
 
-            grads: Params | None = None
+            grads: FlatParams | None = None
             mlm_sum = 0.0
             cls_sum = 0.0
             delta = 0.0
@@ -300,9 +299,9 @@ def train(
                     # The first micro-batch's gradients start the step's sum:
                     # 0 + g differs from g only in the sign of a zero, which
                     # no Adamax output or logged norm can show.
-                    grads, grads_flat = g, flat_buffer(g)
+                    grads = g
                 else:
-                    grads_flat += flat_buffer(g)
+                    grads.flat += g.flat
                 mlm_sum += cache.mlm_ce_sum
                 cls_sum += cache.cls_ce_sum
                 delta = cache.delta
@@ -344,8 +343,7 @@ def train(
     if out_path is not None:
         checkpoint.save_model(out_path / "final.ckpt", mc, params,
                               domain_names=list(table.names), target_index=t)
-        with checkpoint.open_replacing(out_path / "top_domains.tsv", "w",
-                                       encoding="utf-8") as fh:
+        with open_replacing(out_path / "top_domains.tsv", "w", encoding="utf-8") as fh:
             fh.writelines(top_domains())
     return TrainResult(params=params, model_config=mc, records=records)
 

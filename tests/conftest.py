@@ -20,6 +20,13 @@ def random_packed_example(
     return PackedExample(ids=ids, valid_len=valid_len, domain_id=domain_id)
 
 
+def failing_partway(items):
+    """The first half of items, then the OSError of a disk that filled up."""
+    items = list(items)
+    yield from items[: (len(items) + 1) // 2]
+    raise OSError(28, "No space left on device")
+
+
 def batch_with_target_counts(seed: int, vocab_size: int, max_len: int,
                              counts: list[int], n_domains: int = 3) -> MaskedBatch:
     """A batch of len(counts) examples of max_len tokens, the second half

@@ -49,7 +49,7 @@ def _random_tiny_instance(seed: int):
         d_domain=int(gen.integers(1, 9)),
         dtype="float64",
     )
-    params = init_params(cfg, gen)
+    params = dict(init_params(cfg, gen))
     for name, arr in params.items():
         if not (name.endswith("_g") or name.endswith("_b")
                 or name.rsplit(".", 1)[-1].startswith("b")):
@@ -103,7 +103,7 @@ def test_criterion_1_gradient_correctness():
         cfg = ModelConfig(vocab_size=10, n_domains=3, max_len=6, d_hidden=4,
                           n_layers=1, n_heads=1, d_ff=6, d_domain=2,
                           dtype="float64")
-        params = init_params(cfg, gen)
+        params = dict(init_params(cfg, gen))
         for name, arr in params.items():
             if not (name.endswith("_g") or name.endswith("_b")
                     or name.rsplit(".", 1)[-1].startswith("b")):

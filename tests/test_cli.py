@@ -260,7 +260,7 @@ class TestEval:
         names = sorted(truth, key=lambda n: (truth[n], n))
         cfg = ModelConfig(vocab_size=50, n_domains=12, max_len=8, d_hidden=8,
                           n_layers=1, n_heads=2, d_ff=8, d_domain=16)
-        params = init_params(cfg, derive_rng(0, 0))
+        params = dict(init_params(cfg, derive_rng(0, 0)))
         d = np.zeros((12, 16), dtype=np.float32)
         for i, name in enumerate(names):
             d[i, truth[name]] = 1.0
@@ -314,13 +314,23 @@ class TestEval:
         assert rc == 1
         assert capsys.readouterr().err == "error: line 2: missing TAB separator\n"
 
-    def test_eval_requires_some_input(self, tmp_path):
-        cfg = ModelConfig(vocab_size=10, n_domains=2, max_len=8, d_hidden=8,
-                          n_layers=1, n_heads=2, d_ff=8, d_domain=2)
-        params = init_params(cfg, derive_rng(0, 0))
-        ckpt = tmp_path / "m.ckpt"
-        checkpoint.save_model(ckpt, cfg, params)
-        assert main(["eval", "--ckpt", str(ckpt)]) == 1
+    def test_eval_requires_some_input(self, tmp_path, capsys):
+        ckpt = _small_checkpoint(tmp_path / "m.ckpt")
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--ckpt", str(ckpt)])
+        assert exc.value.code == 2
+        assert "nothing to evaluate" in capsys.readouterr().err
+
+    def test_heldout_without_vocab_is_usage_error_before_any_result(self, tmp_path, capsys):
+        truth = tmp_path / "truth.tsv"
+        truth.write_text("c0_d0\t0\nc0_d1\t0\nc1_d0\t1\nc1_d1\t1\n", encoding="utf-8")
+        ckpt = _small_checkpoint(tmp_path / "m.ckpt")
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--ckpt", str(ckpt), "--truth", str(truth),
+                  "--heldout", str(tmp_path / "heldout.tsv")])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--heldout requires --vocab" in err
 
 
 def _small_checkpoint(path):
@@ -404,6 +414,27 @@ def _mix_not_numbers(tmp_path):
     return ["gen-synth", "--mix", "a,b,c", "--out", str(tmp_path / "synth.tsv")]
 
 
+def _negative_synth_seed(tmp_path):
+    return ["gen-synth", "--seed", "-1", "--out", str(tmp_path / "synth.tsv")]
+
+
+def _negative_train_seed(tmp_path):
+    corpus = gen_tiny_synth(tmp_path)
+    assert main(["ingest", "--corpus", str(corpus), "--target", "c0_d0",
+                 "--max-len", "16", "--out", str(tmp_path / "ingested")]) == 0
+    return ["train", "--packed", str(tmp_path / "ingested"), "--seed", "-1",
+            "--out", str(tmp_path / "run")]
+
+
+def _negative_mask_seed(tmp_path):
+    heldout = tmp_path / "heldout.tsv"
+    heldout.write_text("c0_d0\talpha beta\n", encoding="utf-8")
+    vocab = tmp_path / "vocab.tsv"
+    write_vocab(vocab, build_vocab(["alpha beta"], min_count=1, max_size=10))
+    return ["eval", "--ckpt", str(_small_checkpoint(tmp_path / "m.ckpt")),
+            "--heldout", str(heldout), "--vocab", str(vocab), "--mask-seed", "-3"]
+
+
 class TestOutsideInput:
     @pytest.mark.parametrize("argv", [
         _truth_without_tab, _truth_without_target, _checkpoint_header_not_utf8,
@@ -414,13 +445,15 @@ class TestOutsideInput:
         _edited_checkpoint(b"target_index=0\n", b"target_index=4\n"),
         _edited_checkpoint(b"\tc1_d0\tc1_d1\n", b"\n"),
         _corpus_not_utf8, _truth_not_utf8, _vocab_not_utf8,
+        _negative_synth_seed, _negative_train_seed, _negative_mask_seed,
     ], ids=["truth line without TAB", "truth without the target",
             "checkpoint header not UTF-8", "report --top -1",
             "ingest --max-vocab -1", "gen-synth --mix a,b,c",
             "checkpoint target_index=x", "checkpoint d_ff=8x",
             "checkpoint array dimension 8q", "checkpoint target_index=4 of 4 domains",
             "checkpoint naming 2 of 4 domains", "corpus not UTF-8",
-            "truth not UTF-8", "vocabulary not UTF-8"])
+            "truth not UTF-8", "vocabulary not UTF-8", "gen-synth --seed -1",
+            "train --seed -1", "eval --mask-seed -3"])
     def test_bad_input_is_error_and_exit_one(self, tmp_path, capsys, argv):
         """Malformed files and flag values exit 1 with one error line: no
         traceback, and no output computed from a silently bent value."""

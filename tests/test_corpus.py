@@ -1,4 +1,5 @@
 import collections
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,9 +27,12 @@ from dombert.corpus import (
     write_domain_table,
     write_ingested,
     write_packed,
+    write_stats,
     write_vocab,
 )
 from dombert.errors import ConfigError, CorpusError
+
+from conftest import failing_partway
 
 
 def write_lines(path, lines):
@@ -345,6 +349,28 @@ class TestIngestDirectory:
             assert restored.table.counts == packed.table.counts
             assert [ex.domain_id for ex in restored.examples] == [
                 ex.domain_id for ex in packed.examples]
+
+    @pytest.mark.parametrize("name", ["packed.tsv", "vocab.tsv", "domains.tsv", "stats.tsv"])
+    def test_failed_rewrite_keeps_the_earlier_file(self, tmp_path, name):
+        """A write that fails partway leaves the old bytes and no .tmp file."""
+        root, packed = self._write(tmp_path)
+        table, vocab, path = packed.table, read_vocab(root / "vocab.tsv"), root / name
+        before = {p.name: p.read_bytes() for p in root.iterdir()}
+        rewrite = {
+            "packed.tsv": lambda: write_packed(path, SimpleNamespace(
+                examples=failing_partway(packed.examples), table=table,
+                max_len=packed.max_len, vocab_size=packed.vocab_size)),
+            "vocab.tsv": lambda: write_vocab(path, SimpleNamespace(
+                size=vocab.size, id_to_token=failing_partway(vocab.id_to_token))),
+            "domains.tsv": lambda: write_domain_table(path, SimpleNamespace(
+                n_plus_1=table.n_plus_1, target_index=table.target_index,
+                names=failing_partway(table.names), counts=table.counts)),
+            "stats.tsv": lambda: write_stats(path, failing_partway(corpus_stats(table))),
+        }[name]
+        with pytest.raises(OSError, match="No space left"):
+            rewrite()
+        assert {p.name: p.read_bytes() for p in root.iterdir()} == before
+        read_ingested(root)
 
     @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
     def test_corruption_is_a_corpus_error(self, tmp_path, case):

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from dombert.errors import ConfigError
 from dombert.masking import MaskingPolicy
 from dombert.model import ModelConfig, init_params
 from dombert.nputil import derive_rng
+
+from conftest import failing_partway
 
 
 class TestSyntheticSpec:
@@ -89,6 +93,20 @@ class TestGenSyntheticCorpus:
         assert evalbench.read_truth(truth_path) == truth
         first = corpus_path.read_text(encoding="utf-8").splitlines()[0]
         assert "\t" in first
+
+    def test_failed_rewrite_keeps_the_earlier_files(self, tmp_path):
+        """A write that fails partway leaves the old bytes and no .tmp file."""
+        records, truth = evalbench.gen_synthetic_corpus(evalbench.SyntheticSpec(docs_per_domain=2))
+        corpus_path, truth_path = tmp_path / "synth.tsv", tmp_path / "synth.truth"
+        evalbench.write_corpus(corpus_path, records)
+        evalbench.write_truth(truth_path, truth)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(OSError, match="No space left"):
+            evalbench.write_corpus(corpus_path, failing_partway(records))
+        with pytest.raises(OSError, match="No space left"):
+            evalbench.write_truth(truth_path,
+                                  SimpleNamespace(items=lambda: failing_partway(truth.items())))
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 class TestDomainRecovery:

@@ -1,3 +1,4 @@
+import copy
 import math
 import os
 import signal
@@ -81,9 +82,11 @@ class TestInitParams:
 class TestFlatLayout:
     @staticmethod
     def assert_views_in_spec_order(params, cfg):
-        flat = model.flat_buffer(params)
+        assert isinstance(params, model.FlatParams)
+        flat = params.flat
         assert flat.ndim == 1 and flat.flags.c_contiguous and flat.dtype == cfg.np_dtype
         specs = model.param_specs(cfg)
+        assert params.specs == specs
         assert [(name, arr.shape) for name, arr in params.items()] == specs
         start = 0
         for name, arr in params.items():
@@ -96,7 +99,7 @@ class TestFlatLayout:
         cfg = tiny_config(dtype=dtype)
         for params in (model.init_params(cfg, derive_rng(3, 0)), model.zero_grads(cfg)):
             self.assert_views_in_spec_order(params, cfg)
-        assert not model.flat_buffer(model.zero_grads(cfg)).any()
+        assert not model.zero_grads(cfg).flat.any()
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_init_params_keeps_the_per_name_bytes(self, dtype):
@@ -119,26 +122,53 @@ class TestFlatLayout:
     def test_flat_copy_owns_a_new_buffer(self):
         params = model.init_params(tiny_config(), derive_rng(3, 0))
         copies = model.flat_copy(params)
-        assert not np.shares_memory(model.flat_buffer(copies), model.flat_buffer(params))
-        assert model.flat_buffer(copies).tobytes() == model.flat_buffer(params).tobytes()
+        assert isinstance(copies, model.FlatParams) and copies.specs == params.specs
+        assert not np.shares_memory(copies.flat, params.flat)
+        assert copies.flat.tobytes() == params.flat.tobytes()
 
-    def test_other_layouts_are_rejected(self):
-        params = model.init_params(tiny_config(), derive_rng(3, 0))
-        names = list(params)
-        flat = model.flat_buffer(params)
-        square = model.flat_views([("a", (3, 3)), ("b", (2,))], np.float64)
+    def test_buffers_that_do_not_tile_the_specs_are_rejected(self):
+        specs = [("a", (3, 3)), ("b", (2,))]
+        model.FlatParams(specs, np.zeros(11))
         for bad in (
-            {},
-            {name: arr.copy() for name, arr in params.items()},     # one buffer each
-            {name: params[name] for name in reversed(names)},        # out of order
-            {name: params[name] for name in names[:-1]},             # the buffer's end uncovered
-            {name: params[name] for name in names[1:]},              # its start uncovered
-            {"a": square["a"].T, "b": square["b"]},                  # not C-contiguous
-            {"all": flat},                                           # the buffer, not a view
-            {"all": flat[:].view(np.int64)},                         # another dtype
+            np.zeros(10),               # too short
+            np.zeros(12),               # too long
+            np.zeros((1, 11)),          # 2-D
+            np.zeros(22)[::2],          # not C-contiguous
+            list(np.zeros(11)),         # not an array
         ):
             with pytest.raises(ValueError):
-                model.flat_buffer(bad)
+                model.FlatParams(specs, bad)
+
+    def test_entries_stay_views_of_the_buffer(self):
+        params = model.flat_views([("a", (3, 3)), ("b", (2,))], np.float64, np.zeros)
+        a = params["a"]
+        params["a"] += 1.0                     # stores back the view it updated
+        params["b"] = params["b"]
+        assert params["a"] is a
+        assert params.flat.tolist() == [1.0] * 9 + [0.0] * 2
+        for replace in (
+            lambda: params.__setitem__("a", np.ones((3, 3))),
+            lambda: params.__setitem__("a", params["a"].copy()),
+            lambda: params.__setitem__("c", np.ones(2)),
+            lambda: params.__delitem__("a"),
+            lambda: params.update(b=np.ones(2)),
+            lambda: params.pop("b"),
+            lambda: params.clear(),
+        ):
+            with pytest.raises(TypeError):
+                replace()
+        assert list(params) == ["a", "b"] and params["a"] is a
+
+    def test_deepcopy_lays_views_over_a_copied_buffer(self):
+        params = model.init_params(tiny_config(), derive_rng(3, 0))
+        copied = copy.deepcopy(params)
+        assert isinstance(copied, model.FlatParams) and copied.specs == params.specs
+        assert not np.shares_memory(copied.flat, params.flat)
+        assert copied.flat.tobytes() == params.flat.tobytes()
+        for name, arr in copied.items():
+            assert arr.base is copied.flat and np.array_equal(arr, params[name]), name
+        copied["tok_emb"] += 1.0
+        assert copied.flat.tobytes() != params.flat.tobytes()
 
 
 class TestEncode:

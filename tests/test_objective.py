@@ -24,7 +24,7 @@ def random_instance(seed, lam=0.7, n=2, scale=0.25, **cfg_overrides):
     """A well-conditioned random batch/params pair for gradient checks."""
     cfg = tiny_config(**cfg_overrides)
     gen = derive_rng(seed, 0)
-    params = model.init_params(cfg, gen)
+    params = dict(model.init_params(cfg, gen))
     for name, arr in params.items():
         if not (name.endswith("_g") or name.endswith("_b")
                 or name.rsplit(".", 1)[-1].startswith("b")):
@@ -310,7 +310,7 @@ class TestBackward:
         ])
 
         cfg = tiny_config(n_domains=2, d_hidden=2, d_domain=2, n_heads=1)
-        params = model.init_params(cfg, derive_rng(0, 0))
+        params = dict(model.init_params(cfg, derive_rng(0, 0)))
         params["cls_w"] = np.eye(2)
         params["cls_b"] = np.zeros(2)
         params["dom_emb"] = d_val.copy()

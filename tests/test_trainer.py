@@ -8,7 +8,7 @@ from dombert import checkpoint, trainer
 from dombert.corpus import DomainTable, PackedCorpus
 from dombert.errors import CheckpointError, ConfigError, NonFiniteGradientError
 from dombert.masking import MaskingPolicy
-from dombert.model import ModelConfig, flat_buffer, flat_copy, init_params, param_specs
+from dombert.model import FlatParams, ModelConfig, flat_copy, init_params, param_specs
 from dombert.nputil import derive_rng
 from dombert.sampler import domain_probabilities, sampling_probabilities
 
@@ -181,12 +181,12 @@ class TestFlatAdamax:
             u=flat_copy({k: np.full(s, 0.25, np.float32) for k, s in shapes.items()}), step=6)
         grads = flat_copy({k: np.full(s, 0.1, np.float32) for k, s in shapes.items()})
         grads["z"][-1] = bad
-        before = [flat_buffer(d).copy() for d in (params, state.m, state.u)]
+        before = [d.flat.copy() for d in (params, state.m, state.u)]
         with pytest.raises(NonFiniteGradientError, match="'z' at optimizer step 7"):
             trainer.adamax_step(params, grads, state, 0.1)
         assert state.step == 6
         for d, was in zip((params, state.m, state.u), before):
-            assert np.array_equal(flat_buffer(d), was)
+            assert np.array_equal(d.flat, was)
 
     def test_float32_buffers_stay_float32_and_in_place(self):
         corpus = make_corpus()
@@ -195,22 +195,42 @@ class TestFlatAdamax:
         state = trainer.init_adamax(mc)
         assert list(state.m) == list(state.u) == [name for name, _ in param_specs(mc)]
         grads = flat_copy(params)
-        flats = [flat_buffer(d) for d in (params, state.m, state.u)]
+        flats = [d.flat for d in (params, state.m, state.u)]
         trainer.adamax_step(params, grads, state, lr=1e-3)
         for d, flat in zip((params, state.m, state.u), flats):
-            assert flat_buffer(d) is flat and flat.dtype == np.float32
+            assert d.flat is flat and flat.dtype == np.float32
         result = trainer.train(trainer.TrainConfig(epochs=1, micro_batch=2, accum_steps=2),
                                corpus, mc)
-        assert flat_buffer(result.params).dtype == np.float32
+        assert result.params.flat.dtype == np.float32
 
     def test_layouts_that_differ_are_rejected(self):
         params = flat_copy({"a": np.ones(2), "w": np.zeros(3)})
         state = trainer.AdamaxState(m=flat_copy(params), u=flat_copy(params))
         for grads in (flat_copy({"w": np.zeros(3), "a": np.ones(2)}),
                       flat_copy({"a": np.ones(2), "w": np.zeros(4)}),
-                      {"a": np.ones(2), "w": np.zeros(3)}):
+                      {"a": np.ones(2), "w": np.zeros(3)},
+                      flat_copy({"a": np.ones(2), "w": np.zeros((3, 1))}),
+                      flat_copy({"a": np.ones(2, np.float32), "w": np.zeros(3, np.float32)})):
             with pytest.raises(ValueError):
                 trainer.adamax_step(params, grads, state, 0.1)
+
+    def test_plain_dicts_and_other_specs_among_the_others_are_rejected(self):
+        arrays = {"a": np.ones(2), "w": np.zeros(3)}
+        grads = flat_copy(arrays)
+        for params, m, u in (
+            (dict(arrays), flat_copy(arrays), flat_copy(arrays)),
+            (flat_copy(arrays), dict(arrays), flat_copy(arrays)),
+            (flat_copy(arrays), flat_copy(arrays), FlatParams([("w", (3,)), ("a", (2,))],
+                                                              np.zeros(5))),
+            (FlatParams([("a", (1, 2)), ("w", (3,))], np.ones(5)),
+             flat_copy(arrays), flat_copy(arrays)),
+            (flat_copy(arrays), flat_copy({k: v.astype(np.float32) for k, v in arrays.items()}),
+             flat_copy(arrays)),
+        ):
+            state = trainer.AdamaxState(m=m, u=u)
+            with pytest.raises(ValueError):
+                trainer.adamax_step(params, grads, state, 0.1)
+            assert state.step == 0
 
 
 class TestTrainLoop:
@@ -598,7 +618,7 @@ class TestResume:
 
         def recording_step(params, grads, state, lr):
             if state.step == bundle.adamax["step"]:
-                firsts.append([flat_buffer(d) for d in (params, state.m, state.u)])
+                firsts.append([d.flat for d in (params, state.m, state.u)])
             adamax_step(params, grads, state, lr)
 
         monkeypatch.setattr(trainer, "adamax_step", recording_step)
