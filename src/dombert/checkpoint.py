@@ -25,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, BinaryIO
@@ -66,6 +67,14 @@ def _read_line(fh: BinaryIO) -> str:
         raise CheckpointError("corrupt checkpoint: a text line is not UTF-8") from exc
 
 
+def _read_exact(fh: BinaryIO, nbytes: int, what: str) -> bytes:
+    """nbytes from fh, checked against the bytes left in the file before
+    anything is read, so a size past the end is not allocated."""
+    if not 0 <= nbytes <= os.fstat(fh.fileno()).st_size - fh.tell():
+        raise CheckpointError(f"truncated checkpoint: {what}")
+    return fh.read(nbytes)
+
+
 def _int(text: str, what: str) -> int:
     try:
         return int(text)
@@ -89,10 +98,7 @@ def _read_array(fh: BinaryIO, name: str, shape: tuple[int, ...],
     if found != shape:
         raise CheckpointError(f"array {name!r} has shape {found}, expected {shape}")
     dtype = config.np_dtype.newbyteorder("<")
-    nbytes = dtype.itemsize * int(np.prod(shape))
-    data = fh.read(nbytes)
-    if len(data) != nbytes:
-        raise CheckpointError(f"truncated checkpoint: array {name!r} incomplete")
+    data = _read_exact(fh, dtype.itemsize * math.prod(shape), f"array {name!r} incomplete")
     return np.frombuffer(data, dtype=dtype).reshape(shape).astype(config.np_dtype)
 
 
@@ -226,9 +232,7 @@ def _read_json_section(fh: BinaryIO, section: str) -> dict[str, Any]:
     if not line.startswith(section + " nbytes="):
         raise CheckpointError(f"expected section {section!r}")
     nbytes = _int(line.split("nbytes=", 1)[1], f"{section} nbytes")
-    blob = fh.read(max(nbytes, 0))
-    if len(blob) != nbytes:
-        raise CheckpointError(f"truncated checkpoint: section {section!r}")
+    blob = _read_exact(fh, nbytes, f"section {section!r}")
     try:
         return json.loads(blob.decode("utf-8"))
     except ValueError:

@@ -104,13 +104,14 @@ def _gen_synth(args: argparse.Namespace) -> int:
 def _eval(args: argparse.Namespace) -> int:
     bundle = checkpoint.load(args.ckpt)
     names, target = _domains(bundle)
+    lines = []  # printed once both results exist, so a failure prints neither
     if args.truth is not None:
         truth = evalbench.read_truth(args.truth)
         precision = evalbench.eval_domain_recovery(
             bundle.params["dom_emb"], target, names, truth
         )
         k = len(evalbench.cluster_mates(truth, names, target))
-        print(f"precision_at_{k}\t{precision:.6f}")
+        lines.append(f"precision_at_{k}\t{precision:.6f}")
     if args.heldout is not None:
         vocab = corpus.read_vocab(args.vocab)
         texts = [text for _, text in corpus.read_records(args.heldout)]
@@ -118,7 +119,8 @@ def _eval(args: argparse.Namespace) -> int:
             bundle.params, bundle.config, texts, vocab,
             MaskingPolicy(), args.mask_seed,
         )
-        print(f"pseudo_perplexity\t{ppl:.6f}")
+        lines.append(f"pseudo_perplexity\t{ppl:.6f}")
+    print(*lines, sep="\n")
     return 0
 
 

@@ -53,8 +53,9 @@ class SyntheticSpec:
             raise ConfigError("all synthetic sizes must be >= 1")
         if self.doc_len_max < self.doc_len_min:
             raise ConfigError("doc_len_max must be >= doc_len_min")
-        if abs(sum(self.mix) - 1.0) > 1e-12 or min(self.mix) < 0.0:
-            raise ConfigError("mix ratios must be non-negative and sum to 1")
+        if (not np.isfinite(self.mix).all() or abs(sum(self.mix) - 1.0) > 1e-12
+                or min(self.mix) < 0.0):
+            raise ConfigError("mix ratios must be finite, non-negative and sum to 1")
 
     @property
     def n_domains(self) -> int:
@@ -207,8 +208,10 @@ def bench_eal(
     Sparse and dense repeats alternate and each path reports its fastest
     repeat, so one stall of a shared host cannot decide the speedup.
     """
-    if reps < 1:
-        raise ConfigError("reps must be >= 1")
+    if reps < 1 or batch_size < 1:
+        raise ConfigError("reps and batch_size must be >= 1")
+    if config.vocab_size <= NUM_RESERVED:
+        raise ConfigError(f"vocab_size must exceed the {NUM_RESERVED} reserved ids")
     rng = derive_rng(seed, STREAM_EVAL)
     params = init_params(config, rng)
     l = config.max_len

@@ -137,10 +137,9 @@ class FlatParams(dict):
         return FlatParams, (self.specs, self.flat)
 
 
-def flat_views(specs: list[tuple[str, tuple[int, ...]]], dtype: np.dtype,
-               alloc: Callable = np.empty) -> FlatParams:
-    """A FlatParams over one new buffer made by alloc(size, dtype=dtype)."""
-    return FlatParams(specs, alloc(sum(math.prod(shape) for _, shape in specs), dtype=dtype))
+def flat_views(specs: list[tuple[str, tuple[int, ...]]], dtype: np.dtype) -> FlatParams:
+    """A FlatParams over one new zero-filled buffer."""
+    return FlatParams(specs, np.zeros(sum(math.prod(shape) for _, shape in specs), dtype=dtype))
 
 
 def flat_copy(params: Params) -> FlatParams:
@@ -154,7 +153,7 @@ def flat_copy(params: Params) -> FlatParams:
 def init_params(config: ModelConfig, rng: np.random.Generator) -> FlatParams:
     """Weights ~ N(0, 0.02^2); biases 0; layer-norm gain 1, bias 0; a
     FlatParams in param_specs order."""
-    params = flat_views(param_specs(config), config.np_dtype, np.zeros)
+    params = zero_grads(config)
     for name, arr in params.items():
         if _is_gain(name):
             arr.fill(1.0)
@@ -164,7 +163,7 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> FlatParams:
 
 
 def zero_grads(config: ModelConfig) -> FlatParams:
-    return flat_views(param_specs(config), config.np_dtype, np.zeros)
+    return flat_views(param_specs(config), config.np_dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +290,6 @@ class LayerCache:
 @dataclass
 class ForwardCache:
     input_ids: np.ndarray
-    valid_lens: np.ndarray
     key_bias: np.ndarray         # (B, 1, 1, L) additive mask
     emb_ln: LnCache
     layers: list[LayerCache]
@@ -319,6 +317,14 @@ def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray,
     y = np.matmul(x, w, out=out)
     y += b
     return y
+
+
+def _affine_grads(x: np.ndarray, dy: np.ndarray, grads: Params, w: str, b: str) -> None:
+    """Add _affine's weight and bias gradients for upstream dy, over every
+    row of x and dy: x.T @ dy to grads[w] and dy's row sum to grads[b]."""
+    x, dy = x.reshape(-1, x.shape[-1]), dy.reshape(-1, dy.shape[-1])
+    grads[w] += x.T @ dy
+    grads[b] += dy.sum(axis=0)
 
 
 def _at_rows(x: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
@@ -376,8 +382,8 @@ def encode(
             ln1=ln(r), x1=empty(r), z1=empty(r, ff), s=empty(r, ff), ln2=ln(r),
         ))
         x = empty(r)
-    cache = ForwardCache(input_ids=input_ids, valid_lens=valid_lens,
-                         key_bias=key_bias, emb_ln=emb_ln, layers=layers, h=x)
+    cache = ForwardCache(input_ids=input_ids, key_bias=key_bias, emb_ln=emb_ln,
+                         layers=layers, h=x)
     _in_shards(partial(_encode_into, params=params, config=config), (cache,),
                _even_parts(b, _shard_count(b, l)))
     return cache
@@ -455,10 +461,17 @@ def encode_backward(
     _in_shards(partial(_backward_into, params=params, config=config),
                (cache, lgs, d_emb, dx0), _even_parts(b, n))
 
+    # One task per affine layer and per layer norm; run_all balances the list.
     tasks = [partial(_embedding_grads, cache, d_emb, dx0, grads)]
     for i, (lc, lg) in enumerate(zip(cache.layers, lgs)):
-        tasks += [partial(task, lc, lg, f"layer{i}.", config, grads)
-                  for task in _LAYER_GRAD_TASKS]
+        pre = f"layer{i}."
+        tasks += [partial(_ff_out_grads, lc, lg.dres2, grads, pre),
+                  partial(_ln_param_grads, lg.dy, lc.ln2, grads, pre + "ln2"),
+                  partial(_ln_param_grads, lg.dx1, lc.ln1, grads, pre + "ln1")]
+        tasks += [partial(_affine_grads, x, dy, grads, pre + "w" + n, pre + "b" + n)
+                  for n, x, dy in (("1", lc.x1, lg.dz1), ("o", lc.ctx, lg.dres1),
+                                   ("q", _at_rows(lc.a_in, lc.rows), lg.dq),
+                                   ("k", lc.a_in, lg.dk), ("v", lc.a_in, lg.dv))]
     run_all(tasks, n)
 
 
@@ -506,43 +519,10 @@ def _backward_into(c: ForwardCache, lgs: list[_LayerGrads], d_emb: np.ndarray,
     _ln_dx(d_emb, c.emb_ln, params["emb_ln_g"], dx0)
 
 
-# Each parameter's gradient, summed over the whole batch from the arrays the
-# shards filled; split in four tasks of similar cost per layer.
-
-def _ff_out_grads(lc: LayerCache, lg: _LayerGrads, pre: str,
-                  config: ModelConfig, grads: Params) -> None:
-    _ln_param_grads(lg.dy, lc.ln2, grads, pre + "ln2")
-    z2f = 0.5 * lc.z1.reshape(-1, config.d_ff)
-    z2f *= lc.s.reshape(-1, config.d_ff)  # GELU(z1), the bytes encode computed
-    grads[pre + "w2"] += z2f.T @ lg.dres2.reshape(-1, config.d_hidden)
-    grads[pre + "b2"] += lg.dres2.sum(axis=(0, 1))
-
-
-def _ff_in_grads(lc: LayerCache, lg: _LayerGrads, pre: str,
-                 config: ModelConfig, grads: Params) -> None:
-    x1f = lc.x1.reshape(-1, config.d_hidden)
-    grads[pre + "w1"] += x1f.T @ lg.dz1.reshape(-1, config.d_ff)
-    grads[pre + "b1"] += lg.dz1.sum(axis=(0, 1))
-
-
-def _attn_out_grads(lc: LayerCache, lg: _LayerGrads, pre: str,
-                    config: ModelConfig, grads: Params) -> None:
-    _ln_param_grads(lg.dx1, lc.ln1, grads, pre + "ln1")
-    ctxf = lc.ctx.reshape(-1, config.d_hidden)
-    grads[pre + "wo"] += ctxf.T @ lg.dres1.reshape(-1, config.d_hidden)
-    grads[pre + "bo"] += lg.dres1.sum(axis=(0, 1))
-
-
-def _qkv_grads(lc: LayerCache, lg: _LayerGrads, pre: str,
-               config: ModelConfig, grads: Params) -> None:
-    a_inf = lc.a_in.reshape(-1, config.d_hidden)
-    a_qf = _at_rows(lc.a_in, lc.rows).reshape(-1, config.d_hidden)
-    for name, dfull, af in (("q", lg.dq, a_qf), ("k", lg.dk, a_inf), ("v", lg.dv, a_inf)):
-        grads[pre + "w" + name] += af.T @ dfull.reshape(-1, config.d_hidden)
-        grads[pre + "b" + name] += dfull.sum(axis=(0, 1))
-
-
-_LAYER_GRAD_TASKS = (_ff_out_grads, _ff_in_grads, _attn_out_grads, _qkv_grads)
+def _ff_out_grads(lc: LayerCache, dres2: np.ndarray, grads: Params, pre: str) -> None:
+    z2 = 0.5 * lc.z1
+    z2 *= lc.s  # GELU(z1), the bytes encode computed
+    _affine_grads(z2, dres2, grads, pre + "w2", pre + "b2")
 
 
 def _embedding_grads(c: ForwardCache, d_emb: np.ndarray, dx0: np.ndarray,
@@ -708,7 +688,8 @@ def mlm_head_backward(
                _large_parts(t, ealc.shards, d * v))
     tasks = [partial(_tied_grads, dlogits, ealc.z3, grads, cols)
              for cols in _large_parts(v, ealc.shards, t * d)]
-    tasks += [partial(_head_dense_grads, ealc, dz3, dz1, grads),
+    tasks += [partial(_ln_param_grads, dz3, ealc.ln, grads, "mlm_ln"),
+              partial(_affine_grads, ealc.g, dz1, grads, "mlm_w", "mlm_b"),
               partial(scatter_add_rows, d_h, (ealc.ex_idx, ealc.slots), dg_rows)]
     run_all(tasks, ealc.shards)
 
@@ -730,8 +711,3 @@ def _tied_grads(dlogits: np.ndarray, z3: np.ndarray, grads: Params, cols: slice)
     grads["tok_emb"][cols] += part.T @ z3
     grads["mlm_out_b"][cols] += part.sum(axis=0)
 
-
-def _head_dense_grads(c: EalCache, dz3: np.ndarray, dz1: np.ndarray, grads: Params) -> None:
-    _ln_param_grads(dz3, c.ln, grads, "mlm_ln")
-    grads["mlm_w"] += c.g.T @ dz1
-    grads["mlm_b"] += dz1.sum(axis=0)

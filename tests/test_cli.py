@@ -364,15 +364,45 @@ def _checkpoint_header_not_utf8(tmp_path):
     return ["report", "--ckpt", str(ckpt), "--top", "2"]
 
 
-def _edited_checkpoint(old, new):
-    """A report of a checkpoint whose header line `old` was rewritten as `new`."""
+def _edited_checkpoint(*edits):
+    """A report of a checkpoint whose header line `old` was rewritten as `new`,
+    for each (old, new) pair in edits."""
     def argv(tmp_path):
         ckpt = _small_checkpoint(tmp_path / "m.ckpt")
         data = ckpt.read_bytes()
-        assert data.count(old) == 1
-        ckpt.write_bytes(data.replace(old, new))
+        for old, new in edits:
+            assert data.count(old) == 1
+            data = data.replace(old, new)
+        ckpt.write_bytes(data)
         return ["report", "--ckpt", str(ckpt), "--top", "2"]
     return argv
+
+
+def _sampler_state_past_the_end(tmp_path):
+    """A training checkpoint whose SAMPLER-STATE declares ~100 TB."""
+    cfg = ModelConfig(vocab_size=10, n_domains=4, max_len=8, d_hidden=8,
+                      n_layers=1, n_heads=2, d_ff=8, d_domain=2)
+    params = init_params(cfg, derive_rng(0, 0))
+    ckpt = tmp_path / "t.ckpt"
+    checkpoint.save_model(ckpt, cfg, params, adamax={
+        "step": 1, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "m": params, "u": params},
+        sampler={}, trainer={})
+    data = ckpt.read_bytes()
+    assert data.count(b"SAMPLER-STATE nbytes=2\n") == 1
+    ckpt.write_bytes(data.replace(b"SAMPLER-STATE nbytes=2\n",
+                                  b"SAMPLER-STATE nbytes=99999999999999\n"))
+    return ["report", "--ckpt", str(ckpt), "--top", "2"]
+
+
+def _eval_with_bad_vocab(tmp_path):
+    truth = tmp_path / "truth.tsv"
+    truth.write_text("c0_d0\t0\nc0_d1\t0\nc1_d0\t1\nc1_d1\t1\n", encoding="utf-8")
+    heldout = tmp_path / "heldout.tsv"
+    heldout.write_text("c0_d0\talpha beta\n", encoding="utf-8")
+    vocab = tmp_path / "vocab.tsv"
+    vocab.write_text("not a vocabulary\n", encoding="utf-8")
+    return ["eval", "--ckpt", str(_small_checkpoint(tmp_path / "m.ckpt")),
+            "--truth", str(truth), "--heldout", str(heldout), "--vocab", str(vocab)]
 
 
 def _corpus_not_utf8(tmp_path):
@@ -414,6 +444,18 @@ def _mix_not_numbers(tmp_path):
     return ["gen-synth", "--mix", "a,b,c", "--out", str(tmp_path / "synth.tsv")]
 
 
+def _mix_with_nan(tmp_path):
+    return ["gen-synth", "--mix", "0.5,0.5,nan", "--out", str(tmp_path / "synth.tsv")]
+
+
+def _bench_eal_no_batch(tmp_path):
+    return ["bench-eal", "--batch", "0", "--vocab", "50", "--len", "8", "--reps", "1"]
+
+
+def _bench_eal_reserved_vocab(tmp_path):
+    return ["bench-eal", "--vocab", "5", "--len", "8", "--reps", "1", "--batch", "1"]
+
+
 def _negative_synth_seed(tmp_path):
     return ["gen-synth", "--seed", "-1", "--out", str(tmp_path / "synth.tsv")]
 
@@ -439,13 +481,17 @@ class TestOutsideInput:
     @pytest.mark.parametrize("argv", [
         _truth_without_tab, _truth_without_target, _checkpoint_header_not_utf8,
         _negative_top, _negative_max_vocab, _mix_not_numbers,
-        _edited_checkpoint(b"target_index=0\n", b"target_index=x\n"),
-        _edited_checkpoint(b"d_ff=8\n", b"d_ff=8x\n"),
-        _edited_checkpoint(b"tok_emb 10 8\n", b"tok_emb 10 8q\n"),
-        _edited_checkpoint(b"target_index=0\n", b"target_index=4\n"),
-        _edited_checkpoint(b"\tc1_d0\tc1_d1\n", b"\n"),
+        _edited_checkpoint((b"target_index=0\n", b"target_index=x\n")),
+        _edited_checkpoint((b"d_ff=8\n", b"d_ff=8x\n")),
+        _edited_checkpoint((b"tok_emb 10 8\n", b"tok_emb 10 8q\n")),
+        _edited_checkpoint((b"target_index=0\n", b"target_index=4\n")),
+        _edited_checkpoint((b"\tc1_d0\tc1_d1\n", b"\n")),
         _corpus_not_utf8, _truth_not_utf8, _vocab_not_utf8,
         _negative_synth_seed, _negative_train_seed, _negative_mask_seed,
+        _sampler_state_past_the_end,
+        _edited_checkpoint((b"vocab_size=10\n", b"vocab_size=100000000000\n"),
+                           (b"tok_emb 10 8\n", b"tok_emb 100000000000 8\n")),
+        _mix_with_nan, _bench_eal_no_batch, _bench_eal_reserved_vocab, _eval_with_bad_vocab,
     ], ids=["truth line without TAB", "truth without the target",
             "checkpoint header not UTF-8", "report --top -1",
             "ingest --max-vocab -1", "gen-synth --mix a,b,c",
@@ -453,7 +499,10 @@ class TestOutsideInput:
             "checkpoint array dimension 8q", "checkpoint target_index=4 of 4 domains",
             "checkpoint naming 2 of 4 domains", "corpus not UTF-8",
             "truth not UTF-8", "vocabulary not UTF-8", "gen-synth --seed -1",
-            "train --seed -1", "eval --mask-seed -3"])
+            "train --seed -1", "eval --mask-seed -3",
+            "checkpoint SAMPLER-STATE past the end", "checkpoint vocabulary of 1e11",
+            "gen-synth --mix 0.5,0.5,nan", "bench-eal --batch 0", "bench-eal --vocab 5",
+            "eval --truth with a malformed --vocab"])
     def test_bad_input_is_error_and_exit_one(self, tmp_path, capsys, argv):
         """Malformed files and flag values exit 1 with one error line: no
         traceback, and no output computed from a silently bent value."""

@@ -140,7 +140,7 @@ class TestFlatLayout:
                 model.FlatParams(specs, bad)
 
     def test_entries_stay_views_of_the_buffer(self):
-        params = model.flat_views([("a", (3, 3)), ("b", (2,))], np.float64, np.zeros)
+        params = model.flat_views([("a", (3, 3)), ("b", (2,))], np.float64)
         a = params["a"]
         params["a"] += 1.0                     # stores back the view it updated
         params["b"] = params["b"]
