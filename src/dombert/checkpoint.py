@@ -26,6 +26,8 @@ import dataclasses
 import json
 import math
 import os
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, BinaryIO
@@ -38,8 +40,8 @@ from .nputil import open_replacing
 
 MAGIC = "DOMBERT-CKPT v1"
 _ADAMAX_SECTION = "ADAMAX-STATE"
-_SAMPLER_SECTION = "SAMPLER-STATE"
-_TRAINER_SECTION = "TRAINER-STATE"
+SAMPLER_SECTION = "SAMPLER-STATE"
+TRAINER_SECTION = "TRAINER-STATE"
 
 
 @dataclass
@@ -158,8 +160,8 @@ def save_model(
         for name, _ in param_specs(config):
             _write_array(fh, "m." + name, adamax["m"][name], config)
             _write_array(fh, "u." + name, adamax["u"][name], config)
-        _write_json_section(fh, _SAMPLER_SECTION, sampler)
-        _write_json_section(fh, _TRAINER_SECTION, trainer)
+        _write_json_section(fh, SAMPLER_SECTION, sampler)
+        _write_json_section(fh, TRAINER_SECTION, trainer)
 
 
 def load(path: str | Path) -> CheckpointBundle:
@@ -222,8 +224,8 @@ def load(path: str | Path) -> CheckpointBundle:
             m[name] = _read_array(fh, "m." + name, shape, config)
             u[name] = _read_array(fh, "u." + name, shape, config)
         bundle.adamax = {**adamax, "m": m, "u": u}
-        bundle.sampler = _read_json_section(fh, _SAMPLER_SECTION)
-        bundle.trainer = _read_json_section(fh, _TRAINER_SECTION)
+        bundle.sampler = _read_json_section(fh, SAMPLER_SECTION)
+        bundle.trainer = _read_json_section(fh, TRAINER_SECTION)
         return bundle
 
 
@@ -237,6 +239,17 @@ def _read_json_section(fh: BinaryIO, section: str) -> dict[str, Any]:
         return json.loads(blob.decode("utf-8"))
     except ValueError:
         raise CheckpointError(f"corrupt checkpoint: section {section!r} is not JSON") from None
+
+
+@contextmanager
+def section_fields(section: str) -> Iterator[None]:
+    """A block reading a loaded JSON section's fields, in which the errors of
+    a section of another shape become a CheckpointError naming it."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise CheckpointError(
+            f"malformed {section} section: {type(exc).__name__}: {exc}") from None
 
 
 def expected_size(config: ModelConfig, *, domain_names: list[str] | None = None,

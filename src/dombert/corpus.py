@@ -102,10 +102,16 @@ class PackedExample:
 
 @dataclass
 class PackedCorpus:
+    """Packed rows and their domain table, checked by validate_packed when
+    built: a corpus that exists holds at least one row of every domain."""
+
     examples: list[PackedExample]
     table: DomainTable
     max_len: int
     vocab_size: int
+
+    def __post_init__(self) -> None:
+        validate_packed(self)
 
 
 @contextmanager
@@ -204,9 +210,9 @@ def pack_corpus(
 ) -> PackedCorpus:
     """Tokenize and pack every domain; updates table.counts in place.
 
-    Records whose text tokenizes to nothing are dropped, and a target domain
-    left with no rows is a CorpusError. Output order is domain id ascending,
-    then packing order within the domain.
+    Records whose text tokenizes to nothing are dropped, and a domain left
+    with no rows is a CorpusError. Output order is domain id ascending, then
+    packing order within the domain.
     """
     by_domain: list[list[list[int]]] = [[] for _ in table.names]
     ids_by_name = {n: i for i, n in enumerate(table.names)}
@@ -217,8 +223,6 @@ def pack_corpus(
         packed = pack_domain(docs, did, max_len)
         table.counts[did] = len(packed)
         examples.extend(packed)
-    if table.counts[table.target_index] < 1:
-        raise CorpusError("target domain has no packed examples")
     return PackedCorpus(examples=examples, table=table, max_len=max_len, vocab_size=vocab.size)
 
 
@@ -231,8 +235,9 @@ def corpus_stats(table: DomainTable) -> list[tuple[str, int]]:
 
 
 def validate_packed(corpus: PackedCorpus) -> None:
-    """Check every packed-example invariant, and the table's counts against
-    the rows; raises CorpusError naming the lowest bad example index."""
+    """Check every packed-example invariant, the table's counts against the
+    rows, and that every domain has a row, the target first; raises
+    CorpusError naming the lowest bad example index or the empty domain."""
     examples, max_len = corpus.examples, corpus.max_len
     fits = np.array([ex.ids.shape == (max_len,) for ex in examples], dtype=bool)
     blank = np.zeros(max_len, dtype=np.int64)  # stands in for a wrong-length row
@@ -257,11 +262,13 @@ def validate_packed(corpus: PackedCorpus) -> None:
         i = int(bad[0])
         message = next(text for flags, text in checks if flags[i])
         raise CorpusError(f"example {i}: " + message.format(valid_len=lens[i]))
-    counted = np.bincount(dom, minlength=corpus.table.n_plus_1)
-    if counted.tolist() != list(corpus.table.counts):
+    counts = np.bincount(dom, minlength=corpus.table.n_plus_1).tolist()
+    if counts != list(corpus.table.counts):
         raise CorpusError("table counts disagree with packed examples")
-    if corpus.table.counts[corpus.table.target_index] < 1:
+    if counts[corpus.table.target_index] < 1:
         raise CorpusError("target domain has no packed examples")
+    if 0 in counts:
+        raise CorpusError(f"domain {corpus.table.names[counts.index(0)]!r} has no packed examples")
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +345,7 @@ def write_packed(path: str | Path, corpus: PackedCorpus) -> None:
 
 
 def read_packed(path: str | Path, table: DomainTable) -> PackedCorpus:
-    """The packed rows of `path`, validated against `table` and its counts."""
+    """The packed rows of `path`, checked against `table` and its counts."""
     with open_text(path) as fh:
         max_len, n_plus_1, vocab_size = _read_header(
             fh, PACKED_MAGIC, ("L_max", "n_plus_1", "vocab_size"), "packed-corpus")
@@ -363,9 +370,7 @@ def read_packed(path: str | Path, table: DomainTable) -> PackedCorpus:
             if ids.shape != (max_len,):
                 raise CorpusError(f"line {lineno}: expected {max_len} ids")
             examples.append(PackedExample(ids=ids, valid_len=valid_len, domain_id=did))
-    corpus = PackedCorpus(examples=examples, table=table, max_len=max_len, vocab_size=vocab_size)
-    validate_packed(corpus)
-    return corpus
+    return PackedCorpus(examples=examples, table=table, max_len=max_len, vocab_size=vocab_size)
 
 
 def write_vocab(path: str | Path, vocab: Vocabulary) -> None:

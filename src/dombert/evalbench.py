@@ -168,6 +168,8 @@ def eval_pseudo_perplexity(
     batch_size: int = 16,
 ) -> float:
     """exp(mean masked-token cross-entropy) under one fixed-seed masking pass."""
+    if vocab.size != config.vocab_size:
+        raise ConfigError(f"vocabulary has {vocab.size} tokens, the model {config.vocab_size}")
     examples = pack_domain([tokenize(text, vocab) for text in heldout_texts],
                            0, config.max_len)
     if not examples:

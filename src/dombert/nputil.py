@@ -135,17 +135,24 @@ def scatter_add_rows(target: np.ndarray, index, rows: np.ndarray) -> None:
     np.add.at(target.reshape(-1), flat.reshape(-1), np.reshape(rows, -1))
 
 
-def row_norms(d: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(d * d, axis=-1))
-
-
-def normalize_rows(d: np.ndarray, context: str = "embedding matrix") -> np.ndarray:
-    """Rows scaled to unit norm. Zero-norm rows are a hard error, not a fixup."""
-    norms = row_norms(d)
+def unit_rows(d: np.ndarray, context: str) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of d in float64 scaled to unit norm, and their norms. A
+    zero-norm row is a hard error naming `context`, not a fixup."""
+    d = np.asarray(d, dtype=np.float64)
+    norms = np.sqrt(np.sum(d * d, axis=-1))
     if np.any(norms == 0.0):
         bad = int(np.flatnonzero(norms == 0.0)[0])
         raise DegenerateEmbeddingError(f"zero-norm row {bad} in {context}")
-    return d / norms[:, None]
+    return d / norms[:, None], norms
+
+
+def cosine_excess(d: np.ndarray, context: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """unit_rows(d) as (u, norms), and a = cos(D, D^T) - I = u u^T with its
+    diagonal set to exactly zero."""
+    u, norms = unit_rows(d, context)
+    a = u @ u.T
+    np.fill_diagonal(a, 0.0)
+    return u, norms, a
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 from . import model
 from .errors import ConfigError, InputError
 from .masking import MaskedBatch
-from .nputil import normalize_rows, softmax, softmax_parts
+from .nputil import cosine_excess, softmax, softmax_parts
 
 
 @dataclass(frozen=True)
@@ -66,22 +66,14 @@ def regularizer(dom_emb: np.ndarray) -> float:
     exactly zero. Scale-invariant in every row; zero-norm rows are an error.
     """
     n = dom_emb.shape[0]
-    u = normalize_rows(np.asarray(dom_emb, dtype=np.float64), "domain embeddings")
-    c = u @ u.T
-    np.fill_diagonal(c, 1.0)
-    a = c - np.eye(n)
+    _, _, a = cosine_excess(dom_emb, "domain embeddings")
     return float(np.sum(a * a)) / (n * n)
 
 
 def regularizer_grad(dom_emb: np.ndarray) -> np.ndarray:
     """Exact gradient of regularizer() with respect to the embedding rows."""
     n = dom_emb.shape[0]
-    d64 = np.asarray(dom_emb, dtype=np.float64)
-    u = normalize_rows(d64, "domain embeddings")
-    norms = np.sqrt(np.sum(d64 * d64, axis=1))
-    c = u @ u.T
-    np.fill_diagonal(c, 1.0)
-    a = c - np.eye(n)
+    u, norms, a = cosine_excess(dom_emb, "domain embeddings")
     du = (4.0 / (n * n)) * (a @ u)
     # Rows are normalized before the cosine, so project out the radial part.
     radial = np.sum(du * u, axis=1, keepdims=True)
@@ -106,9 +98,6 @@ class StepCache:
     ealc: model.EalCache         # with the softmax pieces at the target ids
     dom_logits: np.ndarray
     cls_weights: np.ndarray | None
-    mlm_ce_sum: float
-    cls_ce_sum: float
-    delta: float
 
 
 def masked_token_pass(
@@ -146,14 +135,8 @@ def forward(
     dom = model.domain_logits(fwd.h_cls, params)
     cls = loss_cls(dom, batch.domain_labels, cls_weights)
     delta = regularizer(params["dom_emb"])
-    breakdown = total_loss(mlm, cls, delta, lam)
-    cache = StepCache(
-        fwd=fwd, ealc=ealc, dom_logits=dom, cls_weights=cls_weights,
-        mlm_ce_sum=mlm * batch.n_targets,
-        cls_ce_sum=cls * batch.batch_size,
-        delta=delta,
-    )
-    return breakdown, cache
+    cache = StepCache(fwd=fwd, ealc=ealc, dom_logits=dom, cls_weights=cls_weights)
+    return total_loss(mlm, cls, delta, lam), cache
 
 
 def backward(

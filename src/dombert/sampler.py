@@ -21,9 +21,10 @@ from typing import Any
 
 import numpy as np
 
+from .checkpoint import SAMPLER_SECTION, section_fields
 from .corpus import PackedCorpus, PackedExample
 from .errors import CheckpointError, ConfigError
-from .nputil import normalize_rows, rng_from_state
+from .nputil import rng_from_state, softmax, unit_rows
 
 
 @dataclass
@@ -44,12 +45,12 @@ class SamplerState:
 
 
 def cosines_to_target(dom_emb: np.ndarray, target: int) -> np.ndarray:
-    """Cosine of every embedding row against the target row.
+    """Cosine, in float64, of every embedding row against the target row.
 
     The target's own entry is pinned to exactly 1.0 and the rest clipped to
     [-1, 1], so rounding can never rank another domain above the target.
     """
-    u = normalize_rows(dom_emb, "domain embeddings")
+    u, _ = unit_rows(dom_emb, "domain embeddings")
     cos = np.clip(u @ u[target], -1.0, 1.0)
     cos[target] = 1.0
     return cos
@@ -59,11 +60,7 @@ def domain_probabilities(dom_emb: np.ndarray, target: int, tau: float) -> np.nda
     """P_i = exp(cos(d_t, d_i)/tau) / sum_j exp(cos(d_t, d_j)/tau)."""
     if tau <= 0.0:
         raise ConfigError("temperature must be > 0")
-    cos = cosines_to_target(np.asarray(dom_emb, dtype=np.float64), target)
-    z = cos / tau
-    z -= z.max()
-    e = np.exp(z)
-    return e / e.sum()
+    return softmax(cosines_to_target(dom_emb, target) / tau)
 
 
 def sampling_probabilities(
@@ -90,15 +87,10 @@ def importance_weights(state: SamplerState, labels: np.ndarray) -> np.ndarray | 
 
 
 def _examples_by_domain(corpus: PackedCorpus) -> list[list[PackedExample]]:
-    """The corpus examples grouped by domain id; every domain must have one."""
+    """The corpus examples grouped by domain id."""
     by_domain: list[list[PackedExample]] = [[] for _ in corpus.table.names]
     for ex in corpus.examples:
         by_domain[ex.domain_id].append(ex)
-    for did, examples in enumerate(by_domain):
-        if not examples:
-            raise ConfigError(
-                f"domain {corpus.table.names[did]!r} has no packed examples"
-            )
     return by_domain
 
 
@@ -135,34 +127,35 @@ def state_to_json(state: SamplerState) -> dict[str, Any]:
 
 
 def state_from_json(raw: dict[str, Any], corpus: PackedCorpus) -> SamplerState:
-    """Rebuild a sampler saved by state_to_json over the same corpus."""
+    """Rebuild a sampler saved by state_to_json over the same corpus, or raise CheckpointError."""
     by_domain = _examples_by_domain(corpus)
-    if raw["target"] != corpus.table.target_index:
-        raise CheckpointError(f"checkpoint targets domain {raw['target']}, "
-                              f"corpus targets {corpus.table.target_index}")
-    if len(raw["queues"]) != len(by_domain):
-        raise CheckpointError("sampler state disagrees with the corpus domains")
-    queues = []
-    for i, q in enumerate(raw["queues"]):
-        order = np.asarray(q["order"], dtype=np.int64)
-        n = len(by_domain[i])
-        if not np.array_equal(np.sort(order), np.arange(n)):
-            raise CheckpointError(f"queue {i} order is not a permutation of its {n} examples")
-        cursor = int(q["cursor"])
-        if not 0 <= cursor <= n:
-            raise CheckpointError(f"queue {i} cursor {cursor} is outside [0, {n}]")
-        queues.append(DomainQueue(order=order, cursor=cursor))
-    probs = np.asarray(raw["probs"], dtype=np.float64)
-    if not (probs.shape == (len(by_domain),) and np.all(probs >= 0.0)
-            and abs(probs.sum() - 1.0) <= 1e-9):
-        raise CheckpointError("sampler probs are not a distribution over the "
-                              f"{len(by_domain)} domains")
-    return SamplerState(
-        queues=queues, probs=probs,
-        target=int(raw["target"]), tau=float(raw["tau"]),
-        rng=rng_from_state(raw["rng"]), examples_by_domain=by_domain,
-        explore=float(raw["explore"]),
-    )
+    with section_fields(SAMPLER_SECTION):
+        if raw["target"] != corpus.table.target_index:
+            raise CheckpointError(f"checkpoint targets domain {raw['target']}, "
+                                  f"corpus targets {corpus.table.target_index}")
+        if len(raw["queues"]) != len(by_domain):
+            raise CheckpointError("sampler state disagrees with the corpus domains")
+        queues = []
+        for i, q in enumerate(raw["queues"]):
+            order = np.asarray(q["order"], dtype=np.int64)
+            n = len(by_domain[i])
+            if not np.array_equal(np.sort(order), np.arange(n)):
+                raise CheckpointError(f"queue {i} order is not a permutation of its {n} examples")
+            cursor = int(q["cursor"])
+            if not 0 <= cursor <= n:
+                raise CheckpointError(f"queue {i} cursor {cursor} is outside [0, {n}]")
+            queues.append(DomainQueue(order=order, cursor=cursor))
+        probs = np.asarray(raw["probs"], dtype=np.float64)
+        if not (probs.shape == (len(by_domain),) and np.all(probs >= 0.0)
+                and abs(probs.sum() - 1.0) <= 1e-9):
+            raise CheckpointError("sampler probs are not a distribution over the "
+                                  f"{len(by_domain)} domains")
+        return SamplerState(
+            queues=queues, probs=probs,
+            target=int(raw["target"]), tau=float(raw["tau"]),
+            rng=rng_from_state(raw["rng"]), examples_by_domain=by_domain,
+            explore=float(raw["explore"]),
+        )
 
 
 def next_example(state: SamplerState, domain_id: int) -> PackedExample:
@@ -200,7 +193,7 @@ def report_top_domains(
     n_sources = dom_emb.shape[0] - 1
     if not 0 <= k <= n_sources:
         raise ConfigError(f"k={k} must be in 0..{n_sources}, the number of source domains")
-    cos = cosines_to_target(np.asarray(dom_emb, dtype=np.float64), target)
+    cos = cosines_to_target(dom_emb, target)
     ranked = sorted(
         ((names[i], float(cos[i])) for i in range(len(names)) if i != target),
         key=lambda item: (-item[1], item[0]),

@@ -171,12 +171,6 @@ def format_log_line(rec: StepRecord) -> str:
     )
 
 
-def _one_hot_probs(n: int, target: int) -> np.ndarray:
-    probs = np.zeros(n, dtype=np.float64)
-    probs[target] = 1.0
-    return probs
-
-
 def steps_per_epoch(target_count: int, effective_batch: int) -> int:
     return max(1, math.ceil(target_count / effective_batch))
 
@@ -210,11 +204,7 @@ def train(
     if mc.max_len < corpus.max_len:
         raise ConfigError("model max_len is smaller than the packed rows")
     t = table.target_index
-    target_count = table.counts[t]
-    if target_count < 1:
-        raise ConfigError("target domain has no packed examples")
-
-    spe = steps_per_epoch(target_count, tc.effective_batch)
+    spe = steps_per_epoch(table.counts[t], tc.effective_batch)
     total_steps = tc.epochs * spe
     explore = 0.0 if tc.target_only else tc.explore
     # a resume must match every field but the run length and checkpoint cadence
@@ -227,7 +217,7 @@ def train(
         state = build_sampler(corpus, params["dom_emb"], tc.tau,
                               derive_rng(tc.seed, STREAM_SAMPLER), explore)
         if tc.target_only:
-            state.probs = _one_hot_probs(table.n_plus_1, t)
+            state.probs = np.eye(table.n_plus_1)[t]
         mask_rng = derive_rng(tc.seed, STREAM_MASKING)
         start_step = 1
     else:
@@ -235,12 +225,14 @@ def train(
             raise CheckpointError(
                 "checkpoint has no optimizer/sampler state; cannot resume"
             )
-        theirs = {**dataclasses.asdict(resume.config), **resume.trainer.get("config", {})}
+        with checkpoint.section_fields(checkpoint.TRAINER_SECTION):
+            theirs = {**dataclasses.asdict(resume.config), **resume.trainer.get("config", {})}
+            start_step = int(resume.trainer["next_step"])
+            mask_rng = rng_from_state(resume.trainer["mask_rng"])
         for name, value in {**dataclasses.asdict(mc), **run_fields}.items():
             if theirs.get(name) != value:
                 raise ConfigError(f"checkpoint {name}={theirs.get(name)} "
                                   f"differs from this run's {name}={value}")
-        start_step = int(resume.trainer["next_step"])
         if resume.adamax["step"] != start_step - 1:
             raise CheckpointError(f"checkpoint's Adamax step {resume.adamax['step']} is not "
                                   f"the step {start_step - 1} before its next step")
@@ -249,7 +241,6 @@ def train(
         opt = AdamaxState(**{**resume.adamax, "m": flat_copy(resume.adamax["m"]),
                              "u": flat_copy(resume.adamax["u"])})
         state = state_from_json(resume.sampler, corpus)
-        mask_rng = rng_from_state(resume.trainer["mask_rng"])
 
     out_path = Path(out_dir) if out_dir is not None else None
     log_mode = "w"
@@ -288,7 +279,7 @@ def train(
             cls_sum = 0.0
             delta = 0.0
             for mb in masked:
-                _, cache = objective.forward(
+                bd, cache = objective.forward(
                     mb, params, mc, tc.lam, importance_weights(state, mb.domain_labels))
                 g = objective.backward(
                     mb, cache, params, mc, tc.lam,
@@ -302,9 +293,9 @@ def train(
                     grads = g
                 else:
                     grads.flat += g.flat
-                mlm_sum += cache.mlm_ce_sum
-                cls_sum += cache.cls_ce_sum
-                delta = cache.delta
+                mlm_sum += bd.mlm * mb.n_targets
+                cls_sum += bd.cls * mb.batch_size
+                delta = bd.delta
             grads["dom_emb"] += objective.regularizer_grad(params["dom_emb"])
 
             w_norm = float(np.linalg.norm(grads["cls_w"]))

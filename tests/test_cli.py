@@ -76,6 +76,19 @@ class TestIngest:
         assert "error: target domain has no packed examples" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_source_domain_that_packs_to_nothing_is_exit_one(self, tmp_path, capsys):
+        """train needs rows of every domain, so ingest writes no directory
+        without them."""
+        path = tmp_path / "c.tsv"
+        path.write_text("a\tthe cat sat on the mat\na\tdog ran far away today\n"
+                        "b\t \nc\tone two three four\n", encoding="utf-8")
+        out = tmp_path / "o"
+        rc = main(["ingest", "--corpus", str(path), "--target", "a", "--max-len", "8",
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: domain 'b' has no packed examples\n"
+        assert not out.exists()
+
 
 class TestTrain:
     def _ingest(self, tmp_path):
@@ -471,8 +484,9 @@ def _negative_train_seed(tmp_path):
 def _negative_mask_seed(tmp_path):
     heldout = tmp_path / "heldout.tsv"
     heldout.write_text("c0_d0\talpha beta\n", encoding="utf-8")
-    vocab = tmp_path / "vocab.tsv"
-    write_vocab(vocab, build_vocab(["alpha beta"], min_count=1, max_size=10))
+    vocab = tmp_path / "vocab.tsv"  # the model's 10 tokens
+    write_vocab(vocab, build_vocab(["alpha beta gamma delta epsilon"], min_count=1,
+                                   max_size=10))
     return ["eval", "--ckpt", str(_small_checkpoint(tmp_path / "m.ckpt")),
             "--heldout", str(heldout), "--vocab", str(vocab), "--mask-seed", "-3"]
 
@@ -511,6 +525,22 @@ class TestOutsideInput:
         assert main(args) == 1
         out, err = capsys.readouterr()
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert out.startswith("MANIFEST") and out.count("\n") == 1
+
+    @pytest.mark.parametrize("size", [7, 14], ids=["smaller", "larger"])
+    def test_eval_refuses_a_vocabulary_of_another_size(self, tmp_path, capsys, size):
+        """A vocabulary of another size maps the held-out words to ids of
+        other tokens (or past the model's), so nothing is scored."""
+        words = [f"w{i}" for i in range(size - 5)]
+        heldout = tmp_path / "heldout.tsv"
+        heldout.write_text("c0_d0\t" + " ".join(words) + "\n", encoding="utf-8")
+        vocab = tmp_path / "vocab.tsv"
+        write_vocab(vocab, build_vocab([" ".join(words)], min_count=1, max_size=20))
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(_small_checkpoint(tmp_path / "m.ckpt")),
+                     "--heldout", str(heldout), "--vocab", str(vocab)]) == 1
+        out, err = capsys.readouterr()
+        assert err == f"error: vocabulary has {size} tokens, the model 10\n"
         assert out.startswith("MANIFEST") and out.count("\n") == 1
 
 

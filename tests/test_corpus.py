@@ -12,6 +12,8 @@ from dombert.corpus import (
     PAD_ID,
     SEP_ID,
     UNK_ID,
+    DomainTable,
+    PackedCorpus,
     build_vocab,
     corpus_stats,
     load_corpus,
@@ -32,7 +34,7 @@ from dombert.corpus import (
 )
 from dombert.errors import ConfigError, CorpusError
 
-from conftest import failing_partway
+from conftest import failing_partway, random_packed_example
 
 
 def write_lines(path, lines):
@@ -242,6 +244,32 @@ class TestPackCorpus:
         p2, _ = build_tiny_corpus(tmp_path, lines)
         write_packed(out2, p2)
         assert out1.read_bytes() == out2.read_bytes()
+
+
+def hand_built(rng, counts, max_len=10, vocab_size=20):
+    """The PackedExamples and DomainTable of a corpus whose domain dom<i> has
+    counts[i] random valid rows; dom0 is the target."""
+    table = DomainTable(names=[f"dom{i}" for i in range(len(counts))], target_index=0,
+                        counts=list(counts))
+    examples = [random_packed_example(rng, max_len, vocab_size, did)
+                for did, count in enumerate(counts) for _ in range(count)]
+    return examples, table
+
+
+class TestPackedCorpus:
+    """A PackedCorpus is checked when it is built, so none holds a bad row
+    or a domain without rows."""
+
+    def test_empty_domain_rejected(self, rng):
+        examples, table = hand_built(rng, [2, 0, 1])
+        with pytest.raises(CorpusError, match="domain 'dom1' has no packed examples"):
+            PackedCorpus(examples, table, 10, 20)
+
+    def test_row_without_cls_rejected(self, rng):
+        examples, table = hand_built(rng, [2, 1, 1])
+        examples[1].ids[0] = SEP_ID
+        with pytest.raises(CorpusError, match=r"example 1: row does not start with \[CLS\]"):
+            PackedCorpus(examples, table, 10, 20)
 
 
 class TestFileFormats:

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from dombert import model, objective
+from dombert import model, nputil, objective
 from dombert.errors import ConfigError, DegenerateEmbeddingError, InputError
 from dombert.masking import MaskingPolicy, make_masked_batch
 from dombert.nputil import derive_rng, softmax_parts
@@ -459,15 +459,17 @@ def _float_arrays(value):
 
 class TestFloat32Contract:
     def test_forward_and_backward_stay_float32(self):
-        """Every float array a model or objective frame holds is float32.
+        """Every float array a model, objective or nputil frame holds is float32.
 
         The finite-difference checks run in float64 and cannot see a float32
         run that promotes to float64 (a float64 scalar meeting float32 arrays
-        under NumPy 2 promotion) and is narrowed back by `grads[...] +=`.
-        Locals are read at every line and at return, so values a later loop
-        iteration overwrites are seen too. regularizer and regularizer_grad
-        work in float64 by design and cast their result back, so their frames
-        are not inspected.
+        under NumPy 2 promotion) and is narrowed back by `grads[...] +=`, or
+        a helper that computes in float64 and copies back into a float32
+        array. Locals are read at every line and at return, so values a later
+        loop iteration overwrites are seen too. The domain geometry
+        (regularizer, regularizer_grad, and nputil's unit_rows and
+        cosine_excess) works in float64 by design and casts its result back,
+        so its frames are not inspected.
         """
         cfg, params, batch, lam = random_instance(
             36, lam=0.6, n=3, dtype="float32", n_layers=2)
@@ -477,8 +479,8 @@ class TestFloat32Contract:
         batch.target_ex, batch.target_pos, batch.target_ids = (
             a[keep] for a in batch.flat_targets())
         assert batch.n_targets > 0
-        modules = {model.__name__, objective.__name__}
-        exempt = {"regularizer", "regularizer_grad"}
+        modules = {model.__name__, objective.__name__, nputil.__name__}
+        exempt = {"regularizer", "regularizer_grad", "unit_rows", "cosine_excess"}
         leaks = set()
 
         def on_event(frame, event, arg):

@@ -138,14 +138,6 @@ class TestQueues:
             state.probs = np.asarray(probs, dtype=np.float64)
         return state
 
-    def test_empty_domain_rejected(self, rng):
-        corpus = make_corpus(rng, [2, 0, 1])
-        with pytest.raises(ConfigError, match="dom1"):
-            build_sampler(corpus, np.eye(3), 0.13, derive_rng(0, 1))
-        saved = state_to_json(self._state(rng, [2, 1, 1]))
-        with pytest.raises(ConfigError, match="dom1"):
-            state_from_json(saved, corpus)
-
     def test_restore_onto_another_target_rejected(self, rng):
         """A corpus re-ingested with another --target cannot take the state."""
         saved = state_to_json(self._state(rng, [2, 1, 1]))

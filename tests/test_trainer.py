@@ -707,6 +707,28 @@ class TestResume:
         for name in full.params:
             assert np.array_equal(full.params[name], resumed.params[name]), name
 
+    @pytest.mark.parametrize("section, edit", [
+        ("sampler", dict.clear),
+        ("sampler", lambda raw: raw.update(probs="x")),
+        ("sampler", lambda raw: raw.update(queues=[1, 2, 3])),
+        ("trainer", lambda raw: raw.pop("next_step")),
+        ("trainer", lambda raw: raw.update(mask_rng={"x": 1})),
+    ], ids=["empty sampler state", "probs not numbers", "queues not objects",
+            "no next step", "mask_rng of no generator"])
+    def test_malformed_training_state_rejected(self, tmp_path, section, edit):
+        """A section of another shape is a CheckpointError naming it, not a
+        bare KeyError, TypeError or ValueError from deep in the resume."""
+        corpus = make_corpus(counts=(8, 6, 5))
+        mc = small_model_config(corpus)
+        tc = trainer.TrainConfig(epochs=1, seed=5, micro_batch=2, accum_steps=2,
+                                 checkpoint_interval=1)
+        trainer.train(tc, corpus, mc, out_dir=tmp_path)
+        bundle = checkpoint.load(tmp_path / "ckpt_step000001.ckpt")
+        edit(getattr(bundle, section))
+        with pytest.raises(CheckpointError,
+                           match=f"malformed {section.upper()}-STATE section"):
+            trainer.train(tc, corpus, mc, resume=bundle)
+
     def test_resume_from_model_only_checkpoint_rejected(self, tmp_path):
         corpus = make_corpus()
         mc = small_model_config(corpus)
