@@ -11,8 +11,8 @@ appends three sections, in this order, so a run can resume bit-for-bit:
   ``m.<name>`` and ``u.<name>`` for every parameter in parameter order;
 - ``SAMPLER-STATE nbytes=N``, then N bytes of JSON in the sampler's own
   format (``sampler.state_to_json``);
-- ``TRAINER-STATE nbytes=N``, then N bytes of JSON: the next step, the
-  masking generator's state, and the run's training config.
+- ``TRAINER-STATE nbytes=N``, then N bytes of JSON: the next step (Adamax's
+  step + 1), the masking generator's state and the run's training config.
 
 Config keys that are not ModelConfig fields are ignored on load, so a file
 that carries a since-retired field still loads.
@@ -104,13 +104,6 @@ def _read_array(fh: BinaryIO, name: str, shape: tuple[int, ...],
     return np.frombuffer(data, dtype=dtype).reshape(shape).astype(config.np_dtype)
 
 
-def _config_lines(config: ModelConfig) -> list[str]:
-    lines = []
-    for field in CONFIG_FIELDS:
-        lines.append(f"{field}={getattr(config, field)}")
-    return lines
-
-
 def _parse_config(lines: dict[str, str]) -> ModelConfig:
     kwargs: dict[str, Any] = {}
     for field in dataclasses.fields(ModelConfig):
@@ -142,8 +135,8 @@ def save_model(
     trainer state (all three), a resumable training checkpoint."""
     with open_replacing(path) as fh:
         _write_line(fh, MAGIC)
-        for line in _config_lines(config):
-            _write_line(fh, line)
+        for field in CONFIG_FIELDS:
+            _write_line(fh, f"{field}={getattr(config, field)}")
         if domain_names is not None:
             _write_line(fh, "domain_names=" + "\t".join(domain_names))
         if target_index is not None:
@@ -251,19 +244,3 @@ def section_fields(section: str) -> Iterator[None]:
         raise CheckpointError(
             f"malformed {section} section: {type(exc).__name__}: {exc}") from None
 
-
-def expected_size(config: ModelConfig, *, domain_names: list[str] | None = None,
-                  target_index: int | None = None) -> int:
-    """Byte size of a model-only checkpoint: text lines + raw array bytes."""
-    total = len(MAGIC) + 1
-    for line in _config_lines(config):
-        total += len(line) + 1
-    if domain_names is not None:
-        total += len("domain_names=" + "\t".join(domain_names)) + 1
-    if target_index is not None:
-        total += len(f"target_index={target_index}") + 1
-    for name, shape in param_specs(config):
-        dims = " ".join(str(d) for d in shape)
-        total += len(f"{name} {dims}") + 1
-        total += config.np_dtype.itemsize * int(np.prod(shape))
-    return total

@@ -79,6 +79,16 @@ class TrainConfig:
     def effective_batch(self) -> int:
         return self.micro_batch * self.accum_steps
 
+    @property
+    def sampler_explore(self) -> float:
+        """The sampler's uniform share: none in a target-only run."""
+        return 0.0 if self.target_only else self.explore
+
+    def run_fields(self) -> dict[str, Any]:
+        """The fields a resume must match: all but epochs and checkpoint_interval."""
+        return {name: value for name, value in dataclasses.asdict(self).items()
+                if name not in ("epochs", "checkpoint_interval")}
+
 
 @dataclass
 class AdamaxState:
@@ -88,10 +98,6 @@ class AdamaxState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-
-
-def init_adamax(config: ModelConfig) -> AdamaxState:
-    return AdamaxState(m=zero_grads(config), u=zero_grads(config))
 
 
 # Bytes of each array that one block of the Adamax sweep touches: small
@@ -143,6 +149,60 @@ def adamax_step(params: FlatParams, grads: FlatParams, state: AdamaxState, lr: f
         np.add(ub, state.eps, out=den)
         step /= den
         theta[part] -= step
+
+
+@dataclass
+class RunState:
+    """Everything a training checkpoint saves and a resume restores."""
+
+    params: FlatParams
+    opt: AdamaxState
+    sampler: SamplerState
+    mask_rng: np.random.Generator
+
+    @property
+    def next_step(self) -> int:
+        return self.opt.step + 1
+
+    @classmethod
+    def fresh(cls, tc: TrainConfig, corpus: PackedCorpus, mc: ModelConfig) -> RunState:
+        """A new run's state, every generator derived from tc.seed."""
+        params = init_params(mc, derive_rng(tc.seed, STREAM_INIT))
+        opt = AdamaxState(m=zero_grads(mc), u=zero_grads(mc))
+        sampler = build_sampler(corpus, params["dom_emb"], tc.tau,
+                                derive_rng(tc.seed, STREAM_SAMPLER), tc.sampler_explore)
+        if tc.target_only:
+            sampler.probs = np.eye(corpus.table.n_plus_1)[corpus.table.target_index]
+        return cls(params, opt, sampler, derive_rng(tc.seed, STREAM_MASKING))
+
+    @classmethod
+    def from_bundle(cls, bundle: checkpoint.CheckpointBundle, tc: TrainConfig,
+                    corpus: PackedCorpus, mc: ModelConfig) -> RunState:
+        """The state in copies (the bundle may resume again), once every resume check passes."""
+        if bundle.adamax is None or bundle.sampler is None or bundle.trainer is None:
+            raise CheckpointError("checkpoint has no optimizer/sampler state; cannot resume")
+        table = corpus.table
+        if (bundle.domain_names, bundle.target_index) != (table.names, table.target_index):
+            raise CheckpointError(f"checkpoint's domains (target {bundle.target_index}) are "
+                                  f"not the corpus's (target {table.target_index})")
+        with checkpoint.section_fields(checkpoint.TRAINER_SECTION):
+            theirs = {**dataclasses.asdict(bundle.config), **bundle.trainer.get("config", {})}
+            next_step = int(bundle.trainer["next_step"])
+            mask_rng = rng_from_state(bundle.trainer["mask_rng"])
+        for name, value in {**dataclasses.asdict(mc), **tc.run_fields()}.items():
+            if theirs.get(name) != value:
+                raise ConfigError(f"checkpoint {name}={theirs.get(name)} "
+                                  f"differs from this run's {name}={value}")
+        if bundle.adamax["step"] != next_step - 1:
+            raise CheckpointError(f"checkpoint's Adamax step {bundle.adamax['step']} is not "
+                                  f"the step {next_step - 1} before its next step")
+        sampler = state_from_json(bundle.sampler, corpus)
+        if (sampler.tau, sampler.explore) != (tc.tau, tc.sampler_explore):
+            raise CheckpointError(f"checkpoint's sampler has tau={sampler.tau}, explore="
+                                  f"{sampler.explore}; this run {tc.tau}, {tc.sampler_explore}")
+        opt = AdamaxState(**{**bundle.adamax, "m": flat_copy(bundle.adamax["m"]),
+                             "u": flat_copy(bundle.adamax["u"])})
+        return cls(flat_copy(bundle.params), opt, sampler, mask_rng)
 
 
 @dataclass
@@ -206,54 +266,21 @@ def train(
     t = table.target_index
     spe = steps_per_epoch(table.counts[t], tc.effective_batch)
     total_steps = tc.epochs * spe
-    explore = 0.0 if tc.target_only else tc.explore
-    # a resume must match every field but the run length and checkpoint cadence
-    run_fields = {name: value for name, value in dataclasses.asdict(tc).items()
-                  if name not in ("epochs", "checkpoint_interval")}
-
-    if resume is None:
-        params = init_params(mc, derive_rng(tc.seed, STREAM_INIT))
-        opt = init_adamax(mc)
-        state = build_sampler(corpus, params["dom_emb"], tc.tau,
-                              derive_rng(tc.seed, STREAM_SAMPLER), explore)
-        if tc.target_only:
-            state.probs = np.eye(table.n_plus_1)[t]
-        mask_rng = derive_rng(tc.seed, STREAM_MASKING)
-        start_step = 1
-    else:
-        if resume.adamax is None or resume.sampler is None or resume.trainer is None:
-            raise CheckpointError(
-                "checkpoint has no optimizer/sampler state; cannot resume"
-            )
-        with checkpoint.section_fields(checkpoint.TRAINER_SECTION):
-            theirs = {**dataclasses.asdict(resume.config), **resume.trainer.get("config", {})}
-            start_step = int(resume.trainer["next_step"])
-            mask_rng = rng_from_state(resume.trainer["mask_rng"])
-        for name, value in {**dataclasses.asdict(mc), **run_fields}.items():
-            if theirs.get(name) != value:
-                raise ConfigError(f"checkpoint {name}={theirs.get(name)} "
-                                  f"differs from this run's {name}={value}")
-        if resume.adamax["step"] != start_step - 1:
-            raise CheckpointError(f"checkpoint's Adamax step {resume.adamax['step']} is not "
-                                  f"the step {start_step - 1} before its next step")
-        # Copies: the run updates them in place, and the bundle may resume again.
-        params = flat_copy(resume.params)
-        opt = AdamaxState(**{**resume.adamax, "m": flat_copy(resume.adamax["m"]),
-                             "u": flat_copy(resume.adamax["u"])})
-        state = state_from_json(resume.sampler, corpus)
+    run = (RunState.fresh(tc, corpus, mc) if resume is None
+           else RunState.from_bundle(resume, tc, corpus, mc))
 
     out_path = Path(out_dir) if out_dir is not None else None
     log_mode = "w"
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
         if resume is not None and (out_path / "log.tsv").exists():
-            _cut_log(out_path / "log.tsv", start_step)
+            _cut_log(out_path / "log.tsv", run.next_step)
             log_mode = "a"
 
     report_k = min(REPORT_K, table.n_plus_1 - 1)
 
     def top_domains() -> list[str]:
-        report = report_top_domains(params["dom_emb"], t, report_k, table.names)
+        report = report_top_domains(run.params["dom_emb"], t, report_k, table.names)
         return [row + "\n" for row in format_top_domains(report)]
 
     records: list[StepRecord] = []
@@ -262,14 +289,14 @@ def train(
         if log_mode == "w" and log is not None and manifest is not None:
             log.write(manifest + "\n")
 
-        for step in range(start_step, total_steps + 1):
+        for step in range(run.next_step, total_steps + 1):
             epoch = (step - 1) // spe + 1
-            p_target = float(state.probs[t])
-            p_is_max = bool(state.probs[t] >= state.probs.max())
+            p_target = float(run.sampler.probs[t])
+            p_is_max = bool(run.sampler.probs[t] >= run.sampler.probs.max())
 
-            micro_batches = [sample_batch(state, tc.micro_batch)
+            micro_batches = [sample_batch(run.sampler, tc.micro_batch)
                              for _ in range(tc.accum_steps)]
-            masked = [make_masked_batch(mb, tc.masking, mask_rng, mc.vocab_size)
+            masked = [make_masked_batch(mb, tc.masking, run.mask_rng, mc.vocab_size)
                       for mb in micro_batches]
             t_tot = sum(mb.n_targets for mb in masked)
             b_tot = tc.effective_batch
@@ -280,9 +307,9 @@ def train(
             delta = 0.0
             for mb in masked:
                 bd, cache = objective.forward(
-                    mb, params, mc, tc.lam, importance_weights(state, mb.domain_labels))
+                    mb, run.params, mc, tc.lam, importance_weights(run.sampler, mb.domain_labels))
                 g = objective.backward(
-                    mb, cache, params, mc, tc.lam,
+                    mb, cache, run.params, mc, tc.lam,
                     mlm_divisor=max(t_tot, 1), cls_divisor=b_tot,
                     include_regularizer=False,
                 )
@@ -296,14 +323,14 @@ def train(
                 mlm_sum += bd.mlm * mb.n_targets
                 cls_sum += bd.cls * mb.batch_size
                 delta = bd.delta
-            grads["dom_emb"] += objective.regularizer_grad(params["dom_emb"])
+            grads["dom_emb"] += objective.regularizer_grad(run.params["dom_emb"])
 
             w_norm = float(np.linalg.norm(grads["cls_w"]))
             b_norm = float(np.linalg.norm(grads["cls_b"]))
-            adamax_step(params, grads, opt, tc.lr)
+            adamax_step(run.params, grads, run.opt, tc.lr)
 
             if not tc.target_only:
-                refresh_probabilities(state, params["dom_emb"])
+                refresh_probabilities(run.sampler, run.params["dom_emb"])
 
             breakdown = total_loss(mlm_sum / max(t_tot, 1), cls_sum / b_tot,
                                    delta, tc.lam)
@@ -322,21 +349,15 @@ def train(
                 log.writelines(top_domains())
             log.flush()
             if at_checkpoint:
-                save_training_checkpoint(
-                    out_path / f"ckpt_step{step:06d}.ckpt",
-                    mc, params, opt, state,
-                    {"next_step": step + 1,
-                     "mask_rng": mask_rng.bit_generator.state,
-                     "config": run_fields},
-                    table,
-                )
+                save_training_checkpoint(out_path / f"ckpt_step{step:06d}.ckpt",
+                                         mc, tc, run, table)
 
     if out_path is not None:
-        checkpoint.save_model(out_path / "final.ckpt", mc, params,
+        checkpoint.save_model(out_path / "final.ckpt", mc, run.params,
                               domain_names=list(table.names), target_index=t)
         with open_replacing(out_path / "top_domains.tsv", "w", encoding="utf-8") as fh:
             fh.writelines(top_domains())
-    return TrainResult(params=params, model_config=mc, records=records)
+    return TrainResult(params=run.params, model_config=mc, records=records)
 
 
 def _cut_log(path: Path, next_step: int) -> None:
@@ -364,20 +385,13 @@ def _cut_log(path: Path, next_step: int) -> None:
     os.truncate(path, offset)
 
 
-def save_training_checkpoint(
-    path: str | Path,
-    model_config: ModelConfig,
-    params: Params,
-    opt: AdamaxState,
-    state: SamplerState,
-    trainer_meta: dict[str, Any],
-    table: DomainTable,
-) -> None:
+def save_training_checkpoint(path: str | Path, model_config: ModelConfig,
+                             train_config: TrainConfig, run: RunState, table: DomainTable) -> None:
+    """The one writer of a resumable checkpoint of run."""
     checkpoint.save_model(
-        path, model_config, params,
-        domain_names=list(table.names),
-        target_index=table.target_index,
-        adamax=vars(opt),
-        sampler=state_to_json(state),
-        trainer=trainer_meta,
+        path, model_config, run.params,
+        domain_names=list(table.names), target_index=table.target_index,
+        adamax=vars(run.opt), sampler=state_to_json(run.sampler),
+        trainer={"next_step": run.next_step, "mask_rng": run.mask_rng.bit_generator.state,
+                 "config": train_config.run_fields()},
     )

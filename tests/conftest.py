@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from dombert.corpus import CLS_ID, NUM_RESERVED, PAD_ID, SEP_ID, PackedExample
+from dombert.corpus import (CLS_ID, NUM_RESERVED, PAD_ID, SEP_ID, DomainTable, PackedCorpus,
+                            PackedExample)
 from dombert.masking import MaskedBatch
 
 
@@ -18,6 +19,17 @@ def random_packed_example(
     ids[1 : valid_len - 1] = rng.integers(NUM_RESERVED, vocab_size, size=valid_len - 2)
     ids[valid_len - 1] = SEP_ID
     return PackedExample(ids=ids, valid_len=valid_len, domain_id=domain_id)
+
+
+def packed_corpus(rng: np.random.Generator, counts, target: int = 0,
+                  max_len: int = 10, vocab_size: int = 20) -> PackedCorpus:
+    """A hand-built corpus whose domain dom<i> has counts[i] random rows, drawn
+    from rng domain by domain; raises as PackedCorpus does for a bad one."""
+    table = DomainTable(names=[f"dom{i}" for i in range(len(counts))], target_index=target,
+                        counts=list(counts))
+    examples = [random_packed_example(rng, max_len, vocab_size, did)
+                for did, count in enumerate(counts) for _ in range(count)]
+    return PackedCorpus(examples, table, max_len, vocab_size)
 
 
 def failing_partway(items):

@@ -16,7 +16,7 @@ from dombert.model import ModelConfig, init_params
 from dombert.nputil import derive_rng
 from dombert.sampler import build_sampler, next_example, sample_batch
 
-from conftest import random_packed_example
+from conftest import packed_corpus, random_packed_example
 
 
 def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -166,17 +166,7 @@ def test_criterion_2_eal_equivalence_and_benefit():
 def test_criterion_3_sampler_fidelity():
     """Frequencies track P; queues never repeat early; target stays argmax."""
     start = time.time()
-    gen = np.random.default_rng(5)
-    names = [f"d{i}" for i in range(4)]
-    table = corpuslib.DomainTable(names=names, target_index=0)
-    examples = []
-    for did in range(4):
-        for _ in range(5):
-            examples.append(random_packed_example(gen, max_len=8, vocab_size=20,
-                                                  domain_id=did))
-    table.counts = [5, 5, 5, 5]
-    packed = corpuslib.PackedCorpus(examples=examples, table=table, max_len=8,
-                                    vocab_size=20)
+    packed = packed_corpus(np.random.default_rng(5), [5, 5, 5, 5], max_len=8, vocab_size=20)
     state = build_sampler(packed, np.eye(4), 0.13, derive_rng(0, 1))
     probs = np.array([0.4, 0.3, 0.2, 0.1])
     state.probs = probs
@@ -200,7 +190,8 @@ def test_criterion_3_sampler_fidelity():
         no_repeat &= len(set(window)) == queue_len
 
     # target probability maximal throughout a real training run
-    run_corpus = _tiny_train_corpus()
+    run_corpus = packed_corpus(np.random.default_rng(0), (12, 9, 8), max_len=16,
+                               vocab_size=40)
     mc = ModelConfig(vocab_size=run_corpus.vocab_size,
                      n_domains=run_corpus.table.n_plus_1, max_len=run_corpus.max_len,
                      d_hidden=16, n_layers=1, n_heads=2, d_ff=32, d_domain=8)
@@ -246,24 +237,11 @@ def test_criterion_4_regularizer_properties():
             f"scale {scale_ok}, descent {descent_ok}")
 
 
-def _tiny_train_corpus(seed=0, counts=(12, 9, 8), vocab_size=40, max_len=16):
-    gen = np.random.default_rng(seed)
-    names = [f"dom{i}" for i in range(len(counts))]
-    table = corpuslib.DomainTable(names=names, target_index=0)
-    examples = []
-    for did, count in enumerate(counts):
-        for _ in range(count):
-            examples.append(random_packed_example(
-                gen, max_len=max_len, vocab_size=vocab_size, domain_id=did))
-    table.counts = list(counts)
-    return corpuslib.PackedCorpus(examples=examples, table=table,
-                                  max_len=max_len, vocab_size=vocab_size)
-
-
 def test_criterion_5_loss_identity_and_frozen_head():
     """200 optimizer steps: exact mixing identity; lam=1 freezes W and b."""
     start = time.time()
-    run_corpus = _tiny_train_corpus()
+    run_corpus = packed_corpus(np.random.default_rng(0), (12, 9, 8), max_len=16,
+                               vocab_size=40)
     mc = ModelConfig(vocab_size=run_corpus.vocab_size,
                      n_domains=run_corpus.table.n_plus_1,
                      max_len=run_corpus.max_len, d_hidden=16, n_layers=1,

@@ -34,7 +34,7 @@ from dombert.corpus import (
 )
 from dombert.errors import ConfigError, CorpusError
 
-from conftest import failing_partway, random_packed_example
+from conftest import failing_partway, packed_corpus
 
 
 def write_lines(path, lines):
@@ -192,8 +192,6 @@ class TestPackDomain:
 
 class TestCorpusStats:
     def _table(self, counts):
-        from dombert.corpus import DomainTable
-
         table = DomainTable(names=[f"d{i}" for i in range(len(counts))], target_index=0)
         table.counts = list(counts)
         return table
@@ -246,30 +244,19 @@ class TestPackCorpus:
         assert out1.read_bytes() == out2.read_bytes()
 
 
-def hand_built(rng, counts, max_len=10, vocab_size=20):
-    """The PackedExamples and DomainTable of a corpus whose domain dom<i> has
-    counts[i] random valid rows; dom0 is the target."""
-    table = DomainTable(names=[f"dom{i}" for i in range(len(counts))], target_index=0,
-                        counts=list(counts))
-    examples = [random_packed_example(rng, max_len, vocab_size, did)
-                for did, count in enumerate(counts) for _ in range(count)]
-    return examples, table
-
-
 class TestPackedCorpus:
     """A PackedCorpus is checked when it is built, so none holds a bad row
     or a domain without rows."""
 
     def test_empty_domain_rejected(self, rng):
-        examples, table = hand_built(rng, [2, 0, 1])
         with pytest.raises(CorpusError, match="domain 'dom1' has no packed examples"):
-            PackedCorpus(examples, table, 10, 20)
+            packed_corpus(rng, [2, 0, 1])
 
     def test_row_without_cls_rejected(self, rng):
-        examples, table = hand_built(rng, [2, 1, 1])
-        examples[1].ids[0] = SEP_ID
+        good = packed_corpus(rng, [2, 1, 1])
+        good.examples[1].ids[0] = SEP_ID
         with pytest.raises(CorpusError, match=r"example 1: row does not start with \[CLS\]"):
-            PackedCorpus(examples, table, 10, 20)
+            PackedCorpus(good.examples, good.table, 10, 20)
 
 
 class TestFileFormats:

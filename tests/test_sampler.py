@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from dombert.corpus import DomainTable, PackedCorpus
 from dombert.errors import CheckpointError, ConfigError, DegenerateEmbeddingError
 from dombert.nputil import derive_rng
 from dombert.sampler import (
@@ -21,22 +20,7 @@ from dombert.sampler import (
     state_to_json,
 )
 
-from conftest import random_packed_example
-
-
-def make_corpus(rng, counts, target=0, max_len=10, vocab_size=20):
-    names = [f"dom{i}" for i in range(len(counts))]
-    table = DomainTable(names=names, target_index=target)
-    examples = []
-    for did, count in enumerate(counts):
-        for _ in range(count):
-            examples.append(
-                random_packed_example(rng, max_len=max_len,
-                                      vocab_size=vocab_size, domain_id=did)
-            )
-    table.counts = list(counts)
-    return PackedCorpus(examples=examples, table=table, max_len=max_len,
-                        vocab_size=vocab_size)
+from conftest import packed_corpus
 
 
 class TestDomainProbabilities:
@@ -105,7 +89,7 @@ class TestExploration:
                 sampling_probabilities(np.eye(3), 0, 0.13, explore)
 
     def test_state_refresh_keeps_the_floor(self, rng):
-        corpus = make_corpus(rng, [2, 2, 2])
+        corpus = packed_corpus(rng, [2, 2, 2])
         d = rng.normal(size=(3, 4))
         state = build_sampler(corpus, d, 0.13, derive_rng(0, 1), explore=0.3)
         moved = rng.normal(size=(3, 4))
@@ -114,7 +98,7 @@ class TestExploration:
                               sampling_probabilities(moved, 0, 0.13, 0.3))
 
     def test_importance_weights(self, rng):
-        corpus = make_corpus(rng, [2, 2, 2, 2])
+        corpus = packed_corpus(rng, [2, 2, 2, 2])
         d = rng.normal(size=(4, 3))
         labels = np.arange(4)
         assert importance_weights(build_sampler(corpus, d, 0.13, derive_rng(0, 1)),
@@ -131,7 +115,7 @@ class TestExploration:
 
 class TestQueues:
     def _state(self, rng, counts, probs=None):
-        corpus = make_corpus(rng, counts)
+        corpus = packed_corpus(rng, counts)
         d = np.eye(len(counts))
         state = build_sampler(corpus, d, 0.13, derive_rng(0, 1))
         if probs is not None:
@@ -142,8 +126,8 @@ class TestQueues:
         """A corpus re-ingested with another --target cannot take the state."""
         saved = state_to_json(self._state(rng, [2, 1, 1]))
         with pytest.raises(CheckpointError, match="domain 0, corpus targets 2"):
-            state_from_json(saved, make_corpus(rng, [2, 1, 1], target=2))
-        assert state_from_json(saved, make_corpus(rng, [2, 1, 1])).target == 0
+            state_from_json(saved, packed_corpus(rng, [2, 1, 1], target=2))
+        assert state_from_json(saved, packed_corpus(rng, [2, 1, 1])).target == 0
 
     @pytest.mark.parametrize("key, value, match", [
         ("cursor", -1, "queue 0 cursor -1"),
@@ -158,7 +142,7 @@ class TestQueues:
         """A damaged state would resume with other draws than the
         uninterrupted run, or fail in the first sample_batch."""
         saved = state_to_json(self._state(rng, [3, 1, 1]))
-        corpus = make_corpus(rng, [3, 1, 1])
+        corpus = packed_corpus(rng, [3, 1, 1])
         assert state_from_json(saved, corpus).queues[0].cursor == 0
         (saved if key == "probs" else saved["queues"][0])[key] = value
         with pytest.raises(CheckpointError, match=match):
@@ -197,7 +181,7 @@ class TestQueues:
 
 class TestRefresh:
     def test_unchanged_embeddings_leave_p_unchanged(self, rng):
-        corpus = make_corpus(rng, [2, 2, 2])
+        corpus = packed_corpus(rng, [2, 2, 2])
         d = rng.normal(size=(3, 4))
         state = build_sampler(corpus, d, 0.13, derive_rng(0, 1))
         before = state.probs.copy()
@@ -205,7 +189,7 @@ class TestRefresh:
         assert np.array_equal(before, state.probs)
 
     def test_moving_toward_target_raises_probability(self, rng):
-        corpus = make_corpus(rng, [2, 2, 2])
+        corpus = packed_corpus(rng, [2, 2, 2])
         d = rng.normal(size=(3, 4))
         state = build_sampler(corpus, d, 0.13, derive_rng(0, 1))
         p_before = state.probs[1]
@@ -215,7 +199,7 @@ class TestRefresh:
         assert state.probs[1] > p_before
 
     def test_ranking_matches_cosine_ranking(self, rng):
-        corpus = make_corpus(rng, [1] * 6)
+        corpus = packed_corpus(rng, [1] * 6)
         d = rng.normal(size=(6, 4))
         state = build_sampler(corpus, d, 0.13, derive_rng(0, 1))
         from dombert.sampler import cosines_to_target
@@ -224,7 +208,7 @@ class TestRefresh:
         assert np.array_equal(np.argsort(-state.probs), np.argsort(-cos))
 
     def test_refresh_preserves_queue_cursors(self, rng):
-        corpus = make_corpus(rng, [4, 4])
+        corpus = packed_corpus(rng, [4, 4])
         d = rng.normal(size=(2, 3))
         state = build_sampler(corpus, d, 0.13, derive_rng(0, 1))
         sample_batch(state, 5)

@@ -5,28 +5,35 @@ import numpy as np
 import pytest
 
 from dombert import checkpoint, trainer
-from dombert.corpus import DomainTable, PackedCorpus
 from dombert.errors import CheckpointError, ConfigError, NonFiniteGradientError
 from dombert.masking import MaskingPolicy
-from dombert.model import FlatParams, ModelConfig, flat_copy, init_params, param_specs
+from dombert.model import (FlatParams, ModelConfig, flat_copy, init_params, param_specs,
+                           zero_grads)
 from dombert.nputil import derive_rng
 from dombert.sampler import domain_probabilities, sampling_probabilities
 
-from conftest import random_packed_example
+from conftest import packed_corpus
 
 
-def make_corpus(seed=0, counts=(6, 5, 4), target=0, max_len=12, vocab_size=25):
-    gen = np.random.default_rng(seed)
-    names = [f"dom{i}" for i in range(len(counts))]
-    table = DomainTable(names=names, target_index=target)
-    examples = []
-    for did, count in enumerate(counts):
-        for _ in range(count):
-            examples.append(random_packed_example(
-                gen, max_len=max_len, vocab_size=vocab_size, domain_id=did))
-    table.counts = list(counts)
-    return PackedCorpus(examples=examples, table=table, max_len=max_len,
-                        vocab_size=vocab_size)
+def make_corpus(counts=(6, 5, 4), target=0):
+    """This file's corpus: generator seed 0, rows of 12 tokens, vocabulary 25."""
+    return packed_corpus(np.random.default_rng(0), counts, target, max_len=12, vocab_size=25)
+
+
+def expected_size(config, *, domain_names=None, target_index=None):
+    """Byte size of a model-only checkpoint: text lines + raw array bytes."""
+    total = len(checkpoint.MAGIC) + 1
+    for field in dataclasses.fields(ModelConfig):
+        total += len(f"{field.name}={getattr(config, field.name)}") + 1
+    if domain_names is not None:
+        total += len("domain_names=" + "\t".join(domain_names)) + 1
+    if target_index is not None:
+        total += len(f"target_index={target_index}") + 1
+    for name, shape in param_specs(config):
+        dims = " ".join(str(d) for d in shape)
+        total += len(f"{name} {dims}") + 1
+        total += config.np_dtype.itemsize * int(np.prod(shape))
+    return total
 
 
 def read_log(out_dir):
@@ -76,7 +83,7 @@ class TestAdamax:
         cfg = self._scalar_state()
         params = init_params(cfg, derive_rng(0, 0))
         before = {k: v.copy() for k, v in params.items()}
-        state = trainer.init_adamax(cfg)
+        state = trainer.AdamaxState(m=zero_grads(cfg), u=zero_grads(cfg))
         grads = flat_copy({k: np.zeros_like(v) for k, v in params.items()})
         trainer.adamax_step(params, grads, state, lr=0.1)
         for name in params:
@@ -191,17 +198,17 @@ class TestFlatAdamax:
     def test_float32_buffers_stay_float32_and_in_place(self):
         corpus = make_corpus()
         mc = small_model_config(corpus)
-        params = init_params(mc, derive_rng(0, 0))
-        state = trainer.init_adamax(mc)
+        tc = trainer.TrainConfig(epochs=1, micro_batch=2, accum_steps=2)
+        fresh = trainer.RunState.fresh(tc, corpus, mc)
+        params, state = fresh.params, fresh.opt
+        assert state.step == 0 and fresh.next_step == 1
         assert list(state.m) == list(state.u) == [name for name, _ in param_specs(mc)]
         grads = flat_copy(params)
         flats = [d.flat for d in (params, state.m, state.u)]
         trainer.adamax_step(params, grads, state, lr=1e-3)
         for d, flat in zip((params, state.m, state.u), flats):
             assert d.flat is flat and flat.dtype == np.float32
-        result = trainer.train(trainer.TrainConfig(epochs=1, micro_batch=2, accum_steps=2),
-                               corpus, mc)
-        assert result.params.flat.dtype == np.float32
+        assert trainer.train(tc, corpus, mc).params.flat.dtype == np.float32
 
     def test_layouts_that_differ_are_rejected(self):
         params = flat_copy({"a": np.ones(2), "w": np.zeros(3)})
@@ -436,7 +443,7 @@ class TestCheckpoint:
             params = init_params(mc, derive_rng(0, 0))
             path = tmp_path / f"{dtype}.ckpt"
             checkpoint.save_model(path, mc, params, domain_names=names, target_index=0)
-            expected = checkpoint.expected_size(mc, domain_names=names, target_index=0)
+            expected = expected_size(mc, domain_names=names, target_index=0)
             assert path.stat().st_size == expected
             array_bytes = sum(itemsize * int(np.prod(shape))
                               for _, shape in param_specs(mc))
@@ -706,6 +713,61 @@ class TestResume:
         resumed = trainer.train(tc, corpus, mc, resume=bundle)
         for name in full.params:
             assert np.array_equal(full.params[name], resumed.params[name]), name
+
+    @pytest.mark.parametrize("field, value", [("tau", 5.0), ("explore", 0.9)])
+    def test_resume_refuses_a_sampler_section_of_another_run(self, tmp_path, field, value):
+        """The sampler section's own tau and explore must be the run's too,
+        not only the trainer section's copy of the config."""
+        corpus = make_corpus(counts=(8, 6, 5))
+        mc = small_model_config(corpus)
+        tc = trainer.TrainConfig(epochs=2, seed=5, micro_batch=2, accum_steps=2,
+                                 checkpoint_interval=2)
+        trainer.train(tc, corpus, mc, out_dir=tmp_path)
+        bundle = checkpoint.load(tmp_path / "ckpt_step000002.ckpt")
+        bundle.sampler[field] = value
+        with pytest.raises(CheckpointError, match=f"sampler has .*{field}={value}"):
+            trainer.train(tc, corpus, mc, resume=bundle)
+
+    @pytest.mark.parametrize("field, value", [
+        ("domain_names", ["dom0", "dom2", "dom1"]), ("target_index", 1), ("domain_names", None),
+    ])
+    def test_resume_refuses_a_checkpoint_of_another_corpus(self, tmp_path, field, value):
+        """The header's domain names and target index must be the corpus's."""
+        corpus = make_corpus(counts=(8, 6, 5))
+        mc = small_model_config(corpus)
+        tc = trainer.TrainConfig(epochs=2, seed=5, micro_batch=2, accum_steps=2,
+                                 checkpoint_interval=2)
+        trainer.train(tc, corpus, mc, out_dir=tmp_path)
+        bundle = checkpoint.load(tmp_path / "ckpt_step000002.ckpt")
+        assert (bundle.domain_names, bundle.target_index) == (["dom0", "dom1", "dom2"], 0)
+        setattr(bundle, field, value)
+        with pytest.raises(CheckpointError, match="checkpoint's domains"):
+            trainer.train(tc, corpus, mc, resume=bundle)
+
+    def test_benchmark_hooks_stay_on_the_call_path(self, tmp_path, monkeypatch):
+        """The step loop and the checkpoint writer call these through the
+        trainer module's globals, where a benchmark can wrap them."""
+        corpus = make_corpus(counts=(8, 6, 5))
+        mc = small_model_config(corpus)
+        tc = trainer.TrainConfig(epochs=2, seed=5, micro_batch=2, accum_steps=2,
+                                 checkpoint_interval=2)
+        hooks = ("sample_batch", "make_masked_batch", "adamax_step",
+                 "refresh_probabilities", "save_training_checkpoint")
+        calls = dict.fromkeys(hooks, 0)
+        for name in hooks:
+            def counted(*args, _name=name, _inner=getattr(trainer, name), **kwargs):
+                calls[_name] += 1
+                return _inner(*args, **kwargs)
+            monkeypatch.setattr(trainer, name, counted)
+        # 8 target rows in steps of 2x2 rows: 2 steps per epoch, 4 in all.
+        trainer.train(tc, corpus, mc, out_dir=tmp_path / "full")
+        assert calls == {"sample_batch": 8, "make_masked_batch": 8, "adamax_step": 4,
+                         "refresh_probabilities": 4, "save_training_checkpoint": 2}
+        calls.update(dict.fromkeys(hooks, 0))
+        bundle = checkpoint.load(tmp_path / "full" / "ckpt_step000002.ckpt")
+        trainer.train(tc, corpus, mc, out_dir=tmp_path / "resumed", resume=bundle)
+        assert calls == {"sample_batch": 4, "make_masked_batch": 4, "adamax_step": 2,
+                         "refresh_probabilities": 2, "save_training_checkpoint": 1}
 
     @pytest.mark.parametrize("section, edit", [
         ("sampler", dict.clear),
