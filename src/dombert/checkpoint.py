@@ -159,8 +159,9 @@ def save_model(
 
 def load(path: str | Path) -> CheckpointBundle:
     """Read a checkpoint; rejects bad versions, numbers, shapes and truncation,
-    domain names or a target index that do not fit the model, and Adamax
-    settings outside step >= 0, 0 <= beta1, beta2 < 1 and finite eps > 0."""
+    bytes after the last section, domain names or a target index that do not
+    fit the model, and Adamax settings outside step >= 0, 0 <= beta1, beta2 < 1
+    and finite eps > 0."""
     with open(path, "rb") as fh:
         if _read_line(fh) != MAGIC:
             raise CheckpointError("not a DOMBERT-CKPT v1 file")
@@ -219,6 +220,8 @@ def load(path: str | Path) -> CheckpointBundle:
         bundle.adamax = {**adamax, "m": m, "u": u}
         bundle.sampler = _read_json_section(fh, SAMPLER_SECTION)
         bundle.trainer = _read_json_section(fh, TRAINER_SECTION)
+        if fh.peek(1):
+            raise CheckpointError(f"unexpected bytes after the {TRAINER_SECTION} section")
         return bundle
 
 

@@ -1,17 +1,20 @@
-"""The three loss terms and their exact gradients.
+"""The three loss terms and their exact gradients, per batch and per step.
 
 total = lam * mlm + (1 - lam) * cls + delta, with the diversity penalty
 delta entering unweighted. delta is the mean squared off-diagonal cosine
 similarity between domain-embedding rows, which pushes the rows toward
 mutual orthogonality.
 
-cls may carry per-example weights w (the trainer's importance weights
-1 / ((n+1) * P'_label)); it is then the batch mean of w_i * ce_i, and
-backward() differentiates exactly that. Without weights it is the paper's
-plain mean cross-entropy.
+cls is the batch mean of w_i * ce_i over per-example weights w: the
+trainer's importance weights 1 / ((n+1) * P'_label), or all ones for the
+paper's plain mean cross-entropy. backward() differentiates exactly that.
+
+step() owns an optimizer step's loss and gradient: its micro-batches taken
+as one combined batch, the regularizer's gradient added once.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,7 +100,7 @@ class StepCache:
     fwd: model.ForwardCache
     ealc: model.EalCache         # with the softmax pieces at the target ids
     dom_logits: np.ndarray
-    cls_weights: np.ndarray | None
+    cls_weights: np.ndarray
 
 
 def masked_token_pass(
@@ -121,16 +124,14 @@ def forward(
 ) -> tuple[LossBreakdown, StepCache]:
     """Encode a masked batch and evaluate all three loss terms.
 
-    cls_weights, one per example, weight the classification loss; backward()
-    takes them from the returned cache.
+    cls_weights, one per example (all ones when None), weight the
+    classification loss; backward() takes them from the returned cache.
     """
-    if cls_weights is not None:
-        cls_weights = np.asarray(cls_weights, dtype=config.np_dtype)
-        if cls_weights.shape != (batch.batch_size,):
-            raise InputError(
-                f"cls_weights has shape {cls_weights.shape}, batch holds "
-                f"{batch.batch_size} examples"
-            )
+    cls_weights = (np.ones(batch.batch_size, config.np_dtype) if cls_weights is None
+                   else np.asarray(cls_weights, dtype=config.np_dtype))
+    if cls_weights.shape != (batch.batch_size,):
+        raise InputError(f"cls_weights has shape {cls_weights.shape}, batch holds "
+                         f"{batch.batch_size} examples")
     mlm, fwd, ealc = masked_token_pass(batch, params, config)
     dom = model.domain_logits(fwd.h_cls, params)
     cls = loss_cls(dom, batch.domain_labels, cls_weights)
@@ -145,44 +146,61 @@ def backward(
     params: model.Params,
     config: model.ModelConfig,
     lam: float,
-    *,
-    mlm_divisor: int | None = None,
-    cls_divisor: int | None = None,
-    include_regularizer: bool = True,
+    mlm_divisor: int,
+    cls_divisor: int,
 ) -> model.FlatParams:
-    """Exact gradients of the combined loss for one batch.
-
-    With the default divisors this is the gradient of forward()'s total,
-    classification weights included.
-    A trainer accumulating micro-batches passes the whole-step target and
-    example counts instead, so that summed micro-batch gradients equal the
-    gradient of one combined batch (the regularizer is then added once).
-    """
-    if not 0.0 <= lam <= 1.0:
-        raise ConfigError("lam must be in [0, 1]")
+    """Exact gradients of one batch's masked-token and classification loss
+    sums divided by mlm_divisor and cls_divisor (the batch's own target and
+    example counts give forward()'s means); step() adds the regularizer's."""
     grads = model.zero_grads(config)
     d_h = np.zeros_like(cache.fwd.h)
 
     ealc = cache.ealc
     t = len(ealc.target_ids)
     if t > 0 and lam > 0.0:
-        div = t if mlm_divisor is None else mlm_divisor
         dlogits = ealc.exp / ealc.exp_sum
         dlogits[np.arange(t), ealc.target_ids] -= 1.0
-        dlogits *= lam / div
+        dlogits *= lam / mlm_divisor
         model.mlm_head_backward(dlogits, ealc, d_h, params, grads)
 
     if lam < 1.0:
-        div = batch.batch_size if cls_divisor is None else cls_divisor
         dcls = softmax(cache.dom_logits, axis=-1)
         dcls[np.arange(batch.batch_size), batch.domain_labels] -= 1.0
-        if cache.cls_weights is not None:
-            dcls *= cache.cls_weights[:, None]
-        dcls *= (1.0 - lam) / div
+        dcls *= cache.cls_weights[:, None]
+        dcls *= (1.0 - lam) / cls_divisor
         d_h[:, 0, :] += model.domain_head_backward(dcls, cache.fwd.h_cls, params, grads)
 
     model.encode_backward(d_h, cache.fwd, params, config, grads)
-
-    if include_regularizer:
-        grads["dom_emb"] += regularizer_grad(params["dom_emb"])
     return grads
+
+
+def step(
+    batches: Sequence[MaskedBatch],
+    cls_weights: Sequence[np.ndarray | None],
+    params: model.Params,
+    config: model.ModelConfig,
+    lam: float,
+) -> tuple[LossBreakdown, model.FlatParams]:
+    """The loss of one optimizer step over its micro-batches, taken as one
+    combined batch, and that loss's exact gradient. cls_weights holds each
+    micro-batch's forward() weights. Dividing every micro-batch's gradient by
+    the step's target and example counts makes their sum the combined one's."""
+    n_targets = max(sum(mb.n_targets for mb in batches), 1)
+    n_examples = sum(mb.batch_size for mb in batches)
+    grads: model.FlatParams | None = None
+    mlm_sum = cls_sum = delta = 0.0
+    for mb, weights in zip(batches, cls_weights, strict=True):
+        bd, cache = forward(mb, params, config, lam, weights)
+        g = backward(mb, cache, params, config, lam, n_targets, n_examples)
+        if grads is None:
+            # The first micro-batch's gradients start the step's sum:
+            # 0 + g differs from g only in the sign of a zero, which
+            # no Adamax output or logged norm can show.
+            grads = g
+        else:
+            grads.flat += g.flat
+        mlm_sum += bd.mlm * mb.n_targets
+        cls_sum += bd.cls * mb.batch_size
+        delta = bd.delta
+    grads["dom_emb"] += regularizer_grad(params["dom_emb"])
+    return total_loss(mlm_sum / n_targets, cls_sum / n_examples, delta, lam), grads

@@ -1,9 +1,9 @@
 """Training orchestration.
 
 One optimizer step = accum_steps micro-batches sampled from the current
-categorical distribution, masked, pushed through forward/backward with
-whole-step loss normalization, then a single Adamax update followed by a
-probability refresh. An epoch is defined as processing as many examples as
+categorical distribution and masked; objective.step gives their loss and
+gradient as one combined batch, then a single Adamax update is followed by
+a probability refresh. An epoch is defined as processing as many examples as
 the target domain holds, regardless of which domains they came from.
 
 With explore > 0 (the default) batches come from the exploration mixture P'
@@ -31,7 +31,7 @@ from .masking import MaskingPolicy, make_masked_batch
 from .model import FlatParams, ModelConfig, Params, flat_copy, init_params, zero_grads
 from .nputil import (STREAM_INIT, STREAM_MASKING, STREAM_SAMPLER, derive_rng, open_replacing,
                      rng_from_state)
-from .objective import LossBreakdown, total_loss
+from .objective import LossBreakdown
 from .sampler import (
     SamplerState,
     build_sampler,
@@ -90,14 +90,16 @@ class TrainConfig:
                 if name not in ("epochs", "checkpoint_interval")}
 
 
+# Adamax's settings in every run; a resume refuses a checkpoint of others.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+ADAMAX_SETTINGS = {"beta1": BETA1, "beta2": BETA2, "eps": EPS}
+
+
 @dataclass
 class AdamaxState:
     m: FlatParams
     u: FlatParams
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 # Bytes of each array that one block of the Adamax sweep touches: small
@@ -135,18 +137,18 @@ def adamax_step(params: FlatParams, grads: FlatParams, state: AdamaxState, lr: f
             f"non-finite gradient in {name!r} at optimizer step {state.step + 1}"
         )
     state.step += 1
-    scale = lr / (1.0 - state.beta1 ** state.step)
+    scale = lr / (1.0 - BETA1 ** state.step)
     for i in starts:
         part = slice(i, i + block)
         gb, mb, ub = g[part], m[part], u[part]
         step, den = scratch[:len(gb)], denom[:len(gb)]
-        mb *= state.beta1
-        np.multiply(gb, 1.0 - state.beta1, out=step)
+        mb *= BETA1
+        np.multiply(gb, 1.0 - BETA1, out=step)
         mb += step
-        ub *= state.beta2
+        ub *= BETA2
         np.maximum(ub, np.abs(gb, out=step), out=ub)
         np.multiply(mb, scale, out=step)
-        np.add(ub, state.eps, out=den)
+        np.add(ub, EPS, out=den)
         step /= den
         theta[part] -= step
 
@@ -200,8 +202,12 @@ class RunState:
         if (sampler.tau, sampler.explore) != (tc.tau, tc.sampler_explore):
             raise CheckpointError(f"checkpoint's sampler has tau={sampler.tau}, explore="
                                   f"{sampler.explore}; this run {tc.tau}, {tc.sampler_explore}")
-        opt = AdamaxState(**{**bundle.adamax, "m": flat_copy(bundle.adamax["m"]),
-                             "u": flat_copy(bundle.adamax["u"])})
+        settings = {key: bundle.adamax[key] for key in ADAMAX_SETTINGS}
+        if settings != ADAMAX_SETTINGS:
+            raise CheckpointError(f"checkpoint's Adamax settings {settings} are not "
+                                  f"this program's {ADAMAX_SETTINGS}")
+        opt = AdamaxState(flat_copy(bundle.adamax["m"]), flat_copy(bundle.adamax["u"]),
+                          bundle.adamax["step"])
         return cls(flat_copy(bundle.params), opt, sampler, mask_rng)
 
 
@@ -298,32 +304,8 @@ def train(
                              for _ in range(tc.accum_steps)]
             masked = [make_masked_batch(mb, tc.masking, run.mask_rng, mc.vocab_size)
                       for mb in micro_batches]
-            t_tot = sum(mb.n_targets for mb in masked)
-            b_tot = tc.effective_batch
-
-            grads: FlatParams | None = None
-            mlm_sum = 0.0
-            cls_sum = 0.0
-            delta = 0.0
-            for mb in masked:
-                bd, cache = objective.forward(
-                    mb, run.params, mc, tc.lam, importance_weights(run.sampler, mb.domain_labels))
-                g = objective.backward(
-                    mb, cache, run.params, mc, tc.lam,
-                    mlm_divisor=max(t_tot, 1), cls_divisor=b_tot,
-                    include_regularizer=False,
-                )
-                if grads is None:
-                    # The first micro-batch's gradients start the step's sum:
-                    # 0 + g differs from g only in the sign of a zero, which
-                    # no Adamax output or logged norm can show.
-                    grads = g
-                else:
-                    grads.flat += g.flat
-                mlm_sum += bd.mlm * mb.n_targets
-                cls_sum += bd.cls * mb.batch_size
-                delta = bd.delta
-            grads["dom_emb"] += objective.regularizer_grad(run.params["dom_emb"])
+            weights = [importance_weights(run.sampler, mb.domain_labels) for mb in masked]
+            breakdown, grads = objective.step(masked, weights, run.params, mc, tc.lam)
 
             w_norm = float(np.linalg.norm(grads["cls_w"]))
             b_norm = float(np.linalg.norm(grads["cls_b"]))
@@ -332,8 +314,6 @@ def train(
             if not tc.target_only:
                 refresh_probabilities(run.sampler, run.params["dom_emb"])
 
-            breakdown = total_loss(mlm_sum / max(t_tot, 1), cls_sum / b_tot,
-                                   delta, tc.lam)
             rec = StepRecord(
                 step=step, epoch=epoch, breakdown=breakdown,
                 p_target=p_target, p_target_is_max=p_is_max,
@@ -391,7 +371,7 @@ def save_training_checkpoint(path: str | Path, model_config: ModelConfig,
     checkpoint.save_model(
         path, model_config, run.params,
         domain_names=list(table.names), target_index=table.target_index,
-        adamax=vars(run.opt), sampler=state_to_json(run.sampler),
+        adamax={**vars(run.opt), **ADAMAX_SETTINGS}, sampler=state_to_json(run.sampler),
         trainer={"next_step": run.next_step, "mask_rng": run.mask_rng.bit_generator.state,
                  "config": train_config.run_fields()},
     )

@@ -67,8 +67,7 @@ def _random_tiny_instance(seed: int):
 def _fd_check(cfg, params, batch, lam, coords_per_array, picker):
     """Max relative error between analytic and central-difference gradients."""
     h = 1e-4
-    _, cache = objective.forward(batch, params, cfg, lam)
-    grads = objective.backward(batch, cache, params, cfg, lam)
+    _, grads = objective.step([batch], [None], params, cfg, lam)
     worst = 0.0
     for name in params:
         flat = params[name].reshape(-1)

@@ -239,8 +239,9 @@ class TestBackward:
         weights = np.array([0.5, 2.0, 1.25], dtype=dtype)
         _, cache = objective.forward(batch, params, cfg, lam, cls_weights=weights)
         snapshot = dict(_cache_arrays(cache))
-        first = objective.backward(batch, cache, params, cfg, lam)
-        second = objective.backward(batch, cache, params, cfg, lam)
+        divisors = (max(batch.n_targets, 1), batch.batch_size)
+        first = objective.backward(batch, cache, params, cfg, lam, *divisors)
+        second = objective.backward(batch, cache, params, cfg, lam, *divisors)
         for name in first:
             assert np.array_equal(first[name], second[name]), name
         for path, arr in _cache_arrays(cache):
@@ -251,8 +252,7 @@ class TestBackward:
 
     def test_lambda_one_zeroes_cls_head_gradients(self):
         cfg, params, batch, _ = random_instance(3, lam=1.0)
-        _, cache = objective.forward(batch, params, cfg, 1.0)
-        grads = objective.backward(batch, cache, params, cfg, 1.0)
+        _, grads = objective.step([batch], [None], params, cfg, 1.0)
         assert np.all(grads["cls_w"] == 0.0)
         assert np.all(grads["cls_b"] == 0.0)
         # the regularizer still reaches the embeddings
@@ -263,8 +263,7 @@ class TestBackward:
         h = 1e-4
         for seed, lam in ((0, 0.0), (1, 0.5), (2, 0.9), (3, 1.0)):
             cfg, params, batch, _ = random_instance(seed, lam=lam)
-            _, cache = objective.forward(batch, params, cfg, lam)
-            grads = objective.backward(batch, cache, params, cfg, lam)
+            _, grads = objective.step([batch], [None], params, cfg, lam)
             picker = np.random.default_rng(seed)
             for name in params:
                 flat = params[name].reshape(-1)
@@ -324,8 +323,8 @@ class TestBackward:
         assert np.allclose(grads["dom_emb"], expected, atol=1e-10)
 
     def test_accumulation_matches_combined_batch(self):
-        """Micro-batch gradients with whole-step divisors sum to the
-        combined-batch gradient."""
+        """step() over two micro-batches gives the loss and gradient of
+        step() over their combined batch."""
         cfg, params, _, lam = random_instance(11, lam=0.8)
         gen = derive_rng(11, 5)
         exs = [random_packed_example(gen, max_len=cfg.max_len,
@@ -334,25 +333,18 @@ class TestBackward:
                for _ in range(6)]
         policy = MaskingPolicy(select_prob=0.4)
         combined = make_masked_batch(exs, policy, derive_rng(11, 6), cfg.vocab_size)
-        _, cache = objective.forward(combined, params, cfg, lam)
-        reference = objective.backward(combined, cache, params, cfg, lam)
+        ref_loss, reference = objective.step([combined], [None], params, cfg, lam)
 
         micro_a = make_masked_batch(exs[:3], policy, derive_rng(11, 6), cfg.vocab_size)
         micro_b = make_masked_batch(exs[3:], policy,
                                     _advance_like(derive_rng(11, 6), exs[:3], policy,
                                                   cfg.vocab_size),
                                     cfg.vocab_size)
-        t_tot = micro_a.n_targets + micro_b.n_targets
-        assert t_tot == combined.n_targets
-        total = model.zero_grads(cfg)
-        for mb in (micro_a, micro_b):
-            _, c = objective.forward(mb, params, cfg, lam)
-            g = objective.backward(mb, c, params, cfg, lam,
-                                   mlm_divisor=t_tot, cls_divisor=6,
-                                   include_regularizer=False)
-            for name in total:
-                total[name] += g[name]
-        total["dom_emb"] += objective.regularizer_grad(params["dom_emb"])
+        assert micro_a.n_targets + micro_b.n_targets == combined.n_targets
+        loss, total = objective.step([micro_a, micro_b], [None, None], params, cfg, lam)
+        for part in ("mlm", "cls", "delta", "total"):
+            np.testing.assert_allclose(getattr(loss, part), getattr(ref_loss, part),
+                                       rtol=1e-9, atol=1e-12)
         for name in reference:
             np.testing.assert_allclose(total[name], reference[name],
                                        rtol=1e-9, atol=1e-12)
@@ -376,7 +368,7 @@ class TestHeadShards:
         for shards in (1, 2, 3):
             monkeypatch.setattr(model, "_shard_count", lambda b_, l_, n=shards: n)
             loss, cache = objective.forward(batch, params, cfg, 0.7, cls_weights=weights)
-            grads = objective.backward(batch, cache, params, cfg, 0.7, mlm_divisor=97)
+            grads = objective.backward(batch, cache, params, cfg, 0.7, 97, batch.batch_size)
             out.append((loss, {"exp": cache.ealc.exp, "exp_sum": cache.ealc.exp_sum, **grads}))
         (loss1, arrays1), *split = out
         for loss, arrays in split:
@@ -388,14 +380,12 @@ class TestHeadShards:
 
 class TestClassificationWeights:
     def test_finite_difference_with_non_uniform_weights(self):
-        """Central differences of the weighted total match backward()."""
+        """Central differences of the weighted total match step()'s gradient."""
         h = 1e-4
         for seed, lam in ((30, 0.0), (31, 0.5), (32, 0.9)):
             cfg, params, batch, _ = random_instance(seed, lam=lam, n=4)
             weights = np.array([0.3, 2.5, 1.0, 4.0])
-            _, cache = objective.forward(batch, params, cfg, lam,
-                                         cls_weights=weights)
-            grads = objective.backward(batch, cache, params, cfg, lam)
+            _, grads = objective.step([batch], [weights], params, cfg, lam)
             picker = np.random.default_rng(seed)
             for name in params:
                 flat = params[name].reshape(-1)
@@ -417,23 +407,18 @@ class TestClassificationWeights:
 
     def test_weights_change_the_classification_gradient(self):
         cfg, params, batch, lam = random_instance(33, lam=0.5, n=4)
-        _, plain = objective.forward(batch, params, cfg, lam)
-        _, weighted = objective.forward(batch, params, cfg, lam,
-                                        cls_weights=np.array([0.3, 2.5, 1.0, 4.0]))
-        g_plain = objective.backward(batch, plain, params, cfg, lam)
-        g_weighted = objective.backward(batch, weighted, params, cfg, lam)
+        _, g_plain = objective.step([batch], [None], params, cfg, lam)
+        _, g_weighted = objective.step([batch], [np.array([0.3, 2.5, 1.0, 4.0])],
+                                       params, cfg, lam)
         assert not np.allclose(g_plain["cls_w"], g_weighted["cls_w"])
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_unit_weights_are_bit_identical(self, dtype):
         cfg, params, batch, lam = random_instance(34, lam=0.6, n=3, dtype=dtype)
         params = {k: v.astype(cfg.np_dtype) for k, v in params.items()}
-        bd_plain, plain = objective.forward(batch, params, cfg, lam)
-        bd_ones, ones = objective.forward(batch, params, cfg, lam,
-                                          cls_weights=np.ones(3))
+        bd_plain, g_plain = objective.step([batch], [None], params, cfg, lam)
+        bd_ones, g_ones = objective.step([batch], [np.ones(3)], params, cfg, lam)
         assert bd_ones == bd_plain
-        g_plain = objective.backward(batch, plain, params, cfg, lam)
-        g_ones = objective.backward(batch, ones, params, cfg, lam)
         for name in g_plain:
             assert g_ones[name].dtype == g_plain[name].dtype
             assert np.array_equal(g_ones[name], g_plain[name]), name
@@ -500,9 +485,8 @@ class TestFloat32Contract:
         previous = sys.gettrace()
         sys.settrace(on_call)
         try:
-            _, cache = objective.forward(batch, params, cfg, lam,
-                                         cls_weights=np.float32([0.5, 2.0, 1.25]))
-            grads = objective.backward(batch, cache, params, cfg, lam)
+            _, grads = objective.step([batch], [np.float32([0.5, 2.0, 1.25])],
+                                      params, cfg, lam)
         finally:
             sys.settrace(previous)
         assert not leaks, sorted(leaks)

@@ -4,7 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
-from dombert import checkpoint, trainer
+from dombert import checkpoint, objective, trainer
 from dombert.errors import CheckpointError, ConfigError, NonFiniteGradientError
 from dombert.masking import MaskingPolicy
 from dombert.model import (FlatParams, ModelConfig, flat_copy, init_params, param_specs,
@@ -503,6 +503,18 @@ class TestCheckpoint:
             with pytest.raises(CheckpointError):
                 checkpoint.load(clipped)
 
+    @pytest.mark.parametrize("tail", [b"junk", b"\n", b"TRAINER-STATE nbytes=2\n{}"])
+    def test_bytes_after_the_last_section_rejected(self, tmp_path, tail):
+        tc = trainer.TrainConfig(epochs=1, seed=1, micro_batch=2, accum_steps=2,
+                                 checkpoint_interval=1)
+        corpus = make_corpus()
+        trainer.train(tc, corpus, small_model_config(corpus), out_dir=tmp_path / "run")
+        data = (tmp_path / "run" / "ckpt_step000001.ckpt").read_bytes()
+        appended = tmp_path / "appended.ckpt"
+        appended.write_bytes(data + tail)
+        with pytest.raises(CheckpointError, match="after the TRAINER-STATE section"):
+            checkpoint.load(appended)
+
     @pytest.mark.parametrize("old, new", [
         (b"ADAMAX-STATE step=1 ", b"ADAMAX-STATE step=1x "),
         (b"SAMPLER-STATE nbytes=", b"SAMPLER-STATE nbytes=q"),
@@ -651,6 +663,28 @@ class TestResume:
             with pytest.raises(CheckpointError, match=f"Adamax step {step} "):
                 trainer.train(tc, corpus, mc, resume=bundle)
 
+    @pytest.mark.parametrize("field, value", [("beta1", "0.5"), ("beta2", "0.99"),
+                                              ("eps", "1e-06")])
+    def test_resume_refuses_other_adamax_settings(self, tmp_path, field, value):
+        """Settings within load's ranges but not the program's constants
+        load, and a resume from them is refused."""
+        corpus = make_corpus(counts=(8, 6, 5))
+        mc = small_model_config(corpus)
+        tc = trainer.TrainConfig(epochs=2, seed=5, micro_batch=2, accum_steps=2,
+                                 checkpoint_interval=2)
+        trainer.train(tc, corpus, mc, out_dir=tmp_path / "run")
+        data = (tmp_path / "run" / "ckpt_step000002.ckpt").read_bytes()
+        old = b"ADAMAX-STATE step=2 beta1=0.9 beta2=0.999 eps=1e-08\n"
+        assert data.count(old) == 1
+        header = {"step": "2", "beta1": "0.9", "beta2": "0.999", "eps": "1e-08", field: value}
+        new = "ADAMAX-STATE " + " ".join(f"{k}={v}" for k, v in header.items()) + "\n"
+        doctored = tmp_path / "doctored.ckpt"
+        doctored.write_bytes(data.replace(old, new.encode()))
+        bundle = checkpoint.load(doctored)
+        assert bundle.adamax[field] == float(value)
+        with pytest.raises(CheckpointError, match="Adamax settings"):
+            trainer.train(tc, corpus, mc, resume=bundle)
+
     def test_resume_refuses_a_log_that_stops_before_the_checkpoint(self, tmp_path):
         corpus = make_corpus(counts=(8, 6, 5))
         mc = small_model_config(corpus)
@@ -746,28 +780,34 @@ class TestResume:
 
     def test_benchmark_hooks_stay_on_the_call_path(self, tmp_path, monkeypatch):
         """The step loop and the checkpoint writer call these through the
-        trainer module's globals, where a benchmark can wrap them."""
+        trainer module's globals, and objective.step calls forward, backward
+        and regularizer_grad through the objective module's, where a
+        benchmark can wrap them."""
         corpus = make_corpus(counts=(8, 6, 5))
         mc = small_model_config(corpus)
         tc = trainer.TrainConfig(epochs=2, seed=5, micro_batch=2, accum_steps=2,
                                  checkpoint_interval=2)
-        hooks = ("sample_batch", "make_masked_batch", "adamax_step",
-                 "refresh_probabilities", "save_training_checkpoint")
-        calls = dict.fromkeys(hooks, 0)
-        for name in hooks:
-            def counted(*args, _name=name, _inner=getattr(trainer, name), **kwargs):
-                calls[_name] += 1
-                return _inner(*args, **kwargs)
-            monkeypatch.setattr(trainer, name, counted)
+        hooks = {trainer: ("sample_batch", "make_masked_batch", "adamax_step",
+                           "refresh_probabilities", "save_training_checkpoint"),
+                 objective: ("forward", "backward", "regularizer_grad")}
+        calls = dict.fromkeys(hooks[trainer] + hooks[objective], 0)
+        for module, names in hooks.items():
+            for name in names:
+                def counted(*args, _name=name, _inner=getattr(module, name), **kwargs):
+                    calls[_name] += 1
+                    return _inner(*args, **kwargs)
+                monkeypatch.setattr(module, name, counted)
         # 8 target rows in steps of 2x2 rows: 2 steps per epoch, 4 in all.
         trainer.train(tc, corpus, mc, out_dir=tmp_path / "full")
         assert calls == {"sample_batch": 8, "make_masked_batch": 8, "adamax_step": 4,
-                         "refresh_probabilities": 4, "save_training_checkpoint": 2}
-        calls.update(dict.fromkeys(hooks, 0))
+                         "refresh_probabilities": 4, "save_training_checkpoint": 2,
+                         "forward": 8, "backward": 8, "regularizer_grad": 4}
+        calls.update(dict.fromkeys(calls, 0))
         bundle = checkpoint.load(tmp_path / "full" / "ckpt_step000002.ckpt")
         trainer.train(tc, corpus, mc, out_dir=tmp_path / "resumed", resume=bundle)
         assert calls == {"sample_batch": 4, "make_masked_batch": 4, "adamax_step": 2,
-                         "refresh_probabilities": 2, "save_training_checkpoint": 1}
+                         "refresh_probabilities": 2, "save_training_checkpoint": 1,
+                         "forward": 4, "backward": 4, "regularizer_grad": 2}
 
     @pytest.mark.parametrize("section, edit", [
         ("sampler", dict.clear),

@@ -19,14 +19,18 @@ Every pipeline runs twice: once with OPENBLAS_NUM_THREADS=1 in the child
 environment and once with the variable unset. The program pins OpenBLAS to
 one thread itself, so both settings must give the recorded bytes.
 
-It prints one line per artifact and setting (setting, pipeline, file,
+It prints, for each setting, the OpenBLAS core that a child process with
+that environment runs (OpenBLAS picks it from the CPU, or from
+OPENBLAS_CORETYPE), then one line per artifact (setting, pipeline, file,
 first 16 hex of its sha256; `report` and `eval` are those commands'
 stdout). With --check it compares them with the digests recorded below
 and exits 1 on any difference.
 
-The bytes depend on the CPU's OpenBLAS kernel as well as on the code, so
-this is not a tier-1 test; the recorded values come from a 2-vCPU Xeon. A
-change that keeps behaviour keeps every digest.
+The bytes depend on the OpenBLAS core as well as on the code, so this is
+not a tier-1 test. The recorded values are RECORDED_CORE's, from a 2-vCPU
+Xeon. On another core --check compares nothing: it says that no table is
+recorded for that core and exits with NO_TABLE. A change that keeps
+behaviour keeps every digest.
 
 Usage: python3 tools/digests.py [--check]
 """
@@ -80,6 +84,11 @@ PIPELINES = {
     ],
 }
 STDOUT_ARTIFACTS = ("report", "eval")
+
+# The OpenBLAS core RECORDED's bytes come from, and --check's exit status
+# on any other core.
+RECORDED_CORE = "SkylakeX"
+NO_TABLE = 3
 
 # (pipeline, artifact) -> first 16 hex of sha256; 45 artifacts, 42 values.
 RECORDED = {
@@ -139,13 +148,46 @@ def _digest(data: bytes) -> str:
 SETTINGS = {"blas-1": "1", "blas-unset": None}
 
 
-def run_pipeline(name: str, commands: list[list[str]], blas_threads: str | None) -> dict[str, str]:
-    """Digests of every artifact `name` records, from a fresh directory."""
+def child_env(blas_threads: str | None) -> dict[str, str]:
+    """This process's environment with the setting's OPENBLAS_NUM_THREADS and
+    the repository's src first on PYTHONPATH."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = blas_threads
     env["PYTHONPATH"] = os.pathsep.join(
         [str(REPO / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
+# Prints the core of the first OpenBLAS, by path, mapped into a process that
+# imports numpy and dombert (numpy's own sorts before scipy's), through the
+# corename query its build exports: scipy-openblas64, scipy-openblas, then
+# plain OpenBLAS with and without the 64-bit suffix.
+CORE_PROBE = """
+import ctypes, os
+import numpy
+from dombert.nputil import _openblas_paths
+with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
+    libs = [ctypes.CDLL(path, mode=os.RTLD_NOLOAD) for path in _openblas_paths(fh)]
+for lib in libs:
+    for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                 "openblas_get_corename64_", "openblas_get_corename"):
+        if hasattr(lib, name):
+            getattr(lib, name).restype = ctypes.c_char_p
+            print(getattr(lib, name)().decode())
+            raise SystemExit
+"""
+
+
+def openblas_core(env: dict[str, str]) -> str:
+    """The OpenBLAS core a child process with env runs, or "unknown"."""
+    done = subprocess.run([sys.executable, "-c", CORE_PROBE], env=env,
+                          capture_output=True, text=True)
+    return done.stdout.strip() if done.returncode == 0 and done.stdout.strip() else "unknown"
+
+
+def run_pipeline(name: str, commands: list[list[str]], env: dict[str, str]) -> dict[str, str]:
+    """Digests of every artifact `name` records, from a fresh directory."""
     with tempfile.TemporaryDirectory(prefix=f"digests-{name}-") as tmp:
         root = Path(tmp)
         stdout = {}
@@ -166,13 +208,21 @@ def run_pipeline(name: str, commands: list[list[str]], blas_threads: str | None)
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", action="store_true",
-                        help="compare with the recorded digests; exit 1 on a difference")
+                        help="compare with the recorded digests; exit 1 on a difference, "
+                             f"{NO_TABLE} on a core with no recorded digests")
     args = parser.parse_args(argv)
     any_differ = False
     for setting, blas_threads in SETTINGS.items():
+        env = child_env(blas_threads)
+        core = openblas_core(env)
+        print(f"{setting}\topenblas-core\t{core}")
+        if args.check and core != RECORDED_CORE:
+            print(f"{setting}: no digests are recorded for OpenBLAS core {core}; "
+                  f"the table is {RECORDED_CORE}'s")
+            return NO_TABLE
         differ = 0
         for name, commands in PIPELINES.items():
-            for artifact, digest in run_pipeline(name, commands, blas_threads).items():
+            for artifact, digest in run_pipeline(name, commands, env).items():
                 expected = RECORDED[(name, artifact)]
                 mark = ""
                 if args.check and digest != expected:
@@ -180,7 +230,8 @@ def main(argv: list[str] | None = None) -> int:
                     mark = f"  DIFFERS (recorded {expected})"
                 print(f"{setting}\t{name}\t{artifact}\t{digest}{mark}")
         if args.check:
-            print(f"{setting}: {len(RECORDED) - differ} of {len(RECORDED)} digests as recorded")
+            print(f"{setting}: {len(RECORDED) - differ} of {len(RECORDED)} digests as recorded"
+                  f" (OpenBLAS core {core})")
         any_differ = any_differ or differ > 0
     return 1 if any_differ else 0
 
