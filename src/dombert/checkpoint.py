@@ -35,7 +35,7 @@ from typing import Any, BinaryIO
 import numpy as np
 
 from .errors import CheckpointError
-from .model import CONFIG_FIELDS, ModelConfig, Params, param_specs
+from .model import ModelConfig, Params, param_specs
 from .nputil import open_replacing
 
 MAGIC = "DOMBERT-CKPT v1"
@@ -135,8 +135,8 @@ def save_model(
     trainer state (all three), a resumable training checkpoint."""
     with open_replacing(path) as fh:
         _write_line(fh, MAGIC)
-        for field in CONFIG_FIELDS:
-            _write_line(fh, f"{field}={getattr(config, field)}")
+        for field in dataclasses.fields(ModelConfig):
+            _write_line(fh, f"{field.name}={getattr(config, field.name)}")
         if domain_names is not None:
             _write_line(fh, "domain_names=" + "\t".join(domain_names))
         if target_index is not None:

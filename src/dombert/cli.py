@@ -5,8 +5,9 @@ argument, artifact version) sufficient to replay the run; for training the
 manifest is also the first line of the log file. The corpus module writes
 and reads the ingest directory and the trainer writes the whole run
 directory, so no file name lives here; checkpoints store arrays in the
-model's dtype, which the CLI leaves at float32. Exit statuses: 0 success, 1 runtime/data error,
-2 usage error.
+model's dtype, which the CLI leaves at float32. A flag for a library setting
+takes its default from the config type that owns it. Exit statuses: 0
+success, 1 runtime/data error, 2 usage error.
 """
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ import sys
 
 from . import __version__, checkpoint, corpus, evalbench, sampler, trainer
 from .errors import ConfigError, DombertError
-from .masking import MaskingPolicy
 from .model import ModelConfig
 
 
@@ -115,10 +115,8 @@ def _eval(args: argparse.Namespace) -> int:
     if args.heldout is not None:
         vocab = corpus.read_vocab(args.vocab)
         texts = [text for _, text in corpus.read_records(args.heldout)]
-        ppl = evalbench.eval_pseudo_perplexity(
-            bundle.params, bundle.config, texts, vocab,
-            MaskingPolicy(), args.mask_seed,
-        )
+        ppl = evalbench.eval_pseudo_perplexity(bundle.params, bundle.config, texts,
+                                               vocab, args.mask_seed)
         lines.append(f"pseudo_perplexity\t{ppl:.6f}")
     print(*lines, sep="\n")
     return 0
@@ -126,8 +124,7 @@ def _eval(args: argparse.Namespace) -> int:
 
 def _bench_eal(args: argparse.Namespace) -> int:
     config = ModelConfig(vocab_size=args.vocab, n_domains=2, max_len=args.len)
-    report = evalbench.bench_eal(config, mask_rate=args.mask_rate,
-                                 reps=args.reps, batch_size=args.batch)
+    report = evalbench.bench_eal(config, args.mask_rate, args.reps, args.batch)
     for row in evalbench.format_bench_report(report):
         print(row)
     return 0
@@ -149,23 +146,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_ingest)
 
+    tc = trainer.TrainConfig
     p = sub.add_parser("train", help="run domain-oriented training")
     p.add_argument("--packed", required=True,
                    help="ingest output directory (or the packed file inside it)")
-    p.add_argument("--lambda", type=float, default=0.9, dest="lam")
-    p.add_argument("--tau", type=float, default=0.13)
-    p.add_argument("--explore", type=float, default=0.2,
+    p.add_argument("--lambda", type=float, default=tc.lam, dest="lam")
+    p.add_argument("--tau", type=float, default=tc.tau)
+    p.add_argument("--explore", type=float, default=tc.explore,
                    help="uniform share mixed into the sampling distribution, "
                         "with importance-weighted domain classification; "
                         "0 is the plain softmax sampler and unweighted loss")
-    p.add_argument("--lr", type=float, default=5e-5)
-    p.add_argument("--batch", type=int, default=8)
-    p.add_argument("--accum", type=int, default=4)
-    p.add_argument("--epochs", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--m", type=int, default=64)
+    p.add_argument("--lr", type=float, default=tc.lr)
+    p.add_argument("--batch", type=int, default=tc.micro_batch)
+    p.add_argument("--accum", type=int, default=tc.accum_steps)
+    p.add_argument("--epochs", type=int, default=tc.epochs)
+    p.add_argument("--seed", type=int, default=tc.seed)
+    p.add_argument("--m", type=int, default=ModelConfig.d_domain)
     p.add_argument("--out", required=True)
-    p.add_argument("--checkpoint-interval", type=int, default=50,
+    p.add_argument("--checkpoint-interval", type=int, default=tc.checkpoint_interval,
                    dest="checkpoint_interval")
     p.add_argument("--target-only", action="store_true", dest="target_only",
                    help="pin sampling to the target domain (comparison runs)")
@@ -173,23 +171,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="top-k relevant domains from a checkpoint")
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--top", type=int, default=20)
+    p.add_argument("--top", type=int, default=trainer.REPORT_K)
     p.set_defaults(func=_report)
 
+    spec = evalbench.SyntheticSpec
     p = sub.add_parser("gen-synth", help="generate a synthetic clustered corpus")
-    p.add_argument("--clusters", type=int, default=3)
-    p.add_argument("--domains-per-cluster", type=int, default=4,
+    p.add_argument("--clusters", type=int, default=spec.n_clusters)
+    p.add_argument("--domains-per-cluster", type=int, default=spec.domains_per_cluster,
                    dest="domains_per_cluster")
-    p.add_argument("--shared-vocab", type=int, default=200, dest="shared_vocab")
-    p.add_argument("--unique-vocab", type=int, default=100, dest="unique_vocab")
-    p.add_argument("--background-vocab", type=int, default=500,
+    p.add_argument("--shared-vocab", type=int, default=spec.shared_vocab, dest="shared_vocab")
+    p.add_argument("--unique-vocab", type=int, default=spec.unique_vocab, dest="unique_vocab")
+    p.add_argument("--background-vocab", type=int, default=spec.background_vocab,
                    dest="background_vocab")
-    p.add_argument("--docs-per-domain", type=int, default=300,
+    p.add_argument("--docs-per-domain", type=int, default=spec.docs_per_domain,
                    dest="docs_per_domain")
-    p.add_argument("--min-len", type=int, default=20, dest="min_len")
-    p.add_argument("--max-len", type=int, default=60, dest="max_len")
-    p.add_argument("--mix", default="0.5,0.3,0.2")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--min-len", type=int, default=spec.doc_len_min, dest="min_len")
+    p.add_argument("--max-len", type=int, default=spec.doc_len_max, dest="max_len")
+    p.add_argument("--mix", default=",".join(map(str, spec.mix)))
+    p.add_argument("--seed", type=int, default=spec.seed)
     p.add_argument("--out", required=True)
     p.add_argument("--truth-out", default=None, dest="truth_out")
     p.set_defaults(func=_gen_synth)

@@ -142,15 +142,10 @@ def eval_domain_recovery(
     target: int,
     names: list[str],
     truth: dict[str, int],
-    k: int | None = None,
 ) -> float:
-    """precision@k of cosine ranking against the planted cluster.
-
-    k defaults to the number of true cluster mates of the target.
-    """
+    """precision@k of cosine ranking against the target's k planted cluster mates."""
     mates = cluster_mates(truth, names, target)
-    if k is None:
-        k = len(mates)
+    k = len(mates)
     if k == 0:
         return 0.0
     top = report_top_domains(dom_emb, target, k, names)
@@ -158,16 +153,19 @@ def eval_domain_recovery(
     return hits / k
 
 
+# Rows per scoring batch. perfbench's score-heldout and the digest gate's default-shape
+# eval score 16x128 batches, so changing it changes the eval bytes.
+SCORE_BATCH = 16
+
+
 def eval_pseudo_perplexity(
     params: Params,
     config: ModelConfig,
     heldout_texts: list[str],
     vocab: Vocabulary,
-    policy: MaskingPolicy,
     seed: int,
-    batch_size: int = 16,
 ) -> float:
-    """exp(mean masked-token cross-entropy) under one fixed-seed masking pass."""
+    """exp(mean masked-token cross-entropy) under one fixed-seed default masking pass."""
     if vocab.size != config.vocab_size:
         raise ConfigError(f"vocabulary has {vocab.size} tokens, the model {config.vocab_size}")
     examples = pack_domain([tokenize(text, vocab) for text in heldout_texts],
@@ -175,11 +173,12 @@ def eval_pseudo_perplexity(
     if not examples:
         raise ConfigError("held-out set tokenizes to nothing")
     rng = derive_rng(seed, STREAM_EVAL)
+    policy = MaskingPolicy()
     ce_sum = 0.0
     n_targets = 0
-    for start in range(0, len(examples), batch_size):
+    for start in range(0, len(examples), SCORE_BATCH):
         batch = make_masked_batch(
-            examples[start : start + batch_size], policy, rng, config.vocab_size
+            examples[start : start + SCORE_BATCH], policy, rng, config.vocab_size
         )
         if batch.n_targets == 0:
             continue
@@ -197,10 +196,9 @@ def eval_pseudo_perplexity(
 
 def bench_eal(
     config: ModelConfig,
-    mask_rate: float = 0.15,
-    reps: int = 5,
-    batch_size: int = 8,
-    seed: int = 0,
+    mask_rate: float,
+    reps: int,
+    batch_size: int,
 ) -> dict[str, float]:
     """Paired timing of the sparse vs dense masked-token paths.
 
@@ -214,7 +212,7 @@ def bench_eal(
         raise ConfigError("reps and batch_size must be >= 1")
     if config.vocab_size <= NUM_RESERVED:
         raise ConfigError(f"vocab_size must exceed the {NUM_RESERVED} reserved ids")
-    rng = derive_rng(seed, STREAM_EVAL)
+    rng = derive_rng(0, STREAM_EVAL)
     params = init_params(config, rng)
     l = config.max_len
     ids = rng.integers(NUM_RESERVED, config.vocab_size, size=(batch_size, l))

@@ -60,9 +60,6 @@ class ModelConfig:
         return np.dtype(self.dtype)
 
 
-CONFIG_FIELDS = [f.name for f in dataclasses.fields(ModelConfig)]
-
-
 def param_specs(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     """Canonical (name, shape) list; fixes init draw order and file layout."""
     d, ff = config.d_hidden, config.d_ff

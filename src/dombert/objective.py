@@ -185,6 +185,8 @@ def step(
     combined batch, and that loss's exact gradient. cls_weights holds each
     micro-batch's forward() weights. Dividing every micro-batch's gradient by
     the step's target and example counts makes their sum the combined one's."""
+    if not batches:
+        raise InputError("step needs at least one micro-batch, got none")
     n_targets = max(sum(mb.n_targets for mb in batches), 1)
     n_examples = sum(mb.batch_size for mb in batches)
     grads: model.FlatParams | None = None

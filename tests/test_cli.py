@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 
@@ -175,6 +176,27 @@ class TestTrain:
         assert args.m == 64
         report = build_parser().parse_args(["report", "--ckpt", "x"])
         assert report.top == 20
+
+    def test_flag_defaults_are_the_library_defaults(self):
+        args = build_parser().parse_args(["train", "--packed", "x", "--out", "y"])
+        flags = {"micro_batch": "batch", "accum_steps": "accum"}  # other dests are the fields
+        stock = trainer.TrainConfig()
+        for field in dataclasses.fields(trainer.TrainConfig):
+            if field.name != "masking":     # no flag: training masks with the default
+                dest = flags.get(field.name, field.name)
+                assert getattr(args, dest) == getattr(stock, field.name), field.name
+        assert args.m == ModelConfig.d_domain
+        report = build_parser().parse_args(["report", "--ckpt", "x"])
+        assert report.top == trainer.REPORT_K
+        synth = build_parser().parse_args(["gen-synth", "--out", "z"])
+        spec = evalbench.SyntheticSpec(
+            n_clusters=synth.clusters, domains_per_cluster=synth.domains_per_cluster,
+            shared_vocab=synth.shared_vocab, unique_vocab=synth.unique_vocab,
+            background_vocab=synth.background_vocab,
+            docs_per_domain=synth.docs_per_domain, doc_len_min=synth.min_len,
+            doc_len_max=synth.max_len, seed=synth.seed,
+            mix=tuple(float(v) for v in synth.mix.split(",")))
+        assert spec == evalbench.SyntheticSpec()
 
     def test_bad_lambda_is_runtime_config_error(self, tmp_path):
         packed = self._ingest(tmp_path)

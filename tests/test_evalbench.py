@@ -6,7 +6,6 @@ import pytest
 from dombert import evalbench
 from dombert.corpus import build_vocab
 from dombert.errors import ConfigError
-from dombert.masking import MaskingPolicy
 from dombert.model import ModelConfig, init_params
 from dombert.nputil import derive_rng
 
@@ -160,25 +159,21 @@ class TestPseudoPerplexity:
         params = init_params(cfg, derive_rng(0, 0))
         params["tok_emb"][:] = 0.0
         params["mlm_out_b"][:] = 0.0
-        ppl = evalbench.eval_pseudo_perplexity(params, cfg, texts, vocab,
-                                               MaskingPolicy(), seed=0)
+        ppl = evalbench.eval_pseudo_perplexity(params, cfg, texts, vocab, seed=0)
         assert abs(ppl - vocab.size) < 1e-6 * vocab.size
 
     def test_deterministic(self):
         texts, vocab, cfg = self._setup()
         params = init_params(cfg, derive_rng(1, 0))
-        a = evalbench.eval_pseudo_perplexity(params, cfg, texts, vocab,
-                                             MaskingPolicy(), seed=5)
-        b = evalbench.eval_pseudo_perplexity(params, cfg, texts, vocab,
-                                             MaskingPolicy(), seed=5)
+        a = evalbench.eval_pseudo_perplexity(params, cfg, texts, vocab, seed=5)
+        b = evalbench.eval_pseudo_perplexity(params, cfg, texts, vocab, seed=5)
         assert a == b
 
     def test_empty_heldout_rejected(self):
         texts, vocab, cfg = self._setup()
         params = init_params(cfg, derive_rng(0, 0))
         with pytest.raises(ConfigError):
-            evalbench.eval_pseudo_perplexity(params, cfg, [""], vocab,
-                                             MaskingPolicy(), seed=0)
+            evalbench.eval_pseudo_perplexity(params, cfg, [""], vocab, seed=0)
 
 
 class TestPairedTraining:
@@ -220,8 +215,7 @@ class TestPairedTraining:
                                      checkpoint_interval=0)
             res = trainer.train(tc, packed, mc)
             results[mode] = evalbench.eval_pseudo_perplexity(
-                res.params, res.model_config, heldout, vocab,
-                MaskingPolicy(), seed=3)
+                res.params, res.model_config, heldout, vocab, seed=3)
         print(f"pseudo-perplexity comparison: sampled={results['sampled']:.2f} "
               f"target_only={results['target_only']:.2f}")
         for value in results.values():

@@ -349,6 +349,16 @@ class TestBackward:
             np.testing.assert_allclose(total[name], reference[name],
                                        rtol=1e-9, atol=1e-12)
 
+    def test_no_micro_batches_is_input_error(self, monkeypatch):
+        cfg, params, _, lam = random_instance(12)
+
+        def no_pass(*args, **kwargs):
+            raise AssertionError("a forward pass ran")
+
+        monkeypatch.setattr(objective, "forward", no_pass)
+        with pytest.raises(InputError, match="micro-batch"):
+            objective.step([], [], params, cfg, lam)
+
 
 class TestHeadShards:
     """forward and backward give the same bytes however the batch's
