@@ -1,7 +1,7 @@
 """Checkpoint files.
 
 Layout: a ``DOMBERT-CKPT v1`` header line, one ``key=value`` line per model
-config field (plus optional ``domain_names``/``target_index`` lines), then
+config field, a ``domain_names`` line and a ``target_index`` line, then
 every parameter array as a ``name dim1 dim2 ...`` text line followed by raw
 little-endian float data in the config's dtype (``<f4`` for float32, ``<f8``
 for float64), so every run round-trips exactly. A training checkpoint
@@ -34,7 +34,7 @@ from typing import Any, BinaryIO
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigError
 from .model import ModelConfig, Params, param_specs
 from .nputil import open_replacing
 
@@ -48,8 +48,8 @@ TRAINER_SECTION = "TRAINER-STATE"
 class CheckpointBundle:
     config: ModelConfig
     params: Params
-    domain_names: list[str] | None = None
-    target_index: int | None = None
+    domain_names: list[str]
+    target_index: int
     adamax: dict[str, Any] | None = None
     sampler: dict[str, Any] | None = None
     trainer: dict[str, Any] | None = None
@@ -111,7 +111,10 @@ def _parse_config(lines: dict[str, str]) -> ModelConfig:
             raise CheckpointError(f"missing config field {field.name!r}")
         raw = lines[field.name]
         kwargs[field.name] = _int(raw, field.name) if field.type == "int" else raw
-    return ModelConfig(**kwargs)
+    try:
+        return ModelConfig(**kwargs)
+    except ConfigError as exc:
+        raise CheckpointError(f"corrupt checkpoint: {exc}") from None
 
 
 def _write_json_section(fh: BinaryIO, section: str, payload: dict[str, Any]) -> None:
@@ -125,8 +128,8 @@ def save_model(
     config: ModelConfig,
     params: Params,
     *,
-    domain_names: list[str] | None = None,
-    target_index: int | None = None,
+    domain_names: list[str],
+    target_index: int,
     adamax: dict[str, Any] | None = None,
     sampler: dict[str, Any] | None = None,
     trainer: dict[str, Any] | None = None,
@@ -137,10 +140,8 @@ def save_model(
         _write_line(fh, MAGIC)
         for field in dataclasses.fields(ModelConfig):
             _write_line(fh, f"{field.name}={getattr(config, field.name)}")
-        if domain_names is not None:
-            _write_line(fh, "domain_names=" + "\t".join(domain_names))
-        if target_index is not None:
-            _write_line(fh, f"target_index={target_index}")
+        _write_line(fh, "domain_names=" + "\t".join(domain_names))
+        _write_line(fh, f"target_index={target_index}")
         for name, shape in param_specs(config):
             _write_array(fh, name, params[name], config)
         if adamax is None:
@@ -159,33 +160,31 @@ def save_model(
 
 def load(path: str | Path) -> CheckpointBundle:
     """Read a checkpoint; rejects bad versions, numbers, shapes and truncation,
-    bytes after the last section, domain names or a target index that do not
-    fit the model, and Adamax settings outside step >= 0, 0 <= beta1, beta2 < 1
-    and finite eps > 0."""
+    bytes after the last section, a config the model refuses, domain names or
+    a target index that are missing or do not fit the model, and Adamax
+    settings outside step >= 0, 0 <= beta1, beta2 < 1 and finite eps > 0."""
     with open(path, "rb") as fh:
         if _read_line(fh) != MAGIC:
             raise CheckpointError("not a DOMBERT-CKPT v1 file")
-        raw_config: dict[str, str] = {}
-        domain_names: list[str] | None = None
-        target_index: int | None = None
+        header: dict[str, str] = {}
         pos = fh.tell()
         line = _read_line(fh)
         while "=" in line:
             key, value = line.split("=", 1)
-            if key == "domain_names":
-                domain_names = value.split("\t")
-            elif key == "target_index":
-                target_index = _int(value, "target_index")
-            else:
-                raw_config[key] = value
+            header[key] = value
             pos = fh.tell()
             line = _read_line(fh)
         fh.seek(pos)
-        config = _parse_config(raw_config)
-        if domain_names is not None and len(domain_names) != config.n_domains:
+        config = _parse_config(header)
+        for key in ("domain_names", "target_index"):
+            if key not in header:
+                raise CheckpointError(f"missing {key!r} line")
+        domain_names = header["domain_names"].split("\t")
+        target_index = _int(header["target_index"], "target_index")
+        if len(domain_names) != config.n_domains:
             raise CheckpointError(
                 f"checkpoint names {len(domain_names)} domains, its model has {config.n_domains}")
-        if target_index is not None and not 0 <= target_index < config.n_domains:
+        if not 0 <= target_index < config.n_domains:
             raise CheckpointError(f"target_index {target_index} is not a domain of the model")
 
         params = {name: _read_array(fh, name, shape, config)

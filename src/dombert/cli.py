@@ -57,18 +57,11 @@ def _train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _domains(bundle: checkpoint.CheckpointBundle) -> tuple[list[str], int]:
-    """Domain names and target index of a checkpoint, with placeholders for
-    a file saved without them."""
-    names = bundle.domain_names or [f"domain_{i}" for i in range(bundle.config.n_domains)]
-    return names, bundle.target_index if bundle.target_index is not None else 0
-
-
 def _report(args: argparse.Namespace) -> int:
     bundle = checkpoint.load(args.ckpt)
-    names, target = _domains(bundle)
     k = min(args.top, bundle.config.n_domains - 1)
-    report = sampler.report_top_domains(bundle.params["dom_emb"], target, k, names)
+    report = sampler.report_top_domains(bundle.params["dom_emb"], bundle.target_index, k,
+                                        bundle.domain_names)
     for row in sampler.format_top_domains(report):
         print(row)
     return 0
@@ -103,14 +96,13 @@ def _gen_synth(args: argparse.Namespace) -> int:
 
 def _eval(args: argparse.Namespace) -> int:
     bundle = checkpoint.load(args.ckpt)
-    names, target = _domains(bundle)
     lines = []  # printed once both results exist, so a failure prints neither
     if args.truth is not None:
         truth = evalbench.read_truth(args.truth)
         precision = evalbench.eval_domain_recovery(
-            bundle.params["dom_emb"], target, names, truth
+            bundle.params["dom_emb"], bundle.target_index, bundle.domain_names, truth
         )
-        k = len(evalbench.cluster_mates(truth, names, target))
+        k = len(evalbench.cluster_mates(truth, bundle.domain_names, bundle.target_index))
         lines.append(f"precision_at_{k}\t{precision:.6f}")
     if args.heldout is not None:
         vocab = corpus.read_vocab(args.vocab)

@@ -403,7 +403,7 @@ def _encode_into(c: ForwardCache, params: Params, config: ModelConfig) -> None:
         probs = np.matmul(q, k.swapaxes(-1, -2), out=lc.probs)
         probs *= scale
         probs += c.key_bias
-        softmax(probs, axis=-1, out=probs)
+        softmax(probs, out=probs)
         _merge_heads(probs @ v, lc.ctx)
         ao = _affine(lc.ctx, params[pre + "wo"], params[pre + "bo"])
         ao += a_q

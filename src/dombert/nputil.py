@@ -45,11 +45,11 @@ def rng_from_state(state: dict) -> np.random.Generator:
     return rng
 
 
-def softmax(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
-    """exp(x - max) / sum, built in one array: `out` (which may be x) or a new one."""
-    e = np.subtract(x, np.max(x, axis=axis, keepdims=True), out=out)
+def softmax(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(x - max) / sum over the last axis, in `out` (may be x) or a new array."""
+    e = np.subtract(x, np.max(x, axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
-    e /= np.sum(e, axis=axis, keepdims=True)
+    e /= np.sum(e, axis=-1, keepdims=True)
     return e
 
 
@@ -135,21 +135,21 @@ def scatter_add_rows(target: np.ndarray, index, rows: np.ndarray) -> None:
     np.add.at(target.reshape(-1), flat.reshape(-1), np.reshape(rows, -1))
 
 
-def unit_rows(d: np.ndarray, context: str) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of d in float64 scaled to unit norm, and their norms. A
-    zero-norm row is a hard error naming `context`, not a fixup."""
+def unit_rows(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of the domain embeddings d in float64 scaled to unit norm, and
+    their norms. A zero-norm row is a hard error, not a fixup."""
     d = np.asarray(d, dtype=np.float64)
     norms = np.sqrt(np.sum(d * d, axis=-1))
     if np.any(norms == 0.0):
         bad = int(np.flatnonzero(norms == 0.0)[0])
-        raise DegenerateEmbeddingError(f"zero-norm row {bad} in {context}")
+        raise DegenerateEmbeddingError(f"zero-norm row {bad} in domain embeddings")
     return d / norms[:, None], norms
 
 
-def cosine_excess(d: np.ndarray, context: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def cosine_excess(d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """unit_rows(d) as (u, norms), and a = cos(D, D^T) - I = u u^T with its
     diagonal set to exactly zero."""
-    u, norms = unit_rows(d, context)
+    u, norms = unit_rows(d)
     a = u @ u.T
     np.fill_diagonal(a, 0.0)
     return u, norms, a

@@ -69,14 +69,14 @@ def regularizer(dom_emb: np.ndarray) -> float:
     exactly zero. Scale-invariant in every row; zero-norm rows are an error.
     """
     n = dom_emb.shape[0]
-    _, _, a = cosine_excess(dom_emb, "domain embeddings")
+    _, _, a = cosine_excess(dom_emb)
     return float(np.sum(a * a)) / (n * n)
 
 
 def regularizer_grad(dom_emb: np.ndarray) -> np.ndarray:
     """Exact gradient of regularizer() with respect to the embedding rows."""
     n = dom_emb.shape[0]
-    u, norms, a = cosine_excess(dom_emb, "domain embeddings")
+    u, norms, a = cosine_excess(dom_emb)
     du = (4.0 / (n * n)) * (a @ u)
     # Rows are normalized before the cosine, so project out the radial part.
     radial = np.sum(du * u, axis=1, keepdims=True)
@@ -164,7 +164,7 @@ def backward(
         model.mlm_head_backward(dlogits, ealc, d_h, params, grads)
 
     if lam < 1.0:
-        dcls = softmax(cache.dom_logits, axis=-1)
+        dcls = softmax(cache.dom_logits)
         dcls[np.arange(batch.batch_size), batch.domain_labels] -= 1.0
         dcls *= cache.cls_weights[:, None]
         dcls *= (1.0 - lam) / cls_divisor

@@ -50,7 +50,7 @@ def cosines_to_target(dom_emb: np.ndarray, target: int) -> np.ndarray:
     The target's own entry is pinned to exactly 1.0 and the rest clipped to
     [-1, 1], so rounding can never rank another domain above the target.
     """
-    u, _ = unit_rows(dom_emb, "domain embeddings")
+    u, _ = unit_rows(dom_emb)
     cos = np.clip(u @ u[target], -1.0, 1.0)
     cos[target] = 1.0
     return cos

@@ -326,7 +326,8 @@ class TestEval:
         cfg = ModelConfig(vocab_size=len(lines) - 1, n_domains=4, max_len=32,
                           d_hidden=8, n_layers=1, n_heads=2, d_ff=8, d_domain=2)
         ckpt = tmp_path / "m.ckpt"
-        checkpoint.save_model(ckpt, cfg, init_params(cfg, derive_rng(0, 0)))
+        checkpoint.save_model(ckpt, cfg, init_params(cfg, derive_rng(0, 0)),
+                              domain_names=["c0_d0", "c0_d1", "c1_d0", "c1_d1"], target_index=0)
         capsys.readouterr()
         rc = main(["eval", "--ckpt", str(ckpt), "--heldout", str(corpus),
                    "--vocab", str(vocab)])
@@ -342,7 +343,8 @@ class TestEval:
         cfg = ModelConfig(vocab_size=8, n_domains=2, max_len=8, d_hidden=8,
                           n_layers=1, n_heads=2, d_ff=8, d_domain=2)
         ckpt = tmp_path / "m.ckpt"
-        checkpoint.save_model(ckpt, cfg, init_params(cfg, derive_rng(0, 0)))
+        checkpoint.save_model(ckpt, cfg, init_params(cfg, derive_rng(0, 0)),
+                              domain_names=["c0_d0", "c0_d1"], target_index=0)
         capsys.readouterr()
         rc = main(["eval", "--ckpt", str(ckpt), "--heldout", str(heldout),
                    "--vocab", str(vocab)])
@@ -419,8 +421,9 @@ def _sampler_state_past_the_end(tmp_path):
                       n_layers=1, n_heads=2, d_ff=8, d_domain=2)
     params = init_params(cfg, derive_rng(0, 0))
     ckpt = tmp_path / "t.ckpt"
-    checkpoint.save_model(ckpt, cfg, params, adamax={
-        "step": 1, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "m": params, "u": params},
+    checkpoint.save_model(
+        ckpt, cfg, params, domain_names=["c0_d0", "c0_d1", "c1_d0", "c1_d1"], target_index=0,
+        adamax={"step": 1, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "m": params, "u": params},
         sampler={}, trainer={})
     data = ckpt.read_bytes()
     assert data.count(b"SAMPLER-STATE nbytes=2\n") == 1
@@ -569,7 +572,7 @@ class TestOutsideInput:
 class TestBenchEalCommand:
     def test_full_mask_rate_reports_unit_speedup(self, capsys):
         rc = main(["bench-eal", "--vocab", "1500", "--len", "48",
-                   "--mask-rate", "1.0", "--reps", "2", "--batch", "2"])
+                   "--mask-rate", "1.0", "--reps", "10", "--batch", "2"])
         assert rc == 0
         out = capsys.readouterr().out
         values = dict(line.split("\t") for line in out.splitlines()

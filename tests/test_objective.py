@@ -315,7 +315,7 @@ class TestBackward:
         params["dom_emb"] = d_val.copy()
         grads = model.zero_grads(cfg)
         h_cls = a_val[None, :]
-        dlogits = objective.softmax(model.domain_logits(h_cls, params), axis=-1)
+        dlogits = objective.softmax(model.domain_logits(h_cls, params))
         dlogits[0, label] -= 1.0
         dlogits *= (1.0 - lam)
         model.domain_head_backward(dlogits, h_cls, params, grads)

@@ -20,15 +20,13 @@ def make_corpus(counts=(6, 5, 4), target=0):
     return packed_corpus(np.random.default_rng(0), counts, target, max_len=12, vocab_size=25)
 
 
-def expected_size(config, *, domain_names=None, target_index=None):
+def expected_size(config, *, domain_names, target_index):
     """Byte size of a model-only checkpoint: text lines + raw array bytes."""
     total = len(checkpoint.MAGIC) + 1
     for field in dataclasses.fields(ModelConfig):
         total += len(f"{field.name}={getattr(config, field.name)}") + 1
-    if domain_names is not None:
-        total += len("domain_names=" + "\t".join(domain_names)) + 1
-    if target_index is not None:
-        total += len(f"target_index={target_index}") + 1
+    total += len("domain_names=" + "\t".join(domain_names)) + 1
+    total += len(f"target_index={target_index}") + 1
     for name, shape in param_specs(config):
         dims = " ".join(str(d) for d in shape)
         total += len(f"{name} {dims}") + 1
@@ -425,12 +423,48 @@ class TestCheckpoint:
         for name in params:
             assert np.array_equal(bundle.params[name], params[name]), name
 
+    @pytest.mark.parametrize("key", [b"domain_names", b"target_index"])
+    def test_file_without_names_or_target_rejected(self, tmp_path, key):
+        """Every checkpoint names its domains and its target; a header
+        without either line is a CheckpointError naming it."""
+        corpus = make_corpus()
+        mc = small_model_config(corpus)
+        path = tmp_path / "model.ckpt"
+        checkpoint.save_model(path, mc, init_params(mc, derive_rng(0, 0)),
+                              domain_names=list(corpus.table.names), target_index=0)
+        data = path.read_bytes()
+        start = data.index(b"\n" + key + b"=") + 1
+        end = data.index(b"\n", start) + 1
+        path.write_bytes(data[:start] + data[end:])
+        with pytest.raises(CheckpointError, match=f"missing '{key.decode()}' line"):
+            checkpoint.load(path)
+
+    @pytest.mark.parametrize("old, new", [
+        (b"\nn_heads=2\n", b"\nn_heads=3\n"),
+        (b"\ndtype=float32\n", b"\ndtype=float16\n"),
+        (b"\nd_domain=4\n", b"\nd_domain=0\n"),
+    ], ids=["n_heads", "dtype", "d_domain"])
+    def test_header_config_the_model_refuses_rejected(self, tmp_path, old, new):
+        """A header config that ModelConfig refuses is a corrupt checkpoint,
+        not a ConfigError."""
+        corpus = make_corpus()
+        mc = small_model_config(corpus)
+        path = tmp_path / "model.ckpt"
+        checkpoint.save_model(path, mc, init_params(mc, derive_rng(0, 0)),
+                              domain_names=list(corpus.table.names), target_index=0)
+        data = path.read_bytes()
+        assert data.count(old) == 1
+        path.write_bytes(data.replace(old, new))
+        with pytest.raises(CheckpointError, match="corrupt checkpoint"):
+            checkpoint.load(path)
+
     def test_header_line(self, tmp_path):
         corpus = make_corpus()
         mc = small_model_config(corpus)
         params = init_params(mc, derive_rng(0, 0))
         path = tmp_path / "model.ckpt"
-        checkpoint.save_model(path, mc, params)
+        checkpoint.save_model(path, mc, params,
+                              domain_names=list(corpus.table.names), target_index=0)
         assert path.read_bytes().startswith(b"DOMBERT-CKPT v1\n")
 
     def test_byte_count_matches_oracle(self, tmp_path):
@@ -453,7 +487,8 @@ class TestCheckpoint:
         corpus = make_corpus()
         mc = small_model_config(corpus)
         path = tmp_path / "final.ckpt"
-        checkpoint.save_model(path, mc, init_params(mc, derive_rng(0, 0)))
+        checkpoint.save_model(path, mc, init_params(mc, derive_rng(0, 0)),
+                              domain_names=list(corpus.table.names), target_index=0)
         before = path.read_bytes()
         write_array = checkpoint._write_array
         calls = []
@@ -466,7 +501,8 @@ class TestCheckpoint:
 
         monkeypatch.setattr(checkpoint, "_write_array", failing_write_array)
         with pytest.raises(OSError, match="disk full"):
-            checkpoint.save_model(path, mc, init_params(mc, derive_rng(1, 0)))
+            checkpoint.save_model(path, mc, init_params(mc, derive_rng(1, 0)),
+                                  domain_names=list(corpus.table.names), target_index=0)
         assert len(calls) == 3
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["final.ckpt"]
@@ -476,7 +512,8 @@ class TestCheckpoint:
         mc = small_model_config(corpus)
         params = init_params(mc, derive_rng(0, 0))
         path = tmp_path / "model.ckpt"
-        checkpoint.save_model(path, mc, params)
+        checkpoint.save_model(path, mc, params,
+                              domain_names=list(corpus.table.names), target_index=0)
         data = path.read_bytes()
         clipped = tmp_path / "clipped.ckpt"
         for cut in (10, len(data) // 2, len(data) - 3):
@@ -559,7 +596,8 @@ class TestCheckpoint:
         mc = small_model_config(corpus)
         params = init_params(mc, derive_rng(0, 0))
         path = tmp_path / "model.ckpt"
-        checkpoint.save_model(path, mc, params)
+        checkpoint.save_model(path, mc, params,
+                              domain_names=list(corpus.table.names), target_index=0)
         data = path.read_bytes()
         doctored = data.replace(b"vocab_size=25", b"vocab_size=26", 1)
         bad = tmp_path / "bad.ckpt"
@@ -836,7 +874,8 @@ class TestResume:
         mc = small_model_config(corpus)
         params = init_params(mc, derive_rng(0, 0))
         path = tmp_path / "model.ckpt"
-        checkpoint.save_model(path, mc, params)
+        checkpoint.save_model(path, mc, params,
+                              domain_names=list(corpus.table.names), target_index=0)
         bundle = checkpoint.load(path)
         tc = trainer.TrainConfig(epochs=1, micro_batch=2, accum_steps=1)
         with pytest.raises(CheckpointError):
