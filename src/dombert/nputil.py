@@ -6,17 +6,41 @@ import ctypes
 import math
 import os
 import queue
+import sys
 import threading
 from collections.abc import Iterator
 from contextlib import contextmanager
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import find_spec, module_from_spec, spec_from_loader
 from pathlib import Path
 from typing import IO, Any, Callable, Iterable
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ConfigError, DegenerateEmbeddingError
 
+
+def _load_erf() -> np.ufunc:
+    """scipy's erf ufunc from its extension module alone: the scipy.special
+    package also loads _ufuncs, linked to scipy's own OpenBLAS. The module
+    is registered under its name, so `import scipy.special` reuses it."""
+    name = "scipy.special._special_ufuncs"
+    if name not in sys.modules:
+        pkg = find_spec("scipy")  # a top-level name: scipy itself is not run
+        dirs = [Path(d, "special") for d in pkg.submodule_search_locations or []] if pkg else []
+        files = [str(d / f"_special_ufuncs{s}") for d in dirs for s in EXTENSION_SUFFIXES]
+        path = next((f for f in files if os.path.isfile(f)), None)
+        if path is None:
+            raise ImportError(f"no {name} extension: looked for {files or 'a scipy package'}")
+        loader = ExtensionFileLoader(name, path)
+        sys.modules[name] = module = module_from_spec(spec_from_loader(name, loader))
+        loader.exec_module(module)
+    if not hasattr(sys.modules[name], "erf"):
+        raise ImportError(f"{name} has no erf")
+    return sys.modules[name].erf
+
+
+erf = _load_erf()
 _SQRT2 = float(np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 
@@ -180,10 +204,10 @@ def _openblas_paths(maps_lines: Iterable[str]) -> list[str]:
 
 
 def _pin_openblas() -> bool:
-    """Set every OpenBLAS loaded in this process to one thread.
-
-    False when there is none to set: not Linux, numpy uses another BLAS, or
-    one cannot be opened, whose thread count then stays unknown.
+    """Set every OpenBLAS mapped into this process to one thread. dombert
+    maps only numpy's (see _load_erf); a caller's scipy.special or
+    scipy.linalg maps scipy's. False when there is none to set: not Linux, numpy uses another
+    BLAS, or one cannot be opened, whose thread count then stays unknown.
     openblas_set_num_threads_local is no use here: in a pthreads build it
     sets the process-wide count too.
     """

@@ -1,7 +1,10 @@
 import copy
+import json
 import math
 import os
+import re
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -485,6 +488,57 @@ class TestPinOpenblas:
         """The documented fallback: one worker thread, batches unsplit."""
         monkeypatch.setattr(nputil, "_openblas_paths", lambda lines: [self.LIB])
         assert nputil._pin_openblas() is False
+
+    # Run in a fresh process: what `import dombert.cli` loads, how many
+    # OpenBLAS files the pinned process maps, and whether scipy.special's
+    # erf, imported after, is the one dombert computes with.
+    ONE_OPENBLAS = """
+import json, sys
+import dombert.cli
+from dombert import nputil
+loaded = sorted(m for m in ("scipy.special", "scipy.linalg") if m in sys.modules)
+paths = None
+if sys.platform.startswith("linux"):
+    nputil.worker_threads()
+    with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
+        paths = nputil._openblas_paths(fh)
+import scipy.special
+print(json.dumps({"loaded": loaded, "paths": paths, "same": scipy.special.erf is nputil.erf}))
+"""
+
+    def test_a_dombert_process_maps_one_openblas(self):
+        """dombert takes erf without running scipy.special, whose other
+        extensions map scipy's OpenBLAS; a later scipy.special reuses it."""
+        src = os.path.dirname(os.path.dirname(nputil.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        done = subprocess.run([sys.executable, "-c", self.ONE_OPENBLAS], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        seen = json.loads(done.stdout.splitlines()[-1])
+        assert seen["loaded"] == []
+        if sys.platform.startswith("linux"):
+            assert len(seen["paths"]) == 1, seen["paths"]
+        assert seen["same"] is True
+
+    def test_erf_loader_reuses_a_loaded_module(self):
+        assert nputil._load_erf() is erf is nputil.erf
+
+    @pytest.mark.parametrize("missing", ["scipy", "file", "erf"])
+    def test_erf_loader_names_what_is_missing(self, missing, monkeypatch):
+        name = "scipy.special._special_ufuncs"
+        monkeypatch.delitem(sys.modules, name)
+        if missing == "scipy":
+            monkeypatch.setattr(nputil, "find_spec", lambda n: None)
+            expect = "a scipy package"
+        elif missing == "file":
+            monkeypatch.setattr(nputil, "EXTENSION_SUFFIXES", [".no-such-suffix"])
+            expect = "_special_ufuncs.no-such-suffix"
+        else:
+            monkeypatch.setitem(sys.modules, name, type(sys)(name))
+            expect = f"{name} has no erf"
+        with pytest.raises(ImportError, match=re.escape(expect)):
+            nputil._load_erf()
 
 
 class TestDomainLogits:

@@ -160,7 +160,8 @@ def child_env(blas_threads: str | None) -> dict[str, str]:
 
 
 # Prints the core of the first OpenBLAS, by path, mapped into a process that
-# imports numpy and dombert (numpy's own sorts before scipy's), through the
+# imports numpy and dombert: numpy's, the only one such a process maps (dombert
+# takes scipy's erf without scipy's own OpenBLAS). It asks through the
 # corename query its build exports: scipy-openblas64, scipy-openblas, then
 # plain OpenBLAS with and without the 64-bit suffix.
 CORE_PROBE = """
