@@ -114,14 +114,6 @@ def _eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_eal(args: argparse.Namespace) -> int:
-    config = ModelConfig(vocab_size=args.vocab, n_domains=2, max_len=args.len)
-    report = evalbench.bench_eal(config, args.mask_rate, args.reps, args.batch)
-    for row in evalbench.format_bench_report(report):
-        print(row)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dombert",
@@ -193,14 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mask-seed", type=int, default=0, dest="mask_seed")
     p.set_defaults(func=_eval)
 
-    p = sub.add_parser("bench-eal", help="sparse vs dense masked-token timing")
-    p.add_argument("--vocab", type=int, default=8000)
-    p.add_argument("--len", type=int, default=128)
-    p.add_argument("--mask-rate", type=float, default=0.15, dest="mask_rate")
-    p.add_argument("--reps", type=int, default=5)
-    p.add_argument("--batch", type=int, default=8)
-    p.set_defaults(func=_bench_eal)
-
     return parser
 
 
@@ -214,10 +198,7 @@ def main(argv: list[str] | None = None) -> int:
     print(manifest_line(args))
     try:
         return args.func(args)
-    except DombertError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DombertError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

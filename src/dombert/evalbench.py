@@ -1,5 +1,5 @@
-"""Synthetic corpora with planted relevance structure, recovery/LM-quality
-evaluation, and a timing benchmark for the sparse masked-token path.
+"""Synthetic corpora with planted relevance structure, and recovery and
+language-model-quality evaluation.
 
 Cluster vocabularies are disjoint by construction: a domain's documents mix
 its cluster's shared tokens, its own unique tokens, and global background
@@ -7,28 +7,17 @@ tokens, so ground-truth relevance is unambiguous.
 """
 from __future__ import annotations
 
-import time
-from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import model as model_ops
-from .corpus import (
-    CLS_ID,
-    NUM_RESERVED,
-    PackedExample,
-    Vocabulary,
-    open_text,
-    pack_domain,
-    tokenize,
-)
+from .corpus import Vocabulary, open_text, pack_domain, tokenize
 from .errors import ConfigError, CorpusError
 from .masking import MaskingPolicy, make_masked_batch
-from .model import ModelConfig, Params, init_params
+from .model import ModelConfig, Params
 from .nputil import STREAM_EVAL, STREAM_SYNTH, derive_rng, open_replacing
-from .objective import loss_mlm, masked_token_pass
+from .objective import masked_token_pass
 from .sampler import report_top_domains
 
 
@@ -112,6 +101,7 @@ def write_truth(path: str | Path, truth: dict[str, int]) -> None:
 
 def read_truth(path: str | Path) -> dict[str, int]:
     truth: dict[str, int] = {}
+    named_on: dict[str, int] = {}
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -123,6 +113,10 @@ def read_truth(path: str | Path) -> dict[str, int]:
             except ValueError as exc:
                 raise CorpusError(
                     f"truth line {lineno}: expected domain<TAB>cluster id") from exc
+            if name in named_on:
+                raise CorpusError(f"truth lines {named_on[name]} and {lineno} both name"
+                                  f" domain {name!r}")
+            named_on[name] = lineno
     return truth
 
 
@@ -193,73 +187,3 @@ def eval_pseudo_perplexity(
         raise ConfigError("masking selected no positions in the held-out set")
     return float(np.exp(ce_sum / n_targets))
 
-
-def bench_eal(
-    config: ModelConfig,
-    mask_rate: float,
-    reps: int,
-    batch_size: int,
-) -> dict[str, float]:
-    """Paired timing of the sparse vs dense masked-token paths.
-
-    Both paths run encode + vocabulary logits + loss on identical batches;
-    the sparse one encodes its last layer only at the heads' rows, as
-    training does. Deviation is the max absolute logit difference at targets.
-    Sparse and dense repeats alternate and each path reports its fastest
-    repeat, so one stall of a shared host cannot decide the speedup.
-    """
-    if reps < 1 or batch_size < 1:
-        raise ConfigError("reps and batch_size must be >= 1")
-    if config.vocab_size <= NUM_RESERVED:
-        raise ConfigError(f"vocab_size must exceed the {NUM_RESERVED} reserved ids")
-    rng = derive_rng(0, STREAM_EVAL)
-    params = init_params(config, rng)
-    l = config.max_len
-    ids = rng.integers(NUM_RESERVED, config.vocab_size, size=(batch_size, l))
-    ids[:, 0] = CLS_ID
-    examples = [PackedExample(ids=row, valid_len=l, domain_id=0) for row in ids]
-    policy = MaskingPolicy(select_prob=mask_rate)
-    batch = make_masked_batch(examples, policy, rng, config.vocab_size)
-    ex_idx, positions, target_ids = batch.flat_targets()
-    rows, slots = batch.output_rows()
-
-    def run_eal() -> np.ndarray:
-        fwd = model_ops.encode(batch.input_ids, batch.valid_lens, params, config, rows)
-        logits, _ = model_ops.mlm_logits_eal(fwd, ex_idx, slots, params)
-        loss_mlm(logits, target_ids)
-        return logits
-
-    def run_full() -> np.ndarray:
-        fwd = model_ops.encode(batch.input_ids, batch.valid_lens, params, config)
-        logits = model_ops.mlm_logits_full(fwd, params)
-        gathered = logits[ex_idx, positions]
-        loss_mlm(gathered, target_ids)
-        return gathered
-
-    eal_logits = run_eal()     # warmup + reference output
-    full_logits = run_full()
-    t_eal = t_full = float("inf")
-    for _ in range(reps):
-        t_eal = min(t_eal, _seconds(run_eal))
-        t_full = min(t_full, _seconds(run_full))
-
-    deviation = 0.0
-    if eal_logits.size:
-        deviation = float(np.max(np.abs(eal_logits - full_logits)))
-    return {
-        "eal_steps_per_s": 1.0 / t_eal,
-        "full_steps_per_s": 1.0 / t_full,
-        "speedup": t_full / t_eal,
-        "max_deviation": deviation,
-        "n_targets": float(batch.n_targets),
-    }
-
-
-def _seconds(run: Callable[[], object]) -> float:
-    t0 = time.perf_counter()
-    run()
-    return time.perf_counter() - t0
-
-
-def format_bench_report(report: dict[str, float]) -> list[str]:
-    return [f"{key}\t{report[key]:.6f}" for key in sorted(report)]

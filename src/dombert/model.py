@@ -1,10 +1,10 @@
 """Small post-norm transformer encoder with two heads.
 
-Masked-token prediction has two routes: a sparse path that gathers only the
-positions carrying prediction targets before touching the vocabulary
-projection (early apply of labels), and a dense reference path that projects
-every position. The domain head composes two linear maps with no intermediate
-nonlinearity: logits = D @ (W @ h_cls + b).
+Masked-token prediction gathers only the positions carrying prediction
+targets before touching the vocabulary projection (early apply of labels).
+The dense head that projects every position lives in the tests, as the
+reference this sparse path is checked against. The domain head composes two
+linear maps with no intermediate nonlinearity: logits = D @ (W @ h_cls + b).
 
 The encoder has no stochastic layer, so a forward pass is a pure function
 of its inputs and parameters. Forward passes record everything reverse mode
@@ -652,16 +652,6 @@ def _head_into(logits: np.ndarray, c: EalCache, h: np.ndarray, params: Params) -
     _affine(c.z3, params["tok_emb"].T, params["mlm_out_b"], logits)
     if c.target_ids is not None:
         softmax_parts(logits, c.target_ids, logits, c.exp_sum, c.picked)
-
-
-def mlm_logits_full(cache: ForwardCache, params: Params) -> np.ndarray:
-    """Vocabulary logits at every position (B x L x V); reference path."""
-    h = cache.h.reshape(-1, cache.h.shape[-1])  # one matmul, not one per example
-    z1 = _affine(h, params["mlm_w"], params["mlm_b"])
-    z2, _ = gelu(z1)
-    z3, _ = _ln_forward(z2, params["mlm_ln_g"], params["mlm_ln_b"])
-    logits = _affine(z3, params["tok_emb"].T, params["mlm_out_b"])
-    return logits.reshape(*cache.h.shape[:2], -1)
 
 
 def mlm_head_backward(

@@ -42,12 +42,6 @@ def mean_nll(picked: np.ndarray, sums: np.ndarray, weights: np.ndarray | None = 
     return float((nll if weights is None else nll * weights).mean()) if len(nll) else 0.0
 
 
-def loss_mlm(eal_logits: np.ndarray, target_ids: np.ndarray) -> float:
-    """Mean cross-entropy over target positions; 0 when there are none."""
-    _, sums, picked = softmax_parts(eal_logits, target_ids)
-    return mean_nll(picked, sums)
-
-
 def loss_cls(
     logits: np.ndarray, labels: np.ndarray, weights: np.ndarray | None = None,
 ) -> float:
@@ -106,8 +100,9 @@ class StepCache:
 def masked_token_pass(
     batch: MaskedBatch, params: model.Params, config: model.ModelConfig,
 ) -> tuple[float, model.ForwardCache, model.EalCache]:
-    """loss_mlm of a masked batch encoded at the heads' rows, with the
-    encoder's cache and the head's, which holds the softmax's pieces."""
+    """Mean masked-token cross-entropy of a masked batch encoded at the heads'
+    rows, with the encoder's cache and the head's, which holds the softmax's
+    pieces."""
     ex_idx, _, target_ids = batch.flat_targets()
     rows, slots = batch.output_rows()
     fwd = model.encode(batch.input_ids, batch.valid_lens, params, config, rows)

@@ -4,6 +4,9 @@ import pytest
 from dombert.corpus import (CLS_ID, NUM_RESERVED, PAD_ID, SEP_ID, DomainTable, PackedCorpus,
                             PackedExample)
 from dombert.masking import MaskedBatch
+from dombert.model import ForwardCache, Params, _affine, _ln_forward
+from dombert.nputil import gelu, softmax_parts
+from dombert.objective import mean_nll
 
 
 def random_packed_example(
@@ -68,6 +71,22 @@ def masked_batch(input_ids: np.ndarray, valid_lens: np.ndarray,
                        target_ex=np.repeat(np.arange(len(targets)), list(map(len, targets))),
                        target_pos=pairs[:, 0], target_ids=pairs[:, 1],
                        domain_labels=domain_labels)
+
+
+def mlm_logits_full(cache: ForwardCache, params: Params) -> np.ndarray:
+    """Vocabulary logits at every position (B x L x V); reference path."""
+    h = cache.h.reshape(-1, cache.h.shape[-1])  # one matmul, not one per example
+    z1 = _affine(h, params["mlm_w"], params["mlm_b"])
+    z2, _ = gelu(z1)
+    z3, _ = _ln_forward(z2, params["mlm_ln_g"], params["mlm_ln_b"])
+    logits = _affine(z3, params["tok_emb"].T, params["mlm_out_b"])
+    return logits.reshape(*cache.h.shape[:2], -1)
+
+
+def loss_mlm(eal_logits: np.ndarray, target_ids: np.ndarray) -> float:
+    """Mean cross-entropy over target positions; 0 when there are none."""
+    _, sums, picked = softmax_parts(eal_logits, target_ids)
+    return mean_nll(picked, sums)
 
 
 @pytest.fixture

@@ -13,10 +13,10 @@ from dombert import checkpoint, corpus as corpuslib, evalbench, model, objective
 from dombert.cli import main
 from dombert.masking import MaskingPolicy, apply_dynamic_masking, make_masked_batch
 from dombert.model import ModelConfig, init_params
-from dombert.nputil import derive_rng
+from dombert.nputil import STREAM_EVAL, derive_rng
 from dombert.sampler import build_sampler, next_example, sample_batch
 
-from conftest import packed_corpus, random_packed_example
+from conftest import loss_mlm, mlm_logits_full, packed_corpus, random_packed_example
 
 
 def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -146,20 +146,53 @@ def test_criterion_2_eal_equivalence_and_benefit():
         ex_idx, pos, tgt = batch.flat_targets()
         cache = model.encode(batch.input_ids, batch.valid_lens, params, cfg)
         eal, _ = model.mlm_logits_eal(cache, ex_idx, pos, params)
-        full = model.mlm_logits_full(cache, params)
+        full = mlm_logits_full(cache, params)
         max_dev = max(max_dev, float(np.max(np.abs(eal - full[ex_idx, pos]))))
-        loss_dev = max(loss_dev, abs(objective.loss_mlm(eal, tgt)
-                                     - objective.loss_mlm(full[ex_idx, pos], tgt)))
-    # wall-clock benefit at the stated geometry
+        loss_dev = max(loss_dev, abs(loss_mlm(eal, tgt) - loss_mlm(full[ex_idx, pos], tgt)))
+    # wall-clock benefit at the stated geometry: encode + vocabulary logits +
+    # loss on one batch by each path; the sparse one encodes its last layer
+    # only at the heads' rows, as training does. Repeats alternate and each
+    # path keeps its fastest, so one stall of a shared host cannot decide it.
     bench_cfg = ModelConfig(vocab_size=8000, n_domains=2, max_len=128,
                             d_hidden=64, n_layers=2, n_heads=2, d_ff=256,
                             d_domain=16, dtype="float32")
-    report = evalbench.bench_eal(bench_cfg, mask_rate=0.15, reps=3, batch_size=8)
+    v, l = bench_cfg.vocab_size, bench_cfg.max_len
+    rng = derive_rng(0, STREAM_EVAL)
+    params = init_params(bench_cfg, rng)
+    ids = rng.integers(corpuslib.NUM_RESERVED, v, size=(8, l))
+    ids[:, 0] = corpuslib.CLS_ID
+    examples = [corpuslib.PackedExample(ids=row, valid_len=l, domain_id=0) for row in ids]
+    batch = make_masked_batch(examples, MaskingPolicy(select_prob=0.15), rng, v)
+    ex_idx, pos, tgt = batch.flat_targets()
+    rows, slots = batch.output_rows()
+
+    def run_eal():
+        fwd = model.encode(batch.input_ids, batch.valid_lens, params, bench_cfg, rows)
+        logits, _ = model.mlm_logits_eal(fwd, ex_idx, slots, params)
+        loss_mlm(logits, tgt)
+
+    def run_full():
+        fwd = model.encode(batch.input_ids, batch.valid_lens, params, bench_cfg)
+        logits = mlm_logits_full(fwd, params)
+        loss_mlm(logits[ex_idx, pos], tgt)
+
+    def seconds(run):
+        t0 = time.perf_counter()
+        run()
+        return time.perf_counter() - t0
+
+    run_eal()  # warmup
+    run_full()
+    t_eal = t_full = float("inf")
+    for _ in range(3):
+        t_eal = min(t_eal, seconds(run_eal))
+        t_full = min(t_full, seconds(run_full))
+    speedup = t_full / t_eal
     elapsed = time.time() - start
-    ok = (max_dev < 1e-10 and loss_dev < 1e-10 and report["speedup"] > 1.0
+    ok = (max_dev < 1e-10 and loss_dev < 1e-10 and speedup > 1.0
           and elapsed < 300)
     _report(2, "EAL equivalence and benefit", ok,
-            f"dev {max_dev:.1e}, speedup {report['speedup']:.2f}x, {elapsed:.0f}s")
+            f"dev {max_dev:.1e}, speedup {speedup:.2f}x, {elapsed:.0f}s")
 
 
 def test_criterion_3_sampler_fidelity():

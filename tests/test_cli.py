@@ -245,7 +245,6 @@ class TestManifest:
         "report": ["report", "--ckpt", "c"],
         "gen-synth": ["gen-synth", "--out", "o"],
         "eval": ["eval", "--ckpt", "c"],
-        "bench-eal": ["bench-eal"],
     }
 
     def test_keys_are_the_parser_dests(self):
@@ -259,6 +258,11 @@ class TestManifest:
             payload = json.loads(line.split("\t", 1)[1])
             assert set(payload) == dests | {"command", "version"}, command
             assert payload["command"] == command
+
+    def test_unknown_command_is_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["frobnicate"])
+        assert exc.value.code == 2
 
 
 class TestReport:
@@ -394,6 +398,13 @@ def _truth_without_target(tmp_path):
             "--truth", str(truth)]
 
 
+def _truth_naming_a_domain_twice(tmp_path):
+    truth = tmp_path / "truth.tsv"
+    truth.write_text("c0_d0\t0\nc0_d1\t0\nc0_d0\t1\n", encoding="utf-8")
+    return ["eval", "--ckpt", str(_small_checkpoint(tmp_path / "m.ckpt")),
+            "--truth", str(truth)]
+
+
 def _checkpoint_header_not_utf8(tmp_path):
     ckpt = _small_checkpoint(tmp_path / "m.ckpt")
     data = ckpt.read_bytes()
@@ -486,14 +497,6 @@ def _mix_with_nan(tmp_path):
     return ["gen-synth", "--mix", "0.5,0.5,nan", "--out", str(tmp_path / "synth.tsv")]
 
 
-def _bench_eal_no_batch(tmp_path):
-    return ["bench-eal", "--batch", "0", "--vocab", "50", "--len", "8", "--reps", "1"]
-
-
-def _bench_eal_reserved_vocab(tmp_path):
-    return ["bench-eal", "--vocab", "5", "--len", "8", "--reps", "1", "--batch", "1"]
-
-
 def _negative_synth_seed(tmp_path):
     return ["gen-synth", "--seed", "-1", "--out", str(tmp_path / "synth.tsv")]
 
@@ -530,7 +533,7 @@ class TestOutsideInput:
         _sampler_state_past_the_end,
         _edited_checkpoint((b"vocab_size=10\n", b"vocab_size=100000000000\n"),
                            (b"tok_emb 10 8\n", b"tok_emb 100000000000 8\n")),
-        _mix_with_nan, _bench_eal_no_batch, _bench_eal_reserved_vocab, _eval_with_bad_vocab,
+        _mix_with_nan, _eval_with_bad_vocab, _truth_naming_a_domain_twice,
     ], ids=["truth line without TAB", "truth without the target",
             "checkpoint header not UTF-8", "report --top -1",
             "ingest --max-vocab -1", "gen-synth --mix a,b,c",
@@ -540,8 +543,8 @@ class TestOutsideInput:
             "truth not UTF-8", "vocabulary not UTF-8", "gen-synth --seed -1",
             "train --seed -1", "eval --mask-seed -3",
             "checkpoint SAMPLER-STATE past the end", "checkpoint vocabulary of 1e11",
-            "gen-synth --mix 0.5,0.5,nan", "bench-eal --batch 0", "bench-eal --vocab 5",
-            "eval --truth with a malformed --vocab"])
+            "gen-synth --mix 0.5,0.5,nan", "eval --truth with a malformed --vocab",
+            "truth naming a domain twice"])
     def test_bad_input_is_error_and_exit_one(self, tmp_path, capsys, argv):
         """Malformed files and flag values exit 1 with one error line: no
         traceback, and no output computed from a silently bent value."""
@@ -567,19 +570,3 @@ class TestOutsideInput:
         out, err = capsys.readouterr()
         assert err == f"error: vocabulary has {size} tokens, the model 10\n"
         assert out.startswith("MANIFEST") and out.count("\n") == 1
-
-
-class TestBenchEalCommand:
-    def test_full_mask_rate_reports_unit_speedup(self, capsys):
-        rc = main(["bench-eal", "--vocab", "1500", "--len", "48",
-                   "--mask-rate", "1.0", "--reps", "10", "--batch", "2"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        values = dict(line.split("\t") for line in out.splitlines()
-                      if "\t" in line and not line.startswith("MANIFEST"))
-        assert 0.5 <= float(values["speedup"]) <= 1.6
-
-    def test_unknown_command_is_usage_error(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["frobnicate"])
-        assert exc.value.code == 2

@@ -220,22 +220,3 @@ class TestPairedTraining:
               f"target_only={results['target_only']:.2f}")
         for value in results.values():
             assert np.isfinite(value) and 1.0 < value < 10 * vocab.size
-
-
-class TestBenchEal:
-    def test_smoke_report(self):
-        cfg = ModelConfig(vocab_size=500, n_domains=2, max_len=32, d_hidden=16,
-                          n_layers=1, n_heads=2, d_ff=32, d_domain=2)
-        report = evalbench.bench_eal(cfg, mask_rate=0.15, reps=2, batch_size=2)
-        assert set(report) >= {"eal_steps_per_s", "full_steps_per_s", "speedup",
-                               "max_deviation"}
-        assert report["max_deviation"] < 1e-6
-        assert report["eal_steps_per_s"] > 0
-        lines = evalbench.format_bench_report(report)
-        assert all("\t" in line for line in lines)
-
-    def test_full_mask_rate_has_no_sparsity_win(self):
-        cfg = ModelConfig(vocab_size=2000, n_domains=2, max_len=64, d_hidden=32,
-                          n_layers=1, n_heads=2, d_ff=64, d_domain=2)
-        report = evalbench.bench_eal(cfg, mask_rate=1.0, reps=10, batch_size=4)
-        assert 0.6 <= report["speedup"] <= 1.5

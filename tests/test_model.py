@@ -18,11 +18,12 @@ from dombert import model, nputil
 from dombert.corpus import CLS_ID, NUM_RESERVED, PAD_ID, SEP_ID
 from dombert.errors import ConfigError, InputError
 from dombert.masking import MaskingPolicy, make_masked_batch
-from dombert.objective import loss_cls, loss_mlm, mean_nll
+from dombert.objective import loss_cls, mean_nll
 from dombert.nputil import (derive_rng, gelu, gelu_grad, run_all, scatter_add_rows, softmax,
                             worker_threads)
 
-from conftest import batch_with_target_counts, masked_batch, random_packed_example
+from conftest import (batch_with_target_counts, loss_mlm, masked_batch, mlm_logits_full,
+                      random_packed_example)
 
 
 def tiny_config(**overrides):
@@ -591,7 +592,7 @@ class TestMlmPaths:
         ex_idx, pos, _ = batch.flat_targets()
         cache = model.encode(batch.input_ids, batch.valid_lens, params, cfg)
         eal, _ = model.mlm_logits_eal(cache, ex_idx, pos, params)
-        full = model.mlm_logits_full(cache, params)
+        full = mlm_logits_full(cache, params)
         assert batch.n_targets > 0
         assert np.max(np.abs(eal - full[ex_idx, pos])) < 1e-10
 
@@ -602,7 +603,7 @@ class TestMlmPaths:
         ex_idx, pos, _ = batch.flat_targets()
         cache = model.encode(batch.input_ids, batch.valid_lens, params, cfg)
         eal, _ = model.mlm_logits_eal(cache, ex_idx, pos, params)
-        full = model.mlm_logits_full(cache, params)
+        full = mlm_logits_full(cache, params)
         assert np.max(np.abs(eal - full[ex_idx, pos])) < 1e-6
 
     def test_full_shape(self, rng):
@@ -610,7 +611,7 @@ class TestMlmPaths:
         params = model.init_params(cfg, derive_rng(0, 0))
         batch = make_batch(rng, cfg)
         cache = model.encode(batch.input_ids, batch.valid_lens, params, cfg)
-        full = model.mlm_logits_full(cache, params)
+        full = mlm_logits_full(cache, params)
         assert full.shape == (3, cfg.max_len, cfg.vocab_size)
 
     def test_projection_row_counts(self):
@@ -633,7 +634,7 @@ class TestMlmPaths:
         cache = model.encode(batch.input_ids, batch.valid_lens, params, cfg)
         ex_idx, pos, _ = batch.flat_targets()
         eal_logits, _ = model.mlm_logits_eal(cache, ex_idx, pos, params)
-        full_logits = model.mlm_logits_full(cache, params)
+        full_logits = mlm_logits_full(cache, params)
         eal_rows = eal_logits.shape[0]
         full_rows = full_logits.shape[0] * full_logits.shape[1]
         assert eal_rows == batch.n_targets
