@@ -135,7 +135,11 @@ def save_model(
     trainer: dict[str, Any] | None = None,
 ) -> None:
     """Config lines plus all parameter arrays; given adamax, sampler and
-    trainer state (all three), a resumable training checkpoint."""
+    trainer state (all three, else ValueError), a resumable training checkpoint."""
+    state = {"adamax": adamax, "sampler": sampler, "trainer": trainer}
+    missing = [name for name, value in state.items() if value is None]
+    if 0 < len(missing) < len(state):
+        raise ValueError(f"training state without {', '.join(missing)}")
     with open_replacing(path) as fh:
         _write_line(fh, MAGIC)
         for field in dataclasses.fields(ModelConfig):

@@ -51,7 +51,7 @@ def word_tokens(text: str) -> list[str]:
 @dataclass
 class DomainTable:
     """All domain names in first-seen order, the target index, and per-domain
-    packed-example counts (filled in after packing)."""
+    packed-example counts (zeros until pack_corpus builds a packed table)."""
 
     names: list[str]
     target_index: int
@@ -208,7 +208,8 @@ def pack_corpus(
     vocab: Vocabulary,
     max_len: int,
 ) -> PackedCorpus:
-    """Tokenize and pack every domain; updates table.counts in place.
+    """Tokenize and pack every domain; the corpus gets a table of its own
+    with table's names and target and the packed counts.
 
     Records whose text tokenizes to nothing are dropped, and a domain left
     with no rows is a CorpusError. Output order is domain id ascending, then
@@ -218,12 +219,10 @@ def pack_corpus(
     ids_by_name = {n: i for i, n in enumerate(table.names)}
     for name, text in records:
         by_domain[ids_by_name[name]].append(tokenize(text, vocab))
-    examples: list[PackedExample] = []
-    for did, docs in enumerate(by_domain):
-        packed = pack_domain(docs, did, max_len)
-        table.counts[did] = len(packed)
-        examples.extend(packed)
-    return PackedCorpus(examples=examples, table=table, max_len=max_len, vocab_size=vocab.size)
+    packed = [pack_domain(docs, did, max_len) for did, docs in enumerate(by_domain)]
+    own_table = DomainTable(list(table.names), table.target_index, [len(rows) for rows in packed])
+    return PackedCorpus(examples=[ex for rows in packed for ex in rows], table=own_table,
+                        max_len=max_len, vocab_size=vocab.size)
 
 
 def corpus_stats(table: DomainTable) -> list[tuple[str, int]]:

@@ -217,15 +217,11 @@ class StepRecord:
     epoch: int
     breakdown: LossBreakdown
     p_target: float
-    p_target_is_max: bool
-    cls_w_grad_norm: float
-    cls_b_grad_norm: float
 
 
 @dataclass
 class TrainResult:
     params: Params
-    model_config: ModelConfig
     records: list[StepRecord]
 
 
@@ -298,7 +294,6 @@ def train(
         for step in range(run.next_step, total_steps + 1):
             epoch = (step - 1) // spe + 1
             p_target = float(run.sampler.probs[t])
-            p_is_max = bool(run.sampler.probs[t] >= run.sampler.probs.max())
 
             micro_batches = [sample_batch(run.sampler, tc.micro_batch)
                              for _ in range(tc.accum_steps)]
@@ -306,19 +301,12 @@ def train(
                       for mb in micro_batches]
             weights = [importance_weights(run.sampler, mb.domain_labels) for mb in masked]
             breakdown, grads = objective.step(masked, weights, run.params, mc, tc.lam)
-
-            w_norm = float(np.linalg.norm(grads["cls_w"]))
-            b_norm = float(np.linalg.norm(grads["cls_b"]))
             adamax_step(run.params, grads, run.opt, tc.lr)
 
             if not tc.target_only:
                 refresh_probabilities(run.sampler, run.params["dom_emb"])
 
-            rec = StepRecord(
-                step=step, epoch=epoch, breakdown=breakdown,
-                p_target=p_target, p_target_is_max=p_is_max,
-                cls_w_grad_norm=w_norm, cls_b_grad_norm=b_norm,
-            )
+            rec = StepRecord(step=step, epoch=epoch, breakdown=breakdown, p_target=p_target)
             records.append(rec)
             if log is None:
                 continue
@@ -337,7 +325,7 @@ def train(
                               domain_names=list(table.names), target_index=t)
         with open_replacing(out_path / "top_domains.tsv", "w", encoding="utf-8") as fh:
             fh.writelines(top_domains())
-    return TrainResult(params=run.params, model_config=mc, records=records)
+    return TrainResult(params=run.params, records=records)
 
 
 def _cut_log(path: Path, next_step: int) -> None:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dombert import trainer
 from dombert.corpus import (CLS_ID, NUM_RESERVED, PAD_ID, SEP_ID, DomainTable, PackedCorpus,
                             PackedExample)
 from dombert.masking import MaskedBatch
@@ -87,6 +88,32 @@ def loss_mlm(eal_logits: np.ndarray, target_ids: np.ndarray) -> float:
     """Mean cross-entropy over target positions; 0 when there are none."""
     _, sums, picked = softmax_parts(eal_logits, target_ids)
     return mean_nll(picked, sums)
+
+
+def observe_steps(monkeypatch) -> list[dict]:
+    """Watch trainer.train's optimizer steps at its hooks. The list returned
+    gains one dict per step: "p_target_is_max", whether the target's P' is
+    the largest in the P' that the step's first trainer.sample_batch call
+    draws from, and "cls_w_grad_norm" and "cls_b_grad_norm", the domain
+    head's gradient norms as trainer.adamax_step receives them, before the
+    update."""
+    steps: list[dict] = []
+    sample_batch, adamax_step = trainer.sample_batch, trainer.adamax_step
+
+    def observed_sample_batch(state, batch_size):
+        if not steps or "cls_w_grad_norm" in steps[-1]:  # the step's first draw
+            steps.append({"p_target_is_max": bool(state.probs[state.target]
+                                                  >= state.probs.max())})
+        return sample_batch(state, batch_size)
+
+    def observed_adamax_step(params, grads, state, lr):
+        steps[-1].update(cls_w_grad_norm=float(np.linalg.norm(grads["cls_w"])),
+                         cls_b_grad_norm=float(np.linalg.norm(grads["cls_b"])))
+        return adamax_step(params, grads, state, lr)
+
+    monkeypatch.setattr(trainer, "sample_batch", observed_sample_batch)
+    monkeypatch.setattr(trainer, "adamax_step", observed_adamax_step)
+    return steps
 
 
 @pytest.fixture

@@ -7,16 +7,16 @@ import hashlib
 import time
 
 import numpy as np
-import pytest
 
-from dombert import checkpoint, corpus as corpuslib, evalbench, model, objective, trainer
+from dombert import corpus as corpuslib, evalbench, model, objective, trainer
 from dombert.cli import main
 from dombert.masking import MaskingPolicy, apply_dynamic_masking, make_masked_batch
 from dombert.model import ModelConfig, init_params
 from dombert.nputil import STREAM_EVAL, derive_rng
 from dombert.sampler import build_sampler, next_example, sample_batch
 
-from conftest import loss_mlm, mlm_logits_full, packed_corpus, random_packed_example
+from conftest import (loss_mlm, mlm_logits_full, observe_steps, packed_corpus,
+                      random_packed_example)
 
 
 def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -195,7 +195,7 @@ def test_criterion_2_eal_equivalence_and_benefit():
             f"dev {max_dev:.1e}, speedup {speedup:.2f}x, {elapsed:.0f}s")
 
 
-def test_criterion_3_sampler_fidelity():
+def test_criterion_3_sampler_fidelity(monkeypatch):
     """Frequencies track P; queues never repeat early; target stays argmax."""
     start = time.time()
     packed = packed_corpus(np.random.default_rng(5), [5, 5, 5, 5], max_len=8, vocab_size=20)
@@ -229,8 +229,10 @@ def test_criterion_3_sampler_fidelity():
                      d_hidden=16, n_layers=1, n_heads=2, d_ff=32, d_domain=8)
     tc = trainer.TrainConfig(epochs=4, seed=0, micro_batch=4, accum_steps=1,
                              checkpoint_interval=0)
+    steps = observe_steps(monkeypatch)
     result = trainer.train(tc, run_corpus, mc)
-    always_max = all(rec.p_target_is_max for rec in result.records)
+    assert len(steps) == len(result.records)
+    always_max = all(observed["p_target_is_max"] for observed in steps)
     elapsed = time.time() - start
     ok = l1 < 0.01 and no_repeat and always_max and elapsed < 60
     _report(3, "sampler fidelity", ok,
@@ -269,7 +271,7 @@ def test_criterion_4_regularizer_properties():
             f"scale {scale_ok}, descent {descent_ok}")
 
 
-def test_criterion_5_loss_identity_and_frozen_head():
+def test_criterion_5_loss_identity_and_frozen_head(monkeypatch):
     """200 optimizer steps: exact mixing identity; lam=1 freezes W and b."""
     start = time.time()
     run_corpus = packed_corpus(np.random.default_rng(0), (12, 9, 8), max_len=16,
@@ -290,10 +292,12 @@ def test_criterion_5_loss_identity_and_frozen_head():
     )
     tc1 = trainer.TrainConfig(lam=1.0, epochs=67, seed=2, micro_batch=2,
                               accum_steps=2, checkpoint_interval=0)
+    steps = observe_steps(monkeypatch)
     frozen = trainer.train(tc1, run_corpus, mc)
     assert len(frozen.records) >= 200
-    head_ok = all(rec.cls_w_grad_norm == 0.0 and rec.cls_b_grad_norm == 0.0
-                  for rec in frozen.records)
+    assert len(steps) == len(frozen.records)
+    head_ok = all(observed["cls_w_grad_norm"] == 0.0 and observed["cls_b_grad_norm"] == 0.0
+                  for observed in steps)
     cls_logged = all(rec.breakdown.cls > 0.0 for rec in frozen.records)
     elapsed = time.time() - start
     ok = identity_ok and head_ok and cls_logged and elapsed < 300

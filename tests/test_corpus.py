@@ -233,6 +233,20 @@ class TestPackCorpus:
         assert sum(packed.table.counts) == len(packed.examples)
         validate_packed(packed)
 
+    def test_packing_again_leaves_the_first_corpus_valid(self):
+        """Each corpus gets a table of its own; the argument keeps its counts."""
+        records = [("a", " ".join(["w"] * 40)), ("b", " ".join(["w"] * 30))]
+        vocab = build_vocab([text for _, text in records], min_count=1, max_size=10)
+        table = DomainTable(names=["a", "b"], target_index=0)
+        first = pack_corpus(table, records, vocab, 16)
+        counts = list(first.table.counts)
+        second = pack_corpus(table, records, vocab, 8)
+        assert table.counts == [0, 0]
+        assert first.table.counts == counts != second.table.counts
+        assert second.table.names == first.table.names == table.names
+        validate_packed(first)
+        validate_packed(second)
+
     def test_deterministic_output(self, tmp_path):
         lines = ["a\thello world", "b\tlorem ipsum dolor", "a\tmore text here"]
         p1, _ = build_tiny_corpus(tmp_path, lines)

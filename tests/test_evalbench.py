@@ -215,7 +215,7 @@ class TestPairedTraining:
                                      checkpoint_interval=0)
             res = trainer.train(tc, packed, mc)
             results[mode] = evalbench.eval_pseudo_perplexity(
-                res.params, res.model_config, heldout, vocab, seed=3)
+                res.params, mc, heldout, vocab, seed=3)
         print(f"pseudo-perplexity comparison: sampled={results['sampled']:.2f} "
               f"target_only={results['target_only']:.2f}")
         for value in results.values():

@@ -6,7 +6,6 @@ import pytest
 from dombert.errors import CheckpointError, ConfigError, DegenerateEmbeddingError
 from dombert.nputil import derive_rng
 from dombert.sampler import (
-    SamplerState,
     build_sampler,
     domain_probabilities,
     format_top_domains,

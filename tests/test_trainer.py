@@ -12,7 +12,7 @@ from dombert.model import (FlatParams, ModelConfig, flat_copy, init_params, para
 from dombert.nputil import derive_rng
 from dombert.sampler import domain_probabilities, sampling_probabilities
 
-from conftest import packed_corpus
+from conftest import observe_steps, packed_corpus
 
 
 def make_corpus(counts=(6, 5, 4), target=0):
@@ -244,7 +244,7 @@ class TestTrainLoop:
         mc = small_model_config(corpus)
         tc = trainer.TrainConfig(epochs=0, seed=4, micro_batch=2, accum_steps=2)
         result = trainer.train(tc, corpus, mc)
-        expected = init_params(result.model_config, derive_rng(4, 0))
+        expected = init_params(mc, derive_rng(4, 0))
         for name in expected:
             assert np.array_equal(result.params[name], expected[name])
         assert result.records == []
@@ -272,24 +272,28 @@ class TestTrainLoop:
             assert bd.total == bd.lam * bd.mlm + (1 - bd.lam) * bd.cls + bd.delta
             assert bd.mlm >= 0.0 and bd.cls >= 0.0 and 0.0 <= bd.delta <= 1.0
 
-    def test_lambda_one_keeps_cls_head_frozen(self):
+    def test_lambda_one_keeps_cls_head_frozen(self, monkeypatch):
         corpus = make_corpus()
         mc = small_model_config(corpus)
         tc = trainer.TrainConfig(lam=1.0, epochs=2, seed=2, micro_batch=2,
                                  accum_steps=2, checkpoint_interval=0)
+        steps = observe_steps(monkeypatch)
         result = trainer.train(tc, corpus, mc)
-        for rec in result.records:
-            assert rec.cls_w_grad_norm == 0.0
-            assert rec.cls_b_grad_norm == 0.0
+        assert len(steps) == len(result.records)
+        for rec, observed in zip(result.records, steps):
+            assert observed["cls_w_grad_norm"] == 0.0
+            assert observed["cls_b_grad_norm"] == 0.0
             assert rec.breakdown.cls > 0.0  # still computed and logged
 
-    def test_target_probability_stays_maximal(self):
+    def test_target_probability_stays_maximal(self, monkeypatch):
         corpus = make_corpus(counts=(4, 4, 4, 4), target=2)
         mc = small_model_config(corpus)
         tc = trainer.TrainConfig(epochs=3, seed=3, micro_batch=2, accum_steps=2,
                                  checkpoint_interval=0)
+        steps = observe_steps(monkeypatch)
         result = trainer.train(tc, corpus, mc)
-        assert all(rec.p_target_is_max for rec in result.records)
+        assert len(steps) == len(result.records)
+        assert all(observed["p_target_is_max"] for observed in steps)
 
     def test_effective_batch_matches_one_combined_batch(self):
         """Accumulated micro-batches move parameters like one big batch."""
@@ -360,7 +364,7 @@ class TestSamplingDistribution:
         tc = trainer.TrainConfig(epochs=3, seed=8, micro_batch=2, accum_steps=2,
                                  checkpoint_interval=1, explore=explore)
         result = trainer.train(tc, corpus, mc, out_dir=tmp_path)
-        initial = init_params(result.model_config, derive_rng(8, 0))["dom_emb"]
+        initial = init_params(mc, derive_rng(8, 0))["dom_emb"]
         before_step = [initial]
         for rec in result.records[:-1]:
             bundle = checkpoint.load(tmp_path / f"ckpt_step{rec.step:06d}.ckpt")
@@ -506,6 +510,24 @@ class TestCheckpoint:
         assert len(calls) == 3
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["final.ckpt"]
+
+    @pytest.mark.parametrize("given", [("adamax",), ("sampler", "trainer"), ("adamax", "trainer"),
+                                       ("sampler",)],
+                             ids=["adamax only", "no adamax", "no sampler", "sampler only"])
+    def test_partial_training_state_rejected(self, tmp_path, given):
+        """Training state is all three sections or none; a partial set is a
+        ValueError naming what is missing, raised before any file exists."""
+        corpus = make_corpus()
+        mc = small_model_config(corpus)
+        params = init_params(mc, derive_rng(0, 0))
+        state = {"adamax": {"step": 1, **trainer.ADAMAX_SETTINGS, "m": params, "u": params},
+                 "sampler": {}, "trainer": {}}
+        missing = ", ".join(name for name in state if name not in given)
+        with pytest.raises(ValueError, match=f"training state without {missing}$"):
+            checkpoint.save_model(tmp_path / "part.ckpt", mc, params,
+                                  domain_names=list(corpus.table.names), target_index=0,
+                                  **{name: state[name] for name in given})
+        assert list(tmp_path.iterdir()) == []
 
     def test_truncated_file_is_clean_error(self, tmp_path):
         corpus = make_corpus()
