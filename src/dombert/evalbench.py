@@ -176,11 +176,7 @@ def eval_pseudo_perplexity(
         )
         if batch.n_targets == 0:
             continue
-        # Only the head cache outlives this batch. Both dropped here, glibc
-        # trims the heap and every batch faults it back in (-20% tokens/s);
-        # both kept, peak memory holds two batches' encoder caches.
-        loss, fwd, ealc = masked_token_pass(batch, params, config)
-        del fwd
+        loss = masked_token_pass(batch, params, config)[0]
         ce_sum += loss * batch.n_targets
         n_targets += batch.n_targets
     if n_targets == 0:

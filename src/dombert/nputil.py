@@ -227,16 +227,50 @@ def _pin_openblas() -> bool:
     return pinned
 
 
+# glibc's mallopt parameters (malloc.h) and the values set for them. By
+# default glibc serves a block over 128 KiB from its own mapping, unmapped
+# when freed (the threshold then rises to the largest such block freed),
+# and gives free heap top over 128 KiB back to the system. A step's and a
+# scoring batch's caches, arrays of 0.5-3 MB, are freed and allocated again
+# every batch, so each batch faulted them back in: four train-default
+# micro-batches and their Adamax update took 6,500 minor page faults a step
+# after warm-up, 3-10 with both limits raised. Either alone stops the
+# threshold rising and still faults (380, or 3,400-6,600, a step).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD_BYTES = 32 << 20  # the largest glibc allows on 64-bit
+TRIM_THRESHOLD_BYTES = 64 << 20
+
+
+def _keep_freed_memory() -> bool:
+    """Set glibc's allocator to serve blocks up to MMAP_THRESHOLD_BYTES from
+    its heap and to keep up to TRIM_THRESHOLD_BYTES of free heap mapped.
+    False where the process has no glibc mallopt, which then sets nothing,
+    or where mallopt refuses a value."""
+    try:
+        mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    except (OSError, TypeError):  # TypeError: a platform whose CDLL needs a name
+        return False
+    if mallopt is None:
+        return False
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    done = [mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES),
+            mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)]
+    return all(r == 1 for r in done)
+
+
 def worker_threads() -> int:
     """Threads a batch's examples may be split over: one per available core.
 
     The first call pins OpenBLAS to one thread, so every core runs one
-    shard and no matrix product's bytes depend on a thread count. With one
+    shard and no matrix product's bytes depend on a thread count, and sets
+    the allocator to keep freed memory (_keep_freed_memory). With one
     core, or no OpenBLAS to pin, it returns 1.
     """
     global _threads
     with _pool_lock:
         if _threads is None:
+            _keep_freed_memory()
             cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
             _threads = cores if cores > 1 and _pin_openblas() else 1
         return _threads

@@ -302,6 +302,7 @@ def train(
             weights = [importance_weights(run.sampler, mb.domain_labels) for mb in masked]
             breakdown, grads = objective.step(masked, weights, run.params, mc, tc.lam)
             adamax_step(run.params, grads, run.opt, tc.lr)
+            del grads  # else it outlives the next step's backward, which makes its own
 
             if not tc.target_only:
                 refresh_probabilities(run.sampler, run.params["dom_emb"])

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from dombert import trainer
+from dombert import nputil, trainer
 from dombert.corpus import (CLS_ID, NUM_RESERVED, PAD_ID, SEP_ID, DomainTable, PackedCorpus,
                             PackedExample)
 from dombert.masking import MaskedBatch
@@ -88,6 +90,19 @@ def loss_mlm(eal_logits: np.ndarray, target_ids: np.ndarray) -> float:
     """Mean cross-entropy over target positions; 0 when there are none."""
     _, sums, picked = softmax_parts(eal_logits, target_ids)
     return mean_nll(picked, sums)
+
+
+def traced_peak(monkeypatch, run) -> int:
+    """The highest traced Python and numpy memory while run() runs, in
+    bytes. Batches stay whole on one thread, so no helper's allocations
+    overlap the caller's and the peak repeats exactly."""
+    monkeypatch.setattr(nputil, "_threads", 1)
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def observe_steps(monkeypatch) -> list[dict]:

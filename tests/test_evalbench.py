@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from dombert import evalbench
-from dombert.corpus import build_vocab
+from dombert.corpus import Vocabulary, build_vocab, pack_domain, tokenize
 from dombert.errors import ConfigError
+from dombert.masking import MaskingPolicy, make_masked_batch
 from dombert.model import ModelConfig, init_params
-from dombert.nputil import derive_rng
+from dombert.nputil import STREAM_EVAL, derive_rng
 
-from conftest import failing_partway
+from conftest import failing_partway, traced_peak
 
 
 class TestSyntheticSpec:
@@ -168,6 +169,30 @@ class TestPseudoPerplexity:
         a = evalbench.eval_pseudo_perplexity(params, cfg, texts, vocab, seed=5)
         b = evalbench.eval_pseudo_perplexity(params, cfg, texts, vocab, seed=5)
         assert a == b
+
+    def test_a_second_batch_keeps_no_cache_of_the_first(self, monkeypatch):
+        """Every batch's caches go when its loss is taken: scoring two batches
+        peaks within half of one head cache's T x V of scoring one (the
+        second batch may hold a few more targets)."""
+        vocab = Vocabulary([f"w{i}" for i in range(782)])
+        cfg = ModelConfig(vocab_size=vocab.size, n_domains=2)
+        gen = np.random.default_rng(0)
+        # A text of max_len - 2 words and its [SEP] fill one row.
+        texts = [" ".join(f"w{j}" for j in gen.integers(0, 782, size=cfg.max_len - 2))
+                 for _ in range(2 * evalbench.SCORE_BATCH)]
+        first = make_masked_batch(
+            pack_domain([tokenize(t, vocab) for t in texts[:evalbench.SCORE_BATCH]],
+                        0, cfg.max_len),
+            MaskingPolicy(), derive_rng(0, STREAM_EVAL), cfg.vocab_size)
+        head_bytes = first.n_targets * cfg.vocab_size * cfg.np_dtype.itemsize
+        params = init_params(cfg, derive_rng(0, 0))
+
+        def score(n):
+            return lambda: evalbench.eval_pseudo_perplexity(params, cfg, texts[:n], vocab, 0)
+
+        one = traced_peak(monkeypatch, score(evalbench.SCORE_BATCH))
+        two = traced_peak(monkeypatch, score(2 * evalbench.SCORE_BATCH))
+        assert two - one < head_bytes / 2, (one, two, head_bytes)
 
     def test_empty_heldout_rejected(self):
         texts, vocab, cfg = self._setup()

@@ -1,4 +1,5 @@
 import copy
+import ctypes
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import sys
 import threading
 import time
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -471,6 +473,18 @@ class TestRunAll:
         assert os.waitstatus_to_exitcode(status[1]) == 0
 
 
+def run_fresh(script: str):
+    """The JSON that script prints last, run in a new interpreter that
+    imports this dombert."""
+    src = os.path.dirname(os.path.dirname(nputil.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
 class TestPinOpenblas:
     LIB = "/home/user/my envs/numpy.libs/libscipy_openblas64_-32a4b2a6.so"
     MAPS = [
@@ -510,13 +524,7 @@ print(json.dumps({"loaded": loaded, "paths": paths, "same": scipy.special.erf is
     def test_a_dombert_process_maps_one_openblas(self):
         """dombert takes erf without running scipy.special, whose other
         extensions map scipy's OpenBLAS; a later scipy.special reuses it."""
-        src = os.path.dirname(os.path.dirname(nputil.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-        done = subprocess.run([sys.executable, "-c", self.ONE_OPENBLAS], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        seen = json.loads(done.stdout.splitlines()[-1])
+        seen = run_fresh(self.ONE_OPENBLAS)
         assert seen["loaded"] == []
         if sys.platform.startswith("linux"):
             assert len(seen["paths"]) == 1, seen["paths"]
@@ -540,6 +548,95 @@ print(json.dumps({"loaded": loaded, "paths": paths, "same": scipy.special.erf is
             expect = f"{name} has no erf"
         with pytest.raises(ImportError, match=re.escape(expect)):
             nputil._load_erf()
+
+
+class TestAllocatorPolicy:
+    # glibc's (M_MMAP_THRESHOLD, 32 MiB) and (M_TRIM_THRESHOLD, 64 MiB).
+    CALLS = [(-3, 32 << 20), (-1, 64 << 20)]
+
+    @pytest.fixture
+    def libc(self, monkeypatch):
+        """Installs a fake C library as ctypes.CDLL(None), the process's own
+        symbols; other names open as before. worker_threads starts as in a
+        new process, and its real state comes back after the test."""
+        real_cdll = ctypes.CDLL
+        threads = worker_threads()
+        monkeypatch.setattr(nputil, "_threads", None)
+        monkeypatch.setattr(nputil, "_inbox", nputil._inbox)
+
+        def install(fake):
+            def cdll(name, *args, **kwargs):
+                if name is not None:
+                    return real_cdll(name, *args, **kwargs)
+                if isinstance(fake, Exception):
+                    raise fake
+                return fake
+            monkeypatch.setattr(ctypes, "CDLL", cdll)
+            return threads
+        return install
+
+    def test_worker_threads_sets_both_limits_once_and_again_after_a_fork(self, libc):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+        libc(SimpleNamespace(mallopt=mallopt))
+        worker_threads()
+        worker_threads()
+        assert calls == self.CALLS
+        nputil._forget_threads()
+        worker_threads()
+        assert calls == self.CALLS * 2
+
+    @pytest.mark.parametrize("fake", [SimpleNamespace(), OSError("no C library"),
+                                      SimpleNamespace(mallopt=lambda param, value: 0)],
+                             ids=["no mallopt", "CDLL raises", "mallopt refuses"])
+    def test_without_glibc_mallopt_nothing_changes(self, libc, fake):
+        threads = libc(fake)
+        assert nputil._keep_freed_memory() is False
+        assert worker_threads() == threads
+
+    # Run in a fresh process: the minor page faults of train-default-shaped
+    # steps (four 8x128 micro-batches, vocabulary 2,305) after three warm-up
+    # steps. Without the policy glibc unmaps or trims each step's 0.5-3 MB
+    # arrays and the next step faults them back in: 6,500 a step.
+    FAULTS = """
+import json, resource
+import numpy as np
+from dombert import objective, trainer
+from dombert.corpus import CLS_ID, NUM_RESERVED, SEP_ID, PackedExample
+from dombert.masking import MaskingPolicy, make_masked_batch
+from dombert.model import ModelConfig, init_params, zero_grads
+from dombert.nputil import derive_rng
+
+mc = ModelConfig(vocab_size=2305, n_domains=12)
+rng = np.random.default_rng(0)
+
+def example():
+    ids = rng.integers(NUM_RESERVED, mc.vocab_size, size=mc.max_len)
+    ids[0], ids[-1] = CLS_ID, SEP_ID
+    return PackedExample(ids=ids, valid_len=mc.max_len, domain_id=int(rng.integers(12)))
+
+batches = [make_masked_batch([example() for _ in range(8)], MaskingPolicy(), rng, mc.vocab_size)
+           for _ in range(4)]
+params = init_params(mc, derive_rng(0, 0))
+opt = trainer.AdamaxState(m=zero_grads(mc), u=zero_grads(mc))
+faults = []
+for _ in range(3 + 5):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    _, grads = objective.step(batches, [None] * len(batches), params, mc, 0.9)
+    trainer.adamax_step(params, grads, opt, 5e-5)
+    del grads
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults[3:]))
+"""
+
+    def test_a_warm_training_step_keeps_its_memory_mapped(self):
+        if not nputil._keep_freed_memory():  # sets what this process has set already
+            pytest.skip("no glibc mallopt")
+        faults = run_fresh(self.FAULTS)
+        assert sum(faults) / len(faults) < 200, faults
 
 
 class TestDomainLogits:

@@ -12,7 +12,7 @@ from dombert.model import (FlatParams, ModelConfig, flat_copy, init_params, para
 from dombert.nputil import derive_rng
 from dombert.sampler import domain_probabilities, sampling_probabilities
 
-from conftest import observe_steps, packed_corpus
+from conftest import observe_steps, packed_corpus, traced_peak
 
 
 def make_corpus(counts=(6, 5, 4), target=0):
@@ -294,6 +294,23 @@ class TestTrainLoop:
         result = trainer.train(tc, corpus, mc)
         assert len(steps) == len(result.records)
         assert all(observed["p_target_is_max"] for observed in steps)
+
+    def test_a_second_step_keeps_no_gradient_of_the_first(self, monkeypatch):
+        """A step's gradient goes once Adamax has applied it: two steps
+        peak within half of the flat gradient's bytes of one."""
+        corpus = packed_corpus(np.random.default_rng(3), [8, 8, 8], max_len=128,
+                               vocab_size=787)
+        mc = ModelConfig(vocab_size=787, n_domains=3)
+        grad_bytes = zero_grads(mc).flat.nbytes
+
+        def steps(epochs):  # one step an epoch: the target holds one batch
+            tc = trainer.TrainConfig(micro_batch=8, accum_steps=1, epochs=epochs,
+                                     checkpoint_interval=0)
+            return lambda: trainer.train(tc, corpus, mc)
+
+        one = traced_peak(monkeypatch, steps(1))
+        two = traced_peak(monkeypatch, steps(2))
+        assert two - one < grad_bytes / 2, (one, two, grad_bytes)
 
     def test_effective_batch_matches_one_combined_batch(self):
         """Accumulated micro-batches move parameters like one big batch."""
