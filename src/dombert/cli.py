@@ -28,9 +28,9 @@ def manifest_line(args: argparse.Namespace) -> str:
 
 def _ingest(args: argparse.Namespace) -> int:
     table, records = corpus.load_corpus(args.corpus, args.target)
-    vocab = corpus.build_vocab([text for _, text in records],
-                               args.min_count, args.max_vocab)
-    packed = corpus.pack_corpus(table, records, vocab, args.max_len)
+    tokens = corpus.TokenStream.of(text for _, text in records)
+    vocab = tokens.vocabulary(args.min_count, args.max_vocab)
+    packed = corpus.pack_corpus(table, records, vocab, args.max_len, tokens)
     corpus.write_ingested(args.out, packed, vocab)
     print(f"packed {len(packed.examples)} examples over {table.n_plus_1} domains;"
           f" vocabulary size {vocab.size}")
@@ -106,7 +106,8 @@ def _eval(args: argparse.Namespace) -> int:
         lines.append(f"precision_at_{k}\t{precision:.6f}")
     if args.heldout is not None:
         vocab = corpus.read_vocab(args.vocab)
-        texts = [text for _, text in corpus.read_records(args.heldout)]
+        # read once: the texts are freed when packed, before scoring peaks
+        texts = (text for _, text in corpus.read_records(args.heldout))
         ppl = evalbench.eval_pseudo_perplexity(bundle.params, bundle.config, texts,
                                                vocab, args.mask_seed)
         lines.append(f"pseudo_perplexity\t{ppl:.6f}")

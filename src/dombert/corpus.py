@@ -10,11 +10,13 @@ turns a malformed file into a CorpusError.
 """
 from __future__ import annotations
 
+import os
 import re
-from collections import Counter
-from collections.abc import Iterator
+from array import array
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from pathlib import Path
 from typing import TextIO
 
@@ -87,7 +89,7 @@ class Vocabulary:
         return len(self.id_to_token)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class PackedExample:
     """Fixed-capacity token-id row built from same-domain documents.
 
@@ -154,25 +156,84 @@ def load_corpus(path: str | Path, target: str) -> tuple[DomainTable, list[tuple[
     return DomainTable(names=names, target_index=names.index(target)), records
 
 
+class _FirstSeen(dict):
+    """Word -> index in first-seen order; a lookup of a new word adds it."""
+
+    def __missing__(self, word: str) -> int:
+        self[word] = index = len(self)
+        return index
+
+
+@dataclass
+class TokenStream:
+    """The word tokens of a list of texts, split once: every token as its
+    index into `words` (distinct words in first-seen order), all texts
+    end to end in `ids`; text i is ids[offsets[i]:offsets[i + 1]]."""
+
+    words: list[str]
+    ids: np.ndarray
+    offsets: np.ndarray
+
+    @classmethod
+    def of(cls, texts: Iterable[str]) -> TokenStream:
+        index = _FirstSeen()
+        ids, offsets = array("q"), array("q", [0])
+        for text in texts:
+            ids.extend(map(index.__getitem__, word_tokens(text)))
+            offsets.append(len(ids))
+        return cls(list(index), np.frombuffer(ids, dtype=np.int64),
+                   np.frombuffer(offsets, dtype=np.int64))
+
+    def vocabulary(self, min_count: int, max_size: int) -> Vocabulary:
+        """The most frequent words with count >= min_count, at most max_size
+        of them; ties at equal count break lexicographically."""
+        if min_count < 1:
+            raise ConfigError("min_count must be >= 1")
+        if max_size < 0:
+            raise ConfigError("max vocabulary size must be >= 0")
+        counts = np.bincount(self.ids, minlength=len(self.words)).tolist()
+        kept = [i for i, c in enumerate(counts) if c >= min_count]
+        kept.sort(key=lambda i: (-counts[i], self.words[i]))
+        return Vocabulary([self.words[i] for i in kept[:max_size]])
+
+    def ids_in(self, vocab: Vocabulary) -> np.ndarray:
+        """Every token's id in vocab, [UNK] for words it lacks."""
+        get = vocab.token_to_id.get
+        lookup = np.array([get(w, UNK_ID) for w in self.words], dtype=np.int64)
+        return lookup[self.ids]
+
+
 def build_vocab(texts: list[str], min_count: int, max_size: int) -> Vocabulary:
     """Most frequent word tokens with count >= min_count, at most max_size of
     them; ties at equal count break lexicographically."""
-    if min_count < 1:
-        raise ConfigError("min_count must be >= 1")
-    if max_size < 0:
-        raise ConfigError("max vocabulary size must be >= 0")
-    counts: Counter[str] = Counter()
-    for text in texts:
-        counts.update(word_tokens(text))
-    kept = [t for t, c in counts.items() if c >= min_count]
-    kept.sort(key=lambda t: (-counts[t], t))
-    return Vocabulary(kept[:max_size])
+    return TokenStream.of(texts).vocabulary(min_count, max_size)
 
 
 def tokenize(text: str, vocab: Vocabulary) -> list[int]:
     """Token ids for a text; out-of-vocabulary words map to [UNK]."""
-    get = vocab.token_to_id.get
-    return [get(t, UNK_ID) for t in word_tokens(text)]
+    return list(map(vocab.token_to_id.get, word_tokens(text), repeat(UNK_ID)))
+
+
+def _cut_rows(stream: np.ndarray, dom_len: np.ndarray,
+              max_len: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every domain's token stream cut into [CLS]-prefixed rows of capacity
+    max_len - 1, its last row padded: the (N, max_len) rows, their valid
+    lengths and their domains. stream holds the domains' streams end to
+    end, domain d's dom_len[d] long."""
+    if max_len < 3:
+        raise ConfigError("max_len must be >= 3")
+    capacity = max_len - 1
+    n_rows = -(-dom_len // capacity)
+    rows = np.full((int(n_rows.sum()), max_len), PAD_ID, dtype=np.int64)
+    rows[:, 0] = CLS_ID
+    valid = np.full(len(rows), max_len, dtype=np.int64)
+    start = row = 0
+    for length, k in zip(dom_len.tolist(), n_rows.tolist()):
+        if k:
+            rows[row:row + k, 1:].flat[:length] = stream[start:start + length]
+            valid[row + k - 1] = 1 + length - (k - 1) * capacity
+        start, row = start + length, row + k
+    return rows, valid, np.repeat(np.arange(len(dom_len)), n_rows)
 
 
 def pack_domain(docs: list[list[int]], domain_id: int, max_len: int) -> list[PackedExample]:
@@ -183,23 +244,13 @@ def pack_domain(docs: list[list[int]], domain_id: int, max_len: int) -> list[Pac
     so a document that does not fit is split and its remainder carries into
     the next row. The final row is padded to max_len.
     """
-    if max_len < 3:
-        raise ConfigError("max_len must be >= 3")
-    stream: list[int] = []
-    for tokens in docs:
-        if tokens:
-            stream.extend(tokens)
-            stream.append(SEP_ID)
-
-    capacity = max_len - 1
-    out: list[PackedExample] = []
-    for start in range(0, len(stream), capacity):
-        chunk = stream[start : start + capacity]
-        ids = np.full(max_len, PAD_ID, dtype=np.int64)
-        ids[0] = CLS_ID
-        ids[1 : 1 + len(chunk)] = chunk
-        out.append(PackedExample(ids=ids, valid_len=1 + len(chunk), domain_id=domain_id))
-    return out
+    docs = list(filter(None, docs))
+    size = sum(map(len, docs)) + len(docs)
+    stream = np.fromiter(chain.from_iterable(map(chain, docs, repeat((SEP_ID,)))),
+                         np.int64, size)
+    rows, valid, _ = _cut_rows(stream, np.array([size]), max_len)
+    return [PackedExample(ids=r, valid_len=v, domain_id=domain_id)
+            for r, v in zip(rows, valid.tolist())]
 
 
 def pack_corpus(
@@ -207,22 +258,39 @@ def pack_corpus(
     records: list[tuple[str, str]],
     vocab: Vocabulary,
     max_len: int,
+    tokens: TokenStream | None = None,
 ) -> PackedCorpus:
     """Tokenize and pack every domain; the corpus gets a table of its own
-    with table's names and target and the packed counts.
+    with table's names and target and the packed counts. tokens, when the
+    caller has it, is the TokenStream of the records' texts, which are then
+    not split again.
 
     Records whose text tokenizes to nothing are dropped, and a domain left
     with no rows is a CorpusError. Output order is domain id ascending, then
-    packing order within the domain.
+    packing order within the domain; a domain's rows are pack_domain's of
+    its documents.
     """
-    by_domain: list[list[list[int]]] = [[] for _ in table.names]
+    if tokens is None:
+        tokens = TokenStream.of(text for _, text in records)
     ids_by_name = {n: i for i, n in enumerate(table.names)}
-    for name, text in records:
-        by_domain[ids_by_name[name]].append(tokenize(text, vocab))
-    packed = [pack_domain(docs, did, max_len) for did, docs in enumerate(by_domain)]
-    own_table = DomainTable(list(table.names), table.target_index, [len(rows) for rows in packed])
-    return PackedCorpus(examples=[ex for rows in packed for ex in rows], table=own_table,
-                        max_len=max_len, vocab_size=vocab.size)
+    doc_domain = np.array([ids_by_name[name] for name, _ in records], dtype=np.int64)
+    ids, lens = tokens.ids_in(vocab), np.diff(tokens.offsets)
+    if (np.diff(doc_domain) < 0).any():  # bring each domain's documents together
+        order = np.argsort(doc_domain, kind="stable")
+        ids = np.concatenate([ids[tokens.offsets[i]:tokens.offsets[i + 1]]
+                              for i in order.tolist()])
+        lens, doc_domain = lens[order], doc_domain[order]
+    # the domains' streams end to end: each non-empty document's tokens, then [SEP]
+    stream = np.insert(ids, np.cumsum(lens)[lens > 0], SEP_ID)
+    dom_len = np.bincount(doc_domain, weights=lens + (lens > 0),
+                          minlength=table.n_plus_1).astype(np.int64)
+    rows, valid, row_domain = _cut_rows(stream, dom_len, max_len)
+    counts = np.bincount(row_domain, minlength=table.n_plus_1).tolist()
+    own_table = DomainTable(list(table.names), table.target_index, counts)
+    examples = [PackedExample(ids=r, valid_len=v, domain_id=d)
+                for r, v, d in zip(rows, valid.tolist(), row_domain.tolist())]
+    return PackedCorpus(examples=examples, table=own_table, max_len=max_len,
+                        vocab_size=vocab.size)
 
 
 def corpus_stats(table: DomainTable) -> list[tuple[str, int]]:
@@ -333,18 +401,24 @@ def _read_rows(fh: TextIO, n: int, n_fields: int, what: str) -> list[list[str]]:
 def write_packed(path: str | Path, corpus: PackedCorpus) -> None:
     """Packed-corpus file: one header line, then one line per example
     ``domain_id<TAB>valid_len<TAB>space-separated ids`` (all max_len ids)."""
+    line = "%d\t%d\t" + " ".join(["%d"] * corpus.max_len) + "\n"
     with open_replacing(path, "w", encoding="utf-8") as fh:
         fh.write(
             f"{PACKED_MAGIC} L_max={corpus.max_len} "
             f"n_plus_1={corpus.table.n_plus_1} vocab_size={corpus.vocab_size}\n"
         )
         for ex in corpus.examples:
-            ids = " ".join(str(int(v)) for v in ex.ids)
-            fh.write(f"{ex.domain_id}\t{ex.valid_len}\t{ids}\n")
+            fh.write(line % (ex.domain_id, ex.valid_len, *ex.ids.tolist()))
+
+
+# An id field as write_packed writes it: decimal ids, one space apart. 18
+# digits always fit int64, which np.fromstring would silently clip.
+_ID_FIELD = re.compile(r"-?[0-9]{1,18}(?: -?[0-9]{1,18})*")
 
 
 def read_packed(path: str | Path, table: DomainTable) -> PackedCorpus:
-    """The packed rows of `path`, checked against `table` and its counts."""
+    """The packed rows of `path`, checked against `table` and its counts.
+    The rows are views of one array of the table's row count."""
     with open_text(path) as fh:
         max_len, n_plus_1, vocab_size = _read_header(
             fh, PACKED_MAGIC, ("L_max", "n_plus_1", "vocab_size"), "packed-corpus")
@@ -352,7 +426,15 @@ def read_packed(path: str | Path, table: DomainTable) -> PackedCorpus:
             raise CorpusError(
                 f"packed corpus has {n_plus_1} domains, table has {table.n_plus_1}"
             )
-        examples: list[PackedExample] = []
+        n = sum(table.counts)
+        # a row's line holds at least its max_len ids and their spaces
+        if not 0 <= n * 2 * max_len <= os.fstat(fh.fileno()).st_size:
+            raise CorpusError(f"the packed file cannot hold the domain table's {n} rows"
+                              f" of {max_len} ids")
+        rows = np.empty((n, max_len), dtype=np.int64)
+        valid_lens = np.empty(n, dtype=np.int64)
+        domains = np.empty(n, dtype=np.int64)
+        i = 0
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
@@ -360,15 +442,22 @@ def read_packed(path: str | Path, table: DomainTable) -> PackedCorpus:
             parts = line.split("\t")
             if len(parts) != 3:
                 raise CorpusError(f"line {lineno}: expected 3 TAB-separated fields")
+            if i == n:
+                raise CorpusError("table counts disagree with packed examples")
             try:
-                did = int(parts[0])
-                valid_len = int(parts[1])
-                ids = np.array([int(v) for v in parts[2].split(" ")], dtype=np.int64)
-            except ValueError as exc:
+                if not _ID_FIELD.fullmatch(parts[2]):
+                    raise ValueError(parts[2])
+                domains[i] = int(parts[0])
+                valid_lens[i] = int(parts[1])
+                ids = np.fromstring(parts[2], dtype=np.int64, sep=" ")
+            except (ValueError, OverflowError) as exc:
                 raise CorpusError(f"line {lineno}: unparseable example") from exc
             if ids.shape != (max_len,):
                 raise CorpusError(f"line {lineno}: expected {max_len} ids")
-            examples.append(PackedExample(ids=ids, valid_len=valid_len, domain_id=did))
+            rows[i] = ids
+            i += 1
+    examples = [PackedExample(ids=r, valid_len=v, domain_id=d)
+                for r, v, d in zip(rows[:i], valid_lens[:i].tolist(), domains[:i].tolist())]
     return PackedCorpus(examples=examples, table=table, max_len=max_len, vocab_size=vocab_size)
 
 

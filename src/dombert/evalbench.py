@@ -7,6 +7,7 @@ tokens, so ground-truth relevance is unambiguous.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -155,11 +156,12 @@ SCORE_BATCH = 16
 def eval_pseudo_perplexity(
     params: Params,
     config: ModelConfig,
-    heldout_texts: list[str],
+    heldout_texts: Iterable[str],
     vocab: Vocabulary,
     seed: int,
 ) -> float:
-    """exp(mean masked-token cross-entropy) under one fixed-seed default masking pass."""
+    """exp(mean masked-token cross-entropy) under one fixed-seed default masking pass.
+    heldout_texts is read once, before the first batch is scored."""
     if vocab.size != config.vocab_size:
         raise ConfigError(f"vocabulary has {vocab.size} tokens, the model {config.vocab_size}")
     examples = pack_domain([tokenize(text, vocab) for text in heldout_texts],

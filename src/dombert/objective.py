@@ -199,5 +199,6 @@ def step(
         mlm_sum += bd.mlm * mb.n_targets
         cls_sum += bd.cls * mb.batch_size
         delta = bd.delta
+        del cache, g  # the next micro-batch's forward runs without them
     grads["dom_emb"] += regularizer_grad(params["dom_emb"])
     return total_loss(mlm_sum / n_targets, cls_sum / n_examples, delta, lam), grads

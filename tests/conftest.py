@@ -1,15 +1,115 @@
 import tracemalloc
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dombert import nputil, trainer
-from dombert.corpus import (CLS_ID, NUM_RESERVED, PAD_ID, SEP_ID, DomainTable, PackedCorpus,
-                            PackedExample)
+from dombert.corpus import (CLS_ID, NUM_RESERVED, PACKED_MAGIC, PAD_ID, SEP_ID, UNK_ID,
+                            DomainTable, PackedCorpus, PackedExample, Vocabulary, _read_header,
+                            open_text, word_tokens)
+from dombert.errors import ConfigError, CorpusError
 from dombert.masking import MaskedBatch
 from dombert.model import ForwardCache, Params, _affine, _ln_forward
-from dombert.nputil import gelu, softmax_parts
+from dombert.nputil import gelu, open_replacing, softmax_parts
 from dombert.objective import mean_nll
+
+
+# Reference ingest path: the per-token Python versions of corpus.build_vocab,
+# tokenize, pack_domain, write_packed and read_packed, which the array-backed
+# ones must match byte for byte.
+
+
+def reference_build_vocab(texts: list[str], min_count: int, max_size: int) -> Vocabulary:
+    """Most frequent word tokens with count >= min_count, at most max_size of
+    them; ties at equal count break lexicographically."""
+    if min_count < 1:
+        raise ConfigError("min_count must be >= 1")
+    if max_size < 0:
+        raise ConfigError("max vocabulary size must be >= 0")
+    counts: Counter[str] = Counter()
+    for text in texts:
+        counts.update(word_tokens(text))
+    kept = [t for t, c in counts.items() if c >= min_count]
+    kept.sort(key=lambda t: (-counts[t], t))
+    return Vocabulary(kept[:max_size])
+
+
+def reference_tokenize(text: str, vocab: Vocabulary) -> list[int]:
+    """Token ids for a text; out-of-vocabulary words map to [UNK]."""
+    get = vocab.token_to_id.get
+    return [get(t, UNK_ID) for t in word_tokens(text)]
+
+
+def reference_pack_domain(docs: list[list[int]], domain_id: int,
+                          max_len: int) -> list[PackedExample]:
+    """Greedy packing of one domain's token-id documents in input order.
+
+    Each non-empty document contributes its tokens followed by one [SEP]; the
+    resulting stream is cut into [CLS]-prefixed rows of capacity max_len - 1,
+    so a document that does not fit is split and its remainder carries into
+    the next row. The final row is padded to max_len.
+    """
+    if max_len < 3:
+        raise ConfigError("max_len must be >= 3")
+    stream: list[int] = []
+    for tokens in docs:
+        if tokens:
+            stream.extend(tokens)
+            stream.append(SEP_ID)
+
+    capacity = max_len - 1
+    out: list[PackedExample] = []
+    for start in range(0, len(stream), capacity):
+        chunk = stream[start : start + capacity]
+        ids = np.full(max_len, PAD_ID, dtype=np.int64)
+        ids[0] = CLS_ID
+        ids[1 : 1 + len(chunk)] = chunk
+        out.append(PackedExample(ids=ids, valid_len=1 + len(chunk), domain_id=domain_id))
+    return out
+
+
+def reference_write_packed(path: str | Path, corpus: PackedCorpus) -> None:
+    """Packed-corpus file: one header line, then one line per example
+    ``domain_id<TAB>valid_len<TAB>space-separated ids`` (all max_len ids)."""
+    with open_replacing(path, "w", encoding="utf-8") as fh:
+        fh.write(
+            f"{PACKED_MAGIC} L_max={corpus.max_len} "
+            f"n_plus_1={corpus.table.n_plus_1} vocab_size={corpus.vocab_size}\n"
+        )
+        for ex in corpus.examples:
+            ids = " ".join(str(int(v)) for v in ex.ids)
+            fh.write(f"{ex.domain_id}\t{ex.valid_len}\t{ids}\n")
+
+
+def reference_read_packed(path: str | Path, table: DomainTable) -> PackedCorpus:
+    """The packed rows of `path`, checked against `table` and its counts."""
+    with open_text(path) as fh:
+        max_len, n_plus_1, vocab_size = _read_header(
+            fh, PACKED_MAGIC, ("L_max", "n_plus_1", "vocab_size"), "packed-corpus")
+        if n_plus_1 != table.n_plus_1:
+            raise CorpusError(
+                f"packed corpus has {n_plus_1} domains, table has {table.n_plus_1}"
+            )
+        examples: list[PackedExample] = []
+        for lineno, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise CorpusError(f"line {lineno}: expected 3 TAB-separated fields")
+            try:
+                did = int(parts[0])
+                valid_len = int(parts[1])
+                ids = np.array([int(v) for v in parts[2].split(" ")], dtype=np.int64)
+            except ValueError as exc:
+                raise CorpusError(f"line {lineno}: unparseable example") from exc
+            if ids.shape != (max_len,):
+                raise CorpusError(f"line {lineno}: expected {max_len} ids")
+            examples.append(PackedExample(ids=ids, valid_len=valid_len, domain_id=did))
+    return PackedCorpus(examples=examples, table=table, max_len=max_len, vocab_size=vocab_size)
 
 
 def random_packed_example(

@@ -1,10 +1,16 @@
 import collections
+import contextlib
+import io
+import tempfile
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from dombert import cli, corpus as corpuslib, evalbench
 
 from dombert.corpus import (
     CLS_ID,
@@ -34,7 +40,9 @@ from dombert.corpus import (
 )
 from dombert.errors import ConfigError, CorpusError
 
-from conftest import failing_partway, packed_corpus
+from conftest import (failing_partway, packed_corpus, reference_build_vocab,
+                      reference_pack_domain, reference_read_packed, reference_tokenize,
+                      reference_write_packed)
 
 
 def write_lines(path, lines):
@@ -327,11 +335,11 @@ def edit_first_row(edit):
     return corrupt
 
 
-def miscount_first_domain(root, packed):
+def miscount_first_domain(root, packed, by=1):
     path = root / "domains.tsv"
     lines = path.read_text(encoding="utf-8").splitlines()
     ident, name, count = lines[1].split("\t")
-    lines[1] = f"{ident}\t{name}\t{int(count) + 1}"
+    lines[1] = f"{ident}\t{name}\t{int(count) + by}"
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
@@ -342,6 +350,8 @@ def not_utf8(name):
         path.write_bytes(path.read_bytes()[:-1] + b"\xff\n")
     return corrupt
 
+
+BEYOND_INT64 = 99999999999999999999
 
 CORRUPTIONS = {
     "wrong id count": edit_first_row(lambda d, n, ids, c: (d, n, ids[:-1])),
@@ -355,6 +365,12 @@ CORRUPTIONS = {
     "domain id at n_plus_1": edit_first_row(
         lambda d, n, ids, c: (c.table.n_plus_1, n, ids)),
     "negative domain id": edit_first_row(lambda d, n, ids, c: (-1, n, ids)),
+    "token id beyond int64": edit_first_row(
+        lambda d, n, ids, c: (d, n, ids[:1] + [BEYOND_INT64] + ids[2:])),
+    "valid_len beyond int64": edit_first_row(lambda d, n, ids, c: (d, BEYOND_INT64, ids)),
+    "domain id beyond int64": edit_first_row(lambda d, n, ids, c: (BEYOND_INT64, n, ids)),
+    "table counts beyond the packed file": lambda root, packed: miscount_first_domain(
+        root, packed, by=10**15),
     "table counts disagree with the rows": miscount_first_domain,
     "packed file not UTF-8": not_utf8("packed.tsv"),
     "domain table not UTF-8": not_utf8("domains.tsv"),
@@ -407,3 +423,169 @@ class TestIngestDirectory:
         CORRUPTIONS[case](root, packed)
         with pytest.raises(CorpusError):
             read_ingested(root)
+
+    @pytest.mark.parametrize("case", [case for case in CORRUPTIONS if "int64" in case])
+    def test_a_value_beyond_int64_names_its_line(self, tmp_path, case):
+        root, packed = self._write(tmp_path)
+        CORRUPTIONS[case](root, packed)
+        with pytest.raises(CorpusError, match="^line 2: "):
+            read_ingested(root)
+
+
+def rewrite_first_ids(root, edit):
+    """Replace the id field of packed.tsv's first row with edit(its id strings)."""
+    path = root / "packed.tsv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    did, valid_len, ids = lines[1].split("\t")
+    lines[1] = f"{did}\t{valid_len}\t{edit(ids.split(' '))}"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
+def with_second(value):
+    return lambda ids: " ".join(ids[:1] + [value] + ids[2:])
+
+
+# Id fields that the per-token int() reader refused too.
+REFUSED_ID_FIELDS = {
+    "decimal point": lambda ids: " ".join(ids[:1] + [ids[1] + ".0"] + ids[2:]),
+    "minus inside an id": with_second("1-2"),
+    "lone minus": with_second("-"),
+    "double minus": with_second("--1"),
+    "empty field": lambda ids: "",
+    "double space": lambda ids: "  ".join(ids[:2]) + " " + " ".join(ids[2:]),
+    "trailing space": lambda ids: " ".join(ids) + " ",
+    "leading space": lambda ids: " " + " ".join(ids),
+    "one id too many": lambda ids: " ".join(ids + ["0"]),
+    "one id too few": lambda ids: " ".join(ids[:-1]),
+}
+
+# Id fields that only per-token int() accepted: the reader takes the ids
+# write_packed writes, ASCII decimal, 18 digits at most.
+TIGHTENED_ID_FIELDS = {
+    "plus sign": with_second("+5"),
+    "digit separator": with_second("1_0"),
+    "Arabic-Indic digit": with_second("\u0665"),
+}
+
+
+class TestReadPackedIdFields:
+    _write = TestIngestDirectory._write
+
+    @pytest.mark.parametrize("case", sorted(REFUSED_ID_FIELDS))
+    def test_refused_field_names_its_line(self, tmp_path, case):
+        root, packed = self._write(tmp_path)
+        rewrite_first_ids(root, REFUSED_ID_FIELDS[case])
+        with pytest.raises(CorpusError, match="line 2"):
+            reference_read_packed(root / "packed.tsv", packed.table)
+        with pytest.raises(CorpusError, match="^line 2: "):
+            read_ingested(root)
+
+    @pytest.mark.parametrize("case", sorted(TIGHTENED_ID_FIELDS))
+    def test_field_only_int_accepted_is_refused(self, tmp_path, case):
+        root, packed = self._write(tmp_path)
+        rewrite_first_ids(root, TIGHTENED_ID_FIELDS[case])
+        reference_read_packed(root / "packed.tsv", packed.table)
+        with pytest.raises(CorpusError, match="^line 2: unparseable example"):
+            read_ingested(root)
+
+    def test_rows_are_views_of_one_array(self, tmp_path):
+        root, _ = self._write(tmp_path)
+        restored = read_ingested(root)
+        base = restored.examples[0].ids.base
+        assert base is not None and base.shape == (len(restored.examples), restored.max_len)
+        assert all(ex.ids.base is base for ex in restored.examples)
+
+
+def reference_ingest(corpus_path, target, min_count, max_vocab, max_len, out):
+    """The ingest directory as the per-token reference path writes it."""
+    table, records = load_corpus(corpus_path, target)
+    vocab = reference_build_vocab([text for _, text in records], min_count, max_vocab)
+    ids_by_name = {name: i for i, name in enumerate(table.names)}
+    by_domain = [[] for _ in table.names]
+    for name, text in records:
+        by_domain[ids_by_name[name]].append(reference_tokenize(text, vocab))
+    rows = [reference_pack_domain(docs, did, max_len) for did, docs in enumerate(by_domain)]
+    own = DomainTable(list(table.names), table.target_index, [len(r) for r in rows])
+    packed = PackedCorpus([ex for r in rows for ex in r], own, max_len, vocab.size)
+    out.mkdir()
+    reference_write_packed(out / "packed.tsv", packed)
+    write_vocab(out / "vocab.tsv", vocab)
+    write_domain_table(out / "domains.tsv", own)
+    write_stats(out / "stats.tsv", corpus_stats(own))
+
+
+WORDS = ["Alpha", "alpha", "ALPHA", "beta", "Beta", "école", "École", "naïve", "straße",
+         "東京", "ω", "Ω", "x1", "don't", ",", ".", "!?", "—", "(", "42", "_", "über-cool"]
+TEXTS = st.one_of(
+    st.lists(st.sampled_from(WORDS), max_size=14).map(" ".join),
+    st.sampled_from(["", " ", "   ", "\u00a0", " \u3000 "]),  # empty or whitespace only
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"),
+            max_size=24),
+)
+
+
+class TestIngestMatchesReference:
+    """The array-backed ingest writes the reference path's bytes and reads
+    back the reference reader's rows."""
+
+    def _check(self, records, min_count, max_vocab, max_len):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            evalbench.write_corpus(tmp / "corpus.tsv", records)
+            target = records[0][0]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                status = cli.main(["ingest", "--corpus", str(tmp / "corpus.tsv"),
+                                   "--target", target, "--min-count", str(min_count),
+                                   "--max-vocab", str(max_vocab), "--max-len", str(max_len),
+                                   "--out", str(tmp / "new")])
+            try:
+                reference_ingest(tmp / "corpus.tsv", target, min_count, max_vocab, max_len,
+                                 tmp / "ref")
+            except CorpusError as exc:  # a domain left without rows
+                assert (status, err.getvalue()) == (1, f"error: {exc}\n")
+                return
+            assert status == 0, err.getvalue()
+            for name in ("packed.tsv", "vocab.tsv", "domains.tsv", "stats.tsv"):
+                assert (tmp / "new" / name).read_bytes() == (tmp / "ref" / name).read_bytes()
+            restored = read_ingested(tmp / "new")
+            reference = reference_read_packed(tmp / "ref" / "packed.tsv",
+                                              read_domain_table(tmp / "ref" / "domains.tsv"))
+            assert len(restored.examples) == len(reference.examples)
+            for a, b in zip(restored.examples, reference.examples):
+                assert np.array_equal(a.ids, b.ids)
+                assert (a.valid_len, a.domain_id) == (b.valid_len, b.domain_id)
+
+    @given(records=st.lists(st.tuples(st.sampled_from(["a", "b", "Ωmega", "d 4"]), TEXTS),
+                            min_size=1, max_size=30),
+           min_count=st.sampled_from([1, 2]),
+           max_vocab=st.integers(min_value=0, max_value=30),
+           max_len=st.integers(min_value=3, max_value=12))
+    # min_count 2 keeps b, c, d, zeta and é (two each); the cut at 2 falls
+    # inside that tie, and domain b's words all become [UNK]
+    @example(records=[("a", "Zeta zeta b b c, c d d É é"), ("b", "x y")],
+             min_count=2, max_vocab=2, max_len=4)
+    @settings(max_examples=60, deadline=None)
+    def test_files_and_rows_match_the_reference(self, records, min_count, max_vocab, max_len):
+        self._check(records, min_count, max_vocab, max_len)
+
+    def test_default_synthetic_corpus(self):
+        records, _ = evalbench.gen_synthetic_corpus(evalbench.SyntheticSpec(
+            docs_per_domain=20, seed=3))
+        shuffled = [records[i] for i in np.random.default_rng(0).permutation(len(records))]
+        self._check(shuffled, 1, 8000, 32)
+
+
+def test_ingest_splits_each_record_once(tmp_path, monkeypatch):
+    records = [("a", "One two, three"), ("b", ""), ("a", "two Two"), ("b", "four")]
+    evalbench.write_corpus(tmp_path / "corpus.tsv", records)
+    seen = []
+
+    def counted(text):
+        seen.append(text)
+        return word_tokens(text)
+
+    monkeypatch.setattr(corpuslib, "word_tokens", counted)
+    assert cli.main(["ingest", "--corpus", str(tmp_path / "corpus.tsv"), "--target", "a",
+                     "--max-len", "8", "--out", str(tmp_path / "out")]) == 0
+    assert sorted(seen) == sorted(text for _, text in records)

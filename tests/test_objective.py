@@ -10,7 +10,7 @@ from dombert.errors import ConfigError, DegenerateEmbeddingError, InputError
 from dombert.masking import MaskingPolicy, make_masked_batch
 from dombert.nputil import derive_rng, softmax_parts
 
-from conftest import batch_with_target_counts, loss_mlm, random_packed_example
+from conftest import batch_with_target_counts, loss_mlm, random_packed_example, traced_peak
 
 
 def tiny_config(**overrides):
@@ -349,6 +349,27 @@ class TestBackward:
             np.testing.assert_allclose(total[name], reference[name],
                                        rtol=1e-9, atol=1e-12)
 
+    def test_a_second_micro_batch_keeps_no_cache_of_the_first(self, monkeypatch):
+        """A micro-batch's cache and gradient go before the next one's forward:
+        a step over two micro-batches of equal shape and target count peaks
+        within the first one's kept gradient plus an eighth of one cache of
+        a step over one. A step peaks in backward, whose temporaries outweigh
+        forward's, so a first cache kept through the second forward shows in
+        part: at these shapes 1.2 MB of its 6.6 MB."""
+        cfg = model.ModelConfig(vocab_size=40, n_domains=3)
+        batches = [batch_with_target_counts(seed, cfg.vocab_size, cfg.max_len, [6] * 8)
+                   for seed in (0, 1)]
+        params = model.init_params(cfg, derive_rng(0, 0))
+        cache_bytes = _array_bytes(objective.forward(batches[0], params, cfg, 0.9)[1])
+        grad_bytes = model.zero_grads(cfg).flat.nbytes
+
+        def step(n):
+            return lambda: objective.step(batches[:n], [None] * n, params, cfg, 0.9)
+
+        one = traced_peak(monkeypatch, step(1))
+        two = traced_peak(monkeypatch, step(2))
+        assert two - one < grad_bytes + cache_bytes / 8, (one, two, grad_bytes, cache_bytes)
+
     def test_no_micro_batches_is_input_error(self, monkeypatch):
         cfg, params, _, lam = random_instance(12)
 
@@ -358,6 +379,27 @@ class TestBackward:
         monkeypatch.setattr(objective, "forward", no_pass)
         with pytest.raises(InputError, match="micro-batch"):
             objective.step([], [], params, cfg, lam)
+
+
+def _array_bytes(obj) -> int:
+    """Bytes of the distinct arrays under obj's dataclass fields and lists,
+    a view counted as the array it views."""
+    bases: dict[int, int] = {}
+
+    def walk(x):
+        if isinstance(x, np.ndarray):
+            while isinstance(x.base, np.ndarray):
+                x = x.base
+            bases[id(x)] = x.nbytes
+        elif dataclasses.is_dataclass(x):
+            for f in dataclasses.fields(x):
+                walk(getattr(x, f.name))
+        elif isinstance(x, (list, tuple)):
+            for item in x:
+                walk(item)
+
+    walk(obj)
+    return sum(bases.values())
 
 
 class TestHeadShards:
