@@ -161,7 +161,9 @@ def eval_pseudo_perplexity(
     seed: int,
 ) -> float:
     """exp(mean masked-token cross-entropy) under one fixed-seed default masking pass.
-    heldout_texts is read once, before the first batch is scored."""
+    heldout_texts is read once, before the first batch is scored. Scoring
+    runs forward only: the encoder frees each layer's cache once the layer
+    has run, and a batch's caches go once its loss is taken."""
     if vocab.size != config.vocab_size:
         raise ConfigError(f"vocabulary has {vocab.size} tokens, the model {config.vocab_size}")
     examples = pack_domain([tokenize(text, vocab) for text in heldout_texts],
@@ -178,7 +180,7 @@ def eval_pseudo_perplexity(
         )
         if batch.n_targets == 0:
             continue
-        loss = masked_token_pass(batch, params, config)[0]
+        loss = masked_token_pass(batch, params, config, False)[0]
         ce_sum += loss * batch.n_targets
         n_targets += batch.n_targets
     if n_targets == 0:

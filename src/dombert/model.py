@@ -7,9 +7,10 @@ reference this sparse path is checked against. The domain head composes two
 linear maps with no intermediate nonlinearity: logits = D @ (W @ h_cls + b).
 
 The encoder has no stochastic layer, so a forward pass is a pure function
-of its inputs and parameters. Forward passes record everything reverse mode
-needs; the matching backward routines live here too, so the architecture is
-defined in exactly one place.
+of its inputs and parameters. It runs the embedding, then one layer body at
+a time: a training pass keeps each layer's cache for reverse mode, and a
+scoring pass frees each once its layer has run. Each layer's backward body
+lives beside its forward one, so the architecture is defined in one place.
 """
 from __future__ import annotations
 
@@ -244,8 +245,8 @@ def _part(obj, sl: slice):
     or the head's targets): views of the same memory."""
     if isinstance(obj, np.ndarray):
         return obj[sl]
-    if isinstance(obj, (list, tuple)):
-        return type(obj)(_part(x, sl) for x in obj)
+    if isinstance(obj, tuple):
+        return tuple(_part(x, sl) for x in obj)
     if dataclasses.is_dataclass(obj):
         return dataclasses.replace(obj, **{f.name: _part(getattr(obj, f.name), sl)
                                            for f in dataclasses.fields(obj)})
@@ -288,9 +289,10 @@ class LayerCache:
 class ForwardCache:
     input_ids: np.ndarray
     key_bias: np.ndarray         # (B, 1, 1, L) additive mask
-    emb_ln: LnCache
-    layers: list[LayerCache]
     h: np.ndarray                # final hidden states (B, R or L, d)
+    # What encode_backward reads; a scoring pass keeps neither.
+    emb_ln: LnCache | None = None
+    layers: list[LayerCache] = dataclasses.field(default_factory=list)
 
     @property
     def h_cls(self) -> np.ndarray:
@@ -335,28 +337,38 @@ def encode(
     params: Params,
     config: ModelConfig,
     rows: np.ndarray | None = None,
+    for_backward: bool = True,
 ) -> ForwardCache:
     """Post-norm transformer encoding of token + position embeddings.
 
-    Padding positions are excluded from attention (as keys) in every layer,
-    so non-pad outputs are independent of pad contents.
+    Each example holds 1 to L valid positions. Padding positions are
+    excluded from attention (as keys) in every layer, so non-pad outputs are
+    independent of pad contents.
 
     With rows, a (B, R) array of positions, the last layer computes all but
     its keys and values only there, and h[b, j] is position rows[b, j].
     Without rows every position is computed.
+
+    The embedding and then each layer run in turn. Without for_backward (a
+    scoring pass) each layer's cache goes once the layer has run, so the
+    cache returned holds only input_ids, key_bias and h.
 
     The examples are split over the worker threads when each shard gets at
     least MIN_SHARD_ROWS = 384 rows (examples x positions), a threshold
     chosen from the in-process sweep noted at MIN_SHARD_ROWS; the bytes do
     not depend on the split.
     """
-    input_ids = np.asarray(input_ids)
+    input_ids, valid_lens = np.asarray(input_ids), np.asarray(valid_lens)
     b, l = input_ids.shape
     if l > config.max_len:
         raise InputError(f"sequence length {l} exceeds max_len {config.max_len}")
     if input_ids.min() < 0 or input_ids.max() >= config.vocab_size:
         raise InputError("token id out of vocabulary range")
-    valid_lens = np.asarray(valid_lens)
+    if valid_lens.shape != (b,) or np.any((valid_lens < 1) | (valid_lens > l)):
+        raise InputError(f"valid_lens must be {b} lengths of 1 to {l}")
+    if rows is not None and (np.ndim(rows) != 2 or len(rows) != b
+                             or np.any((rows < 0) | (rows >= l))):
+        raise InputError(f"rows must be {b} rows of positions 0 to {l - 1}")
     d, ff, dt = config.d_hidden, config.d_ff, config.np_dtype
 
     def empty(r: int, width: int = d) -> np.ndarray:
@@ -365,55 +377,59 @@ def encode(
     def ln(r: int) -> LnCache:
         return LnCache(xhat=empty(r), inv=empty(r, 1))
 
+    parts = _even_parts(b, _shard_count(b, l))
     key_valid = np.arange(l)[None, :] < valid_lens[:, None]
     key_bias = np.where(key_valid, 0.0, _NEG).astype(dt)[:, None, None, :]
-    x = empty(l)
-    emb_ln = ln(l)
+    x, emb_ln = empty(l), (ln(l) if for_backward else None)
+    _in_shards(partial(_embed, params=params), (input_ids, x, emb_ln), parts)
     layers: list[LayerCache] = []
     for i in range(config.n_layers):
         q_rows = rows if i == config.n_layers - 1 else None
         r = l if q_rows is None else q_rows.shape[1]
-        layers.append(LayerCache(
+        lc = LayerCache(
             a_in=x, rows=q_rows, q=empty(r), k=empty(l), v=empty(l),
             probs=np.empty((b, config.n_heads, r, l), dt), ctx=empty(r),
-            ln1=ln(r), x1=empty(r), z1=empty(r, ff), s=empty(r, ff), ln2=ln(r),
-        ))
+            ln1=ln(r), x1=empty(r), z1=empty(r, ff), s=empty(r, ff), ln2=ln(r))
         x = empty(r)
-    cache = ForwardCache(input_ids=input_ids, key_bias=key_bias, emb_ln=emb_ln,
-                         layers=layers, h=x)
-    _in_shards(partial(_encode_into, params=params, config=config), (cache,),
-               _even_parts(b, _shard_count(b, l)))
-    return cache
+        _in_shards(partial(_layer_forward, i=i, params=params, config=config),
+                   (lc, x, key_bias), parts)
+        if for_backward:
+            layers.append(lc)
+        del lc  # a scoring pass frees the layer's cache and input here
+    return ForwardCache(input_ids, key_bias, h=x, emb_ln=emb_ln, layers=layers)
 
 
-def _encode_into(c: ForwardCache, params: Params, config: ModelConfig) -> None:
-    """Fill the arrays of c, a whole ForwardCache or one shard's view of it."""
-    nh = config.n_heads
-    scale = config.np_dtype.type(1.0 / np.sqrt(config.d_hidden // nh))
-    x0 = params["tok_emb"][c.input_ids]
+def _embed(input_ids: np.ndarray, x: np.ndarray, ln: LnCache | None, params: Params) -> None:
+    """Layer-normed token + position embeddings of input_ids into x, the
+    norm's cache into ln when given (whole or one shard's views)."""
+    x0 = params["tok_emb"][input_ids]
     x0 += params["pos_emb"][: x0.shape[1]]
-    _ln_forward(x0, params["emb_ln_g"], params["emb_ln_b"], c.layers[0].a_in, c.emb_ln)
-    outputs = [lc.a_in for lc in c.layers[1:]] + [c.h]
-    for i, (lc, x) in enumerate(zip(c.layers, outputs)):
-        pre = f"layer{i}."
-        a_q = _at_rows(lc.a_in, lc.rows)  # a_in itself when rows is None
-        q = _split_heads(_affine(a_q, params[pre + "wq"], params[pre + "bq"], lc.q), nh)
-        k = _split_heads(_affine(lc.a_in, params[pre + "wk"], params[pre + "bk"], lc.k), nh)
-        v = _split_heads(_affine(lc.a_in, params[pre + "wv"], params[pre + "bv"], lc.v), nh)
-        probs = np.matmul(q, k.swapaxes(-1, -2), out=lc.probs)
-        probs *= scale
-        probs += c.key_bias
-        softmax(probs, out=probs)
-        _merge_heads(probs @ v, lc.ctx)
-        ao = _affine(lc.ctx, params[pre + "wo"], params[pre + "bo"])
-        ao += a_q
-        _ln_forward(ao, params[pre + "ln1_g"], params[pre + "ln1_b"], lc.x1, lc.ln1)
-        _affine(lc.x1, params[pre + "w1"], params[pre + "b1"], lc.z1)
-        z2, _ = gelu(lc.z1, lc.s)
-        fo = _affine(z2, params[pre + "w2"], params[pre + "b2"])
-        del z2  # backward rebuilds it from s; freeing it here lowers peak memory
-        fo += lc.x1
-        _ln_forward(fo, params[pre + "ln2_g"], params[pre + "ln2_b"], x, lc.ln2)
+    _ln_forward(x0, params["emb_ln_g"], params["emb_ln_b"], x, ln)
+
+
+def _layer_forward(lc: LayerCache, x: np.ndarray, key_bias: np.ndarray, i: int,
+                   params: Params, config: ModelConfig) -> None:
+    """Layer i from lc.a_in into x, filling lc (whole or one shard's views)."""
+    pre, nh = f"layer{i}.", config.n_heads
+    scale = config.np_dtype.type(1.0 / np.sqrt(config.d_hidden // nh))
+    a_q = _at_rows(lc.a_in, lc.rows)  # a_in itself when rows is None
+    q = _split_heads(_affine(a_q, params[pre + "wq"], params[pre + "bq"], lc.q), nh)
+    k = _split_heads(_affine(lc.a_in, params[pre + "wk"], params[pre + "bk"], lc.k), nh)
+    v = _split_heads(_affine(lc.a_in, params[pre + "wv"], params[pre + "bv"], lc.v), nh)
+    probs = np.matmul(q, k.swapaxes(-1, -2), out=lc.probs)
+    probs *= scale
+    probs += key_bias
+    softmax(probs, out=probs)
+    _merge_heads(probs @ v, lc.ctx)
+    ao = _affine(lc.ctx, params[pre + "wo"], params[pre + "bo"])
+    ao += a_q
+    _ln_forward(ao, params[pre + "ln1_g"], params[pre + "ln1_b"], lc.x1, lc.ln1)
+    _affine(lc.x1, params[pre + "w1"], params[pre + "b1"], lc.z1)
+    z2, _ = gelu(lc.z1, lc.s)
+    fo = _affine(z2, params[pre + "w2"], params[pre + "b2"])
+    del z2  # backward rebuilds it from s; freeing it here lowers peak memory
+    fo += lc.x1
+    _ln_forward(fo, params[pre + "ln2_g"], params[pre + "ln2_b"], x, lc.ln2)
 
 
 @dataclass
@@ -439,27 +455,29 @@ def encode_backward(
 ) -> None:
     """Accumulate encoder gradients for upstream d_h (shaped like cache.h) into `grads`.
 
-    The data gradients run in example shards, as encode does; each
-    parameter's gradient is then summed over the whole batch, spread over
-    the same threads.
+    The data gradients run layer by layer, top down, in example shards, as
+    encode does; each parameter's gradient is then summed over the whole
+    batch, spread over the same threads.
     """
+    if not cache.layers:
+        raise InputError("the cache holds no layers: encode ran without for_backward")
+    if np.shape(d_h) != cache.h.shape:
+        raise InputError(f"d_h has shape {np.shape(d_h)}, the cache's h {cache.h.shape}")
     b, l = cache.input_ids.shape
     n = _shard_count(b, l)
-    # Each layer's upstream gradient is the data gradient of the layer above.
-    dys = [np.empty_like(lc.a_in) for lc in cache.layers[1:]] + [d_h]
-    lgs = []
-    for lc, dy in zip(cache.layers, dys):
-        lgs.append(_LayerGrads(
-            dy=dy, dres2=np.empty_like(lc.x1), dz1=np.empty_like(lc.z1),
-            dx1=np.empty_like(lc.x1), dres1=np.empty_like(lc.x1),
-            dq=np.empty_like(lc.q), dk=np.empty_like(lc.k), dv=np.empty_like(lc.v)))
-    d_emb = np.empty_like(cache.layers[0].a_in)  # upstream gradient into the embedding LN
-    dx0 = np.empty_like(d_emb)
-    _in_shards(partial(_backward_into, params=params, config=config),
-               (cache, lgs, d_emb, dx0), _even_parts(b, n))
+    # dys[i] is the gradient at layer i's input, which layer i writes: dys[0]
+    # goes into the embedding LN, and the top layer reads d_h.
+    dys = [np.empty_like(lc.a_in) for lc in cache.layers] + [d_h]
+    lgs = [_LayerGrads(dy=dy, dres2=np.empty_like(lc.x1), dz1=np.empty_like(lc.z1),
+                       dx1=np.empty_like(lc.x1), dres1=np.empty_like(lc.x1),
+                       dq=np.empty_like(lc.q), dk=np.empty_like(lc.k), dv=np.empty_like(lc.v))
+           for lc, dy in zip(cache.layers, dys[1:])]
+    for i in reversed(range(config.n_layers)):
+        _in_shards(partial(_layer_backward, i=i, params=params, config=config),
+                   (cache.layers[i], lgs[i], dys[i]), _even_parts(b, n))
 
     # One task per affine layer and per layer norm; run_all balances the list.
-    tasks = [partial(_embedding_grads, cache, d_emb, dx0, grads)]
+    tasks = [partial(_embedding_grads, cache, dys[0], params, grads)]
     for i, (lc, lg) in enumerate(zip(cache.layers, lgs)):
         pre = f"layer{i}."
         tasks += [partial(_ff_out_grads, lc, lg.dres2, grads, pre),
@@ -472,48 +490,43 @@ def encode_backward(
     run_all(tasks, n)
 
 
-def _backward_into(c: ForwardCache, lgs: list[_LayerGrads], d_emb: np.ndarray,
-                   dx0: np.ndarray, params: Params, config: ModelConfig) -> None:
-    """The data-gradient chain of c's examples, from each layer's lg.dy down
-    to dx0, written into lgs, d_emb and dx0 (whole or one shard's views)."""
-    nh = config.n_heads
+def _layer_backward(lc: LayerCache, lg: _LayerGrads, da_in: np.ndarray, i: int,
+                    params: Params, config: ModelConfig) -> None:
+    """Layer i's data gradients, from lg.dy down to da_in (the layer input's),
+    written into lg and da_in (whole or one shard's views)."""
+    pre, nh = f"layer{i}.", config.n_heads
     # A float64 scalar here would promote every float32 gradient below it.
     scale = config.np_dtype.type(1.0 / np.sqrt(config.d_hidden // nh))
-    for i in reversed(range(config.n_layers)):
-        pre = f"layer{i}."
-        lc, lg = c.layers[i], lgs[i]
-        da_in = lgs[i - 1].dy if i > 0 else d_emb
-        _ln_dx(lg.dy, lc.ln2, params[pre + "ln2_g"], lg.dres2)
-        dz1 = gelu_grad(lc.z1, lc.s, lg.dz1)
-        dz1 *= lg.dres2 @ params[pre + "w2"].T
-        dx1 = np.matmul(dz1, params[pre + "w1"].T, out=lg.dx1)
-        dx1 += lg.dres2
-        _ln_dx(dx1, lc.ln1, params[pre + "ln1_g"], lg.dres1)
-        dctx = _split_heads(lg.dres1 @ params[pre + "wo"].T, nh)
+    _ln_dx(lg.dy, lc.ln2, params[pre + "ln2_g"], lg.dres2)
+    dz1 = gelu_grad(lc.z1, lc.s, lg.dz1)
+    dz1 *= lg.dres2 @ params[pre + "w2"].T
+    dx1 = np.matmul(dz1, params[pre + "w1"].T, out=lg.dx1)
+    dx1 += lg.dres2
+    _ln_dx(dx1, lc.ln1, params[pre + "ln1_g"], lg.dres1)
+    dctx = _split_heads(lg.dres1 @ params[pre + "wo"].T, nh)
 
-        q, k, v = (_split_heads(a, nh) for a in (lc.q, lc.k, lc.v))
-        _merge_heads(lc.probs.swapaxes(-1, -2) @ dctx, lg.dv)
-        dscores = dctx @ v.swapaxes(-1, -2)  # d probs; d scores after the in-place steps
-        rowsum = (dscores * lc.probs).sum(-1, keepdims=True)
-        dscores -= rowsum
-        dscores *= lc.probs
-        dq = dscores @ k
-        dq *= scale
-        _merge_heads(dq, lg.dq)
-        dk_ = dscores.swapaxes(-1, -2) @ q
-        dk_ *= scale
-        _merge_heads(dk_, lg.dk)
+    q, k, v = (_split_heads(a, nh) for a in (lc.q, lc.k, lc.v))
+    _merge_heads(lc.probs.swapaxes(-1, -2) @ dctx, lg.dv)
+    dscores = dctx @ v.swapaxes(-1, -2)  # d probs; d scores after the in-place steps
+    rowsum = (dscores * lc.probs).sum(-1, keepdims=True)
+    dscores -= rowsum
+    dscores *= lc.probs
+    dq = dscores @ k
+    dq *= scale
+    _merge_heads(dq, lg.dq)
+    dk_ = dscores.swapaxes(-1, -2) @ q
+    dk_ *= scale
+    _merge_heads(dk_, lg.dk)
 
-        da_q = np.matmul(lg.dq, params[pre + "wq"].T, out=da_in if lc.rows is None else None)
-        da_q += lg.dres1
-        if lc.rows is not None:
-            # Back to full width. Padding slots repeat position 0 with
-            # zero gradient; adding keeps [CLS]'s where `=` would not.
-            da_in.fill(0)
-            scatter_add_rows(da_in, (np.arange(len(da_q))[:, None], lc.rows), da_q)
-        da_in += lg.dk @ params[pre + "wk"].T
-        da_in += lg.dv @ params[pre + "wv"].T
-    _ln_dx(d_emb, c.emb_ln, params["emb_ln_g"], dx0)
+    da_q = np.matmul(lg.dq, params[pre + "wq"].T, out=da_in if lc.rows is None else None)
+    da_q += lg.dres1
+    if lc.rows is not None:
+        # Back to full width. Padding slots repeat position 0 with
+        # zero gradient; adding keeps [CLS]'s where `=` would not.
+        da_in.fill(0)
+        scatter_add_rows(da_in, (np.arange(len(da_q))[:, None], lc.rows), da_q)
+    da_in += lg.dk @ params[pre + "wk"].T
+    da_in += lg.dv @ params[pre + "wv"].T
 
 
 def _ff_out_grads(lc: LayerCache, dres2: np.ndarray, grads: Params, pre: str) -> None:
@@ -522,9 +535,11 @@ def _ff_out_grads(lc: LayerCache, dres2: np.ndarray, grads: Params, pre: str) ->
     _affine_grads(z2, dres2, grads, pre + "w2", pre + "b2")
 
 
-def _embedding_grads(c: ForwardCache, d_emb: np.ndarray, dx0: np.ndarray,
+def _embedding_grads(c: ForwardCache, d_emb: np.ndarray, params: Params,
                      grads: Params) -> None:
+    # The norm's data gradient is row-local: its bytes are those of any split.
     _ln_param_grads(d_emb, c.emb_ln, grads, "emb_ln")
+    dx0 = _ln_dx(d_emb, c.emb_ln, params["emb_ln_g"])
     scatter_add_rows(grads["tok_emb"], c.input_ids.reshape(-1), dx0)
     grads["pos_emb"][: dx0.shape[1]] += dx0.sum(axis=0)
 

@@ -99,13 +99,15 @@ class StepCache:
 
 def masked_token_pass(
     batch: MaskedBatch, params: model.Params, config: model.ModelConfig,
+    for_backward: bool = True,
 ) -> tuple[float, model.ForwardCache, model.EalCache]:
     """Mean masked-token cross-entropy of a masked batch encoded at the heads'
     rows, with the encoder's cache and the head's, which holds the softmax's
-    pieces."""
+    pieces. Without for_backward the encoder keeps no layer's cache."""
     ex_idx, _, target_ids = batch.flat_targets()
     rows, slots = batch.output_rows()
-    fwd = model.encode(batch.input_ids, batch.valid_lens, params, config, rows)
+    # Positional: a wrapper of encode, such as a benchmark's, may take no keywords.
+    fwd = model.encode(batch.input_ids, batch.valid_lens, params, config, rows, for_backward)
     _, ealc = model.mlm_logits_eal(fwd, ex_idx, slots, params, target_ids)
     return mean_nll(ealc.picked, ealc.exp_sum), fwd, ealc
 

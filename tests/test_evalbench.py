@@ -1,16 +1,26 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from dombert import evalbench
-from dombert.corpus import Vocabulary, build_vocab, pack_domain, tokenize
+from dombert import evalbench, model
+from dombert.corpus import CLS_ID, Vocabulary, build_vocab, pack_domain, tokenize
 from dombert.errors import ConfigError
 from dombert.masking import MaskingPolicy, make_masked_batch
-from dombert.model import ModelConfig, init_params
+from dombert.model import ModelConfig, encode, init_params
 from dombert.nputil import STREAM_EVAL, derive_rng
 
 from conftest import failing_partway, traced_peak
+
+
+def _array_bytes(obj) -> int:
+    """Bytes of every array reachable from obj through dataclasses."""
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if dataclasses.is_dataclass(obj):
+        return sum(_array_bytes(getattr(obj, f.name)) for f in dataclasses.fields(obj))
+    return 0
 
 
 class TestSyntheticSpec:
@@ -193,6 +203,39 @@ class TestPseudoPerplexity:
         one = traced_peak(monkeypatch, score(evalbench.SCORE_BATCH))
         two = traced_peak(monkeypatch, score(2 * evalbench.SCORE_BATCH))
         assert two - one < head_bytes / 2, (one, two, head_bytes)
+
+    def test_scoring_memory_does_not_grow_with_depth(self, monkeypatch):
+        """A scoring batch holds one layer's cache at a time: one full 16x128
+        batch peaks within a quarter of one full-width layer cache at 4
+        layers of what it peaks at 2."""
+        vocab = Vocabulary([f"w{i}" for i in range(782)])
+        gen = np.random.default_rng(0)
+        texts = [" ".join(f"w{j}" for j in gen.integers(0, 782, size=126))
+                 for _ in range(evalbench.SCORE_BATCH)]
+        peaks = {}
+        for n_layers in (2, 4):
+            cfg = ModelConfig(vocab_size=vocab.size, n_domains=2, n_layers=n_layers)
+            params = init_params(cfg, derive_rng(0, 0))
+            peaks[n_layers] = traced_peak(monkeypatch, lambda: evalbench.eval_pseudo_perplexity(
+                params, cfg, texts, vocab, 0))
+        ids = np.full((evalbench.SCORE_BATCH, cfg.max_len), CLS_ID)
+        layer = encode(ids, np.full(len(ids), cfg.max_len), params, cfg).layers[0]
+        assert peaks[4] - peaks[2] < _array_bytes(layer) / 4, (peaks, _array_bytes(layer))
+
+    def test_scoring_passes_encode_its_arguments_by_position(self, monkeypatch):
+        """A wrapper of encode that takes no keywords sees scoring ask for
+        no layer caches."""
+        texts, vocab, cfg = self._setup()
+        params = init_params(cfg, derive_rng(0, 0))
+        seen = []
+
+        def positional_encode(input_ids, valid_lens, params, config, *rest):
+            seen.append(rest[1:])
+            return encode(input_ids, valid_lens, params, config, *rest)
+
+        monkeypatch.setattr(model, "encode", positional_encode)
+        evalbench.eval_pseudo_perplexity(params, cfg, texts, vocab, seed=0)
+        assert seen and all(rest == (False,) for rest in seen)
 
     def test_empty_heldout_rejected(self):
         texts, vocab, cfg = self._setup()

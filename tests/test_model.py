@@ -227,6 +227,61 @@ class TestEncode:
         cache = model.encode(batch.input_ids, batch.valid_lens, params, cfg)
         assert np.array_equal(cache.h_cls, cache.h[:, 0, :])
 
+    @staticmethod
+    def _refused_before_any_shard(monkeypatch, ids, lens, rows=None):
+        cfg = tiny_config()
+        params = model.init_params(cfg, derive_rng(0, 0))
+
+        def no_shard(*args):
+            raise AssertionError("a shard ran")
+
+        monkeypatch.setattr(model, "_in_shards", no_shard)
+        with pytest.raises(InputError):
+            model.encode(ids, lens, params, cfg, rows)
+
+    @pytest.mark.parametrize("lens", [[5], [12, 0], [12, -1], [12, 13]],
+                             ids=["one length for two rows", "0", "-1", "L + 1"])
+    def test_valid_lens_refused(self, monkeypatch, lens):
+        """One length would broadcast over the batch; at 0 every key is
+        masked and the row's outputs would follow its pad."""
+        ids = np.full((2, 12), CLS_ID)
+        self._refused_before_any_shard(monkeypatch, ids, np.array(lens))
+
+    @pytest.mark.parametrize("rows", [[[0, 3], [0, 12]], [[0, 3], [0, -1]], [[0, 3]]],
+                             ids=["position L", "position -1", "one row for two examples"])
+    def test_rows_refused(self, monkeypatch, rows):
+        ids = np.full((2, 12), CLS_ID)
+        self._refused_before_any_shard(monkeypatch, ids, np.array([12, 12]), np.array(rows))
+
+
+class TestEncodeBackwardInputs:
+    @staticmethod
+    def _instance(rng, for_backward=True):
+        cfg = tiny_config()
+        params = model.init_params(cfg, derive_rng(0, 0))
+        batch = make_batch(rng, cfg)
+        cache = model.encode(batch.input_ids, batch.valid_lens, params, cfg, None,
+                             for_backward)
+        return cfg, params, cache
+
+    @pytest.mark.parametrize("shape", ["one example", "one feature"])
+    def test_d_h_not_shaped_like_h_refused(self, rng, shape):
+        """(1, L, d) and (B, L, 1) would broadcast into wrong gradients."""
+        cfg, params, cache = self._instance(rng)
+        b, l, d = cache.h.shape
+        d_h = np.ones((1, l, d) if shape == "one example" else (b, l, 1))
+        grads = model.zero_grads(cfg)
+        with pytest.raises(InputError):
+            model.encode_backward(d_h, cache, params, cfg, grads)
+        assert not grads.flat.any()
+
+    def test_a_scoring_cache_refused(self, rng):
+        cfg, params, cache = self._instance(rng, for_backward=False)
+        assert cache.emb_ln is None and cache.layers == []
+        with pytest.raises(InputError):
+            model.encode_backward(np.ones_like(cache.h), cache, params, cfg,
+                                  model.zero_grads(cfg))
+
 
 class TestPrunedLastLayer:
     """encode(..., rows) against the full-width pass it prunes."""
@@ -287,7 +342,8 @@ class TestPrunedLastLayer:
 
 class TestExampleShards:
     """encode and encode_backward give the same bytes however the batch's
-    examples are split over threads."""
+    examples are split over threads, and encode gives them whether or not
+    it keeps the layers' caches."""
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     @pytest.mark.parametrize("b", [1, 5, 8])
@@ -311,6 +367,8 @@ class TestExampleShards:
         for shards in (1, 2, 3):
             monkeypatch.setattr(model, "_shard_count", lambda b_, l_, n=shards: n)
             cache = model.encode(ids, valid, params, cfg, rows)
+            scored = model.encode(ids, valid, params, cfg, rows, False)
+            assert scored.h.tobytes() == cache.h.tobytes()
             if not out:
                 d_h = gen.normal(size=cache.h.shape).astype(cfg.np_dtype)
             grads = model.zero_grads(cfg)
@@ -322,6 +380,28 @@ class TestExampleShards:
             assert h.tobytes() == h1.tobytes()
             for name, g in grads.items():
                 assert g.tobytes() == grads1[name].tobytes(), name
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_layer_hooks_stay_on_the_call_path(self, shards, monkeypatch):
+        """encode and encode_backward look the embedding and the layer
+        bodies up in the model module, once per layer and direction and
+        shard, where a benchmark can wrap them: the embedding, the layers
+        bottom up, then the layers top down."""
+        cfg = model.ModelConfig(vocab_size=300, n_domains=3, max_len=16, n_layers=3)
+        params = model.init_params(cfg, derive_rng(0, 0))
+        ids = np.random.default_rng(0).integers(NUM_RESERVED, cfg.vocab_size, size=(4, 16))
+        monkeypatch.setattr(model, "_shard_count", lambda b_, l_: shards)
+        calls = []
+        for name in ("_embed", "_layer_forward", "_layer_backward"):
+            def counted(*args, _name=name, _inner=getattr(model, name), **kwargs):
+                calls.append((_name, kwargs.get("i")))
+                return _inner(*args, **kwargs)
+            monkeypatch.setattr(model, name, counted)
+        cache = model.encode(ids, np.full(4, 16), params, cfg)
+        model.encode_backward(np.ones_like(cache.h), cache, params, cfg, model.zero_grads(cfg))
+        order = ([("_embed", None)] + [("_layer_forward", i) for i in range(3)]
+                 + [("_layer_backward", i) for i in (2, 1, 0)])
+        assert calls == [call for call in order for _ in range(shards)]
 
 
 # Per-example target counts of an 8-example batch: enough targets for three
