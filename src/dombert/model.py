@@ -9,8 +9,10 @@ linear maps with no intermediate nonlinearity: logits = D @ (W @ h_cls + b).
 The encoder has no stochastic layer, so a forward pass is a pure function
 of its inputs and parameters. It runs the embedding, then one layer body at
 a time: a training pass keeps each layer's cache for reverse mode, and a
-scoring pass frees each once its layer has run. Each layer's backward body
-lives beside its forward one, so the architecture is defined in one place.
+scoring pass keeps none, holding only each layer's output batch-wide and
+each intermediate in a shard-local array until its last use. Each layer's
+backward body lives beside its forward one, so the architecture is defined
+in one place.
 """
 from __future__ import annotations
 
@@ -304,10 +306,14 @@ def _split_heads(x: np.ndarray, n_heads: int) -> np.ndarray:
     return x.reshape(b, l, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
 
-def _merge_heads(x: np.ndarray, out: np.ndarray) -> None:
-    """(B, h, L, dk) heads copied into out, a C-contiguous (B, L, h * dk)."""
+def _merge_heads(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(B, h, L, dk) heads copied into out, a C-contiguous (B, L, h * dk), or
+    into a new one."""
     b, h, l, dk = x.shape
+    if out is None:
+        out = np.empty((b, l, h * dk), x.dtype)
     np.copyto(np.reshape(out, (b, l, h, dk), copy=False), x.transpose(0, 2, 1, 3))
+    return out
 
 
 def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray,
@@ -350,7 +356,8 @@ def encode(
     Without rows every position is computed.
 
     The embedding and then each layer run in turn. Without for_backward (a
-    scoring pass) each layer's cache goes once the layer has run, so the
+    scoring pass) no layer cache is allocated: each layer's output is the
+    only batch-wide array it adds, its input goes once it has run, and the
     cache returned holds only input_ids, key_bias and h.
 
     The examples are split over the worker threads when each shard gets at
@@ -386,16 +393,17 @@ def encode(
     for i in range(config.n_layers):
         q_rows = rows if i == config.n_layers - 1 else None
         r = l if q_rows is None else q_rows.shape[1]
-        lc = LayerCache(
-            a_in=x, rows=q_rows, q=empty(r), k=empty(l), v=empty(l),
-            probs=np.empty((b, config.n_heads, r, l), dt), ctx=empty(r),
-            ln1=ln(r), x1=empty(r), z1=empty(r, ff), s=empty(r, ff), ln2=ln(r))
-        x = empty(r)
-        _in_shards(partial(_layer_forward, i=i, params=params, config=config),
-                   (lc, x, key_bias), parts)
+        lc = None
         if for_backward:
+            lc = LayerCache(
+                a_in=x, rows=q_rows, q=empty(r), k=empty(l), v=empty(l),
+                probs=np.empty((b, config.n_heads, r, l), dt), ctx=empty(r),
+                ln1=ln(r), x1=empty(r), z1=empty(r, ff), s=empty(r, ff), ln2=ln(r))
             layers.append(lc)
-        del lc  # a scoring pass frees the layer's cache and input here
+        y = empty(r)
+        _in_shards(partial(_layer_forward, i=i, params=params, config=config),
+                   (x, q_rows, y, key_bias, lc), parts)
+        x = y  # a scoring pass frees the layer's input here
     return ForwardCache(input_ids, key_bias, h=x, emb_ln=emb_ln, layers=layers)
 
 
@@ -407,29 +415,44 @@ def _embed(input_ids: np.ndarray, x: np.ndarray, ln: LnCache | None, params: Par
     _ln_forward(x0, params["emb_ln_g"], params["emb_ln_b"], x, ln)
 
 
-def _layer_forward(lc: LayerCache, x: np.ndarray, key_bias: np.ndarray, i: int,
+def _layer_forward(a_in: np.ndarray, rows: np.ndarray | None, x: np.ndarray,
+                   key_bias: np.ndarray, lc: LayerCache | None, i: int,
                    params: Params, config: ModelConfig) -> None:
-    """Layer i from lc.a_in into x, filling lc (whole or one shard's views)."""
+    """Layer i from a_in into x (whole or one shard's views), its query rows
+    `rows` (all when None). A training pass gives lc, whose arrays take each
+    intermediate; a scoring pass gives None, and each is a shard-local array
+    dropped after its last use, GELU written over z1."""
     pre, nh = f"layer{i}.", config.n_heads
+
+    def kept(name: str) -> np.ndarray | None:
+        return None if lc is None else getattr(lc, name)
+
     scale = config.np_dtype.type(1.0 / np.sqrt(config.d_hidden // nh))
-    a_q = _at_rows(lc.a_in, lc.rows)  # a_in itself when rows is None
-    q = _split_heads(_affine(a_q, params[pre + "wq"], params[pre + "bq"], lc.q), nh)
-    k = _split_heads(_affine(lc.a_in, params[pre + "wk"], params[pre + "bk"], lc.k), nh)
-    v = _split_heads(_affine(lc.a_in, params[pre + "wv"], params[pre + "bv"], lc.v), nh)
-    probs = np.matmul(q, k.swapaxes(-1, -2), out=lc.probs)
+    a_q = _at_rows(a_in, rows)  # a_in itself when rows is None
+    q = _split_heads(_affine(a_q, params[pre + "wq"], params[pre + "bq"], kept("q")), nh)
+    k = _split_heads(_affine(a_in, params[pre + "wk"], params[pre + "bk"], kept("k")), nh)
+    v = _split_heads(_affine(a_in, params[pre + "wv"], params[pre + "bv"], kept("v")), nh)
+    probs = np.matmul(q, k.swapaxes(-1, -2), out=kept("probs"))
+    del q, k
     probs *= scale
     probs += key_bias
     softmax(probs, out=probs)
-    _merge_heads(probs @ v, lc.ctx)
-    ao = _affine(lc.ctx, params[pre + "wo"], params[pre + "bo"])
+    ctx = _merge_heads(probs @ v, kept("ctx"))
+    del probs, v
+    ao = _affine(ctx, params[pre + "wo"], params[pre + "bo"])
+    del ctx
     ao += a_q
-    _ln_forward(ao, params[pre + "ln1_g"], params[pre + "ln1_b"], lc.x1, lc.ln1)
-    _affine(lc.x1, params[pre + "w1"], params[pre + "b1"], lc.z1)
-    z2, _ = gelu(lc.z1, lc.s)
+    x1, _ = _ln_forward(ao, params[pre + "ln1_g"], params[pre + "ln1_b"], kept("x1"),
+                        kept("ln1"))
+    del ao
+    z1 = _affine(x1, params[pre + "w1"], params[pre + "b1"], kept("z1"))
+    z2, _ = gelu(z1, kept("s"), out=z1 if lc is None else None)
+    del z1
     fo = _affine(z2, params[pre + "w2"], params[pre + "b2"])
     del z2  # backward rebuilds it from s; freeing it here lowers peak memory
-    fo += lc.x1
-    _ln_forward(fo, params[pre + "ln2_g"], params[pre + "ln2_b"], x, lc.ln2)
+    fo += x1
+    del x1
+    _ln_forward(fo, params[pre + "ln2_g"], params[pre + "ln2_b"], x, kept("ln2"))
 
 
 @dataclass

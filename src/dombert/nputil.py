@@ -102,25 +102,28 @@ def softmax_parts(
     return e, sums, picked
 
 
-def gelu(x: np.ndarray, s: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def gelu(x: np.ndarray, s: np.ndarray | None = None,
+         out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """GELU(x) and s = 1 + erf(x / sqrt 2), which gelu_grad takes back.
 
-    s, when given, is filled in place of a new array.
+    s and out, when given, are filled in place of new arrays; out may be x,
+    so GELU needs no full-size array beyond x and s.
 
     Keeping s rather than Phi = s / 2 keeps the output bytes of
     0.5 * x * (1 + erf(x / sqrt 2)): x * Phi rounds differently once Phi is
     subnormal.
 
-    erf runs on |x / sqrt 2| and copysign puts the sign back. scipy's erf
-    is exactly odd (erf(-a) == -erf(a) bit for bit), so the bytes are the
-    same; its sign branch is what costs on inputs of mixed sign.
+    erf runs on |x / sqrt 2| and copysign puts the sign back, taken from x:
+    x / sqrt 2 has x's sign, zeros included. scipy's erf is exactly odd
+    (erf(-a) == -erf(a) bit for bit), so the bytes are the same; its sign
+    branch is what costs on inputs of mixed sign.
     """
     s = np.divide(x, _SQRT2, out=s)
-    a = np.abs(s)
-    erf(a, out=a)
-    np.copysign(a, s, out=s)
+    np.abs(s, out=s)
+    erf(s, out=s)
+    np.copysign(s, x, out=s)
     s += 1.0
-    y = np.multiply(0.5, x, out=a)  # a's buffer: no third full-size array
+    y = np.multiply(0.5, x, out=out)
     y *= s
     return y, s
 

@@ -205,9 +205,9 @@ class TestPseudoPerplexity:
         assert two - one < head_bytes / 2, (one, two, head_bytes)
 
     def test_scoring_memory_does_not_grow_with_depth(self, monkeypatch):
-        """A scoring batch holds one layer's cache at a time: one full 16x128
-        batch peaks within a quarter of one full-width layer cache at 4
-        layers of what it peaks at 2."""
+        """A scoring batch holds no layer's cache: one full 16x128 batch
+        peaks within a quarter of one full-width layer cache at 4 layers of
+        what it peaks at 2, and below one such cache at 2."""
         vocab = Vocabulary([f"w{i}" for i in range(782)])
         gen = np.random.default_rng(0)
         texts = [" ".join(f"w{j}" for j in gen.integers(0, 782, size=126))
@@ -221,6 +221,7 @@ class TestPseudoPerplexity:
         ids = np.full((evalbench.SCORE_BATCH, cfg.max_len), CLS_ID)
         layer = encode(ids, np.full(len(ids), cfg.max_len), params, cfg).layers[0]
         assert peaks[4] - peaks[2] < _array_bytes(layer) / 4, (peaks, _array_bytes(layer))
+        assert peaks[2] < _array_bytes(layer), (peaks, _array_bytes(layer))
 
     def test_scoring_passes_encode_its_arguments_by_position(self, monkeypatch):
         """A wrapper of encode that takes no keywords sees scoring ask for

@@ -832,6 +832,15 @@ class TestGelu:
         assert np.array_equal(out, 0.5 * x * (1.0 + erf(x / math.sqrt(2.0))))
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_output_written_over_its_input_keeps_the_bytes(self, dtype):
+        """Scoring writes GELU over z1: out=x gives gelu(x)'s bytes."""
+        out, s = gelu(self.GRID.astype(dtype))
+        x = self.GRID.astype(dtype)
+        over, s_over = gelu(x, out=x)
+        assert over is x
+        assert over.tobytes() == out.tobytes() and s_over.tobytes() == s.tobytes()
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_grad_is_bit_identical_to_the_recomputing_formula(self, dtype):
         x = self.GRID.astype(dtype)
         recomputed = (0.5 * (1.0 + erf(x / math.sqrt(2.0)))
