@@ -442,11 +442,11 @@ def _layer_forward(a_in: np.ndarray, rows: np.ndarray | None, x: np.ndarray,
     ao = _affine(ctx, params[pre + "wo"], params[pre + "bo"])
     del ctx
     ao += a_q
-    x1, _ = _ln_forward(ao, params[pre + "ln1_g"], params[pre + "ln1_b"], kept("x1"),
-                        kept("ln1"))
+    x1 = _ln_forward(ao, params[pre + "ln1_g"], params[pre + "ln1_b"], kept("x1"),
+                     kept("ln1"))[0]  # a scoring pass keeps no LN1 cache past this line
     del ao
     z1 = _affine(x1, params[pre + "w1"], params[pre + "b1"], kept("z1"))
-    z2, _ = gelu(z1, kept("s"), out=z1 if lc is None else None)
+    z2 = gelu(z1, kept("s"), out=z1 if lc is None else None)[0]
     del z1
     fo = _affine(z2, params[pre + "w2"], params[pre + "b2"])
     del z2  # backward rebuilds it from s; freeing it here lowers peak memory

@@ -7,8 +7,8 @@ import pytest
 
 from dombert import nputil, trainer
 from dombert.corpus import (CLS_ID, NUM_RESERVED, PACKED_MAGIC, PAD_ID, SEP_ID, UNK_ID,
-                            _TOKEN_RE, DomainTable, PackedCorpus, PackedExample, Vocabulary,
-                            _read_header, open_text)
+                            DomainTable, PackedCorpus, PackedExample, Vocabulary, _read_header,
+                            open_text, word_tokens)
 from dombert.errors import ConfigError, CorpusError
 from dombert.masking import MaskedBatch
 from dombert.model import ForwardCache, Params, _affine, _ln_forward
@@ -16,14 +16,9 @@ from dombert.nputil import gelu, open_replacing, softmax_parts
 from dombert.objective import mean_nll
 
 
-# Reference ingest path: the per-token Python versions of corpus.word_tokens,
-# build_vocab, tokenize, pack_domain, write_packed and read_packed, which the
-# array-backed ones must match byte for byte.
-
-
-def reference_word_tokens(text: str) -> list[str]:
-    """Lowercased word-level split by the token regex alone."""
-    return _TOKEN_RE.findall(text.lower())
+# Reference ingest path: the per-token Python versions of corpus.build_vocab,
+# tokenize, pack_domain, write_packed and read_packed, which the array-backed
+# ones must match byte for byte.
 
 
 def reference_build_vocab(texts: list[str], min_count: int, max_size: int) -> Vocabulary:
@@ -35,7 +30,7 @@ def reference_build_vocab(texts: list[str], min_count: int, max_size: int) -> Vo
         raise ConfigError("max vocabulary size must be >= 0")
     counts: Counter[str] = Counter()
     for text in texts:
-        counts.update(reference_word_tokens(text))
+        counts.update(word_tokens(text))
     kept = [t for t, c in counts.items() if c >= min_count]
     kept.sort(key=lambda t: (-counts[t], t))
     return Vocabulary(kept[:max_size])
@@ -44,7 +39,7 @@ def reference_build_vocab(texts: list[str], min_count: int, max_size: int) -> Vo
 def reference_tokenize(text: str, vocab: Vocabulary) -> list[int]:
     """Token ids for a text; out-of-vocabulary words map to [UNK]."""
     get = vocab.token_to_id.get
-    return [get(t, UNK_ID) for t in reference_word_tokens(text)]
+    return [get(t, UNK_ID) for t in word_tokens(text)]
 
 
 def reference_pack_domain(docs: list[list[int]], domain_id: int,
