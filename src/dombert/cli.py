@@ -32,7 +32,7 @@ def _ingest(args: argparse.Namespace) -> int:
     vocab = tokens.vocabulary(args.min_count, args.max_vocab)
     packed = corpus.pack_corpus(table, records, vocab, args.max_len, tokens)
     corpus.write_ingested(args.out, packed, vocab)
-    print(f"packed {len(packed.examples)} examples over {table.n_plus_1} domains;"
+    print(f"packed {len(packed.ids)} examples over {table.n_plus_1} domains;"
           f" vocabulary size {vocab.size}")
     return 0
 
@@ -42,7 +42,7 @@ def _train(args: argparse.Namespace) -> int:
     model_config = ModelConfig(
         vocab_size=packed.vocab_size,
         n_domains=packed.table.n_plus_1,
-        max_len=packed.max_len,
+        max_len=packed.ids.shape[1],
         d_domain=args.m,
     )
     train_config = trainer.TrainConfig(

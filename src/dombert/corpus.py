@@ -91,7 +91,8 @@ class Vocabulary:
 
 @dataclass(eq=False, slots=True)
 class PackedExample:
-    """Fixed-capacity token-id row built from same-domain documents.
+    """One fixed-capacity token-id row of same-domain documents, as a sampler
+    draw or pack_domain hands it out.
 
     ids[0] is [CLS]; document boundaries inside the row are [SEP]; positions
     at and beyond valid_len are [PAD].
@@ -104,12 +105,15 @@ class PackedExample:
 
 @dataclass
 class PackedCorpus:
-    """Packed rows and their domain table, checked by validate_packed when
-    built: a corpus that exists holds at least one row of every domain."""
+    """N packed rows as three arrays, the (N, max_len) ids, the (N,) valid
+    lengths and the (N,) domain ids, beside their domain table; checked by
+    validate_packed when built: a corpus that exists holds at least one row
+    of every domain."""
 
-    examples: list[PackedExample]
+    ids: np.ndarray
+    valid_lens: np.ndarray
+    domains: np.ndarray
     table: DomainTable
-    max_len: int
     vocab_size: int
 
     def __post_init__(self) -> None:
@@ -287,10 +291,7 @@ def pack_corpus(
     rows, valid, row_domain = _cut_rows(stream, dom_len, max_len)
     counts = np.bincount(row_domain, minlength=table.n_plus_1).tolist()
     own_table = DomainTable(list(table.names), table.target_index, counts)
-    examples = [PackedExample(ids=r, valid_len=v, domain_id=d)
-                for r, v, d in zip(rows, valid.tolist(), row_domain.tolist())]
-    return PackedCorpus(examples=examples, table=own_table, max_len=max_len,
-                        vocab_size=vocab.size)
+    return PackedCorpus(rows, valid, row_domain, own_table, vocab.size)
 
 
 def corpus_stats(table: DomainTable) -> list[tuple[str, int]]:
@@ -302,26 +303,22 @@ def corpus_stats(table: DomainTable) -> list[tuple[str, int]]:
 
 
 def validate_packed(corpus: PackedCorpus) -> None:
-    """Check every packed-example invariant, the table's counts against the
-    rows, and that every domain has a row, the target first; raises
-    CorpusError naming the lowest bad example index or the empty domain."""
-    examples, max_len = corpus.examples, corpus.max_len
-    fits = np.array([ex.ids.shape == (max_len,) for ex in examples], dtype=bool)
-    blank = np.zeros(max_len, dtype=np.int64)  # stands in for a wrong-length row
-    ids = np.array([ex.ids if ok else blank for ex, ok in zip(examples, fits)],
-                   dtype=np.int64).reshape(-1, max_len)
-    lens = np.array([ex.valid_len for ex in examples], dtype=np.int64)
-    dom = np.array([ex.domain_id for ex in examples], dtype=np.int64)
+    """Check every row's invariants on the corpus arrays in place (no copy of
+    the ids), the table's counts against the rows, and that every domain has
+    a row, the target first; raises CorpusError naming the lowest bad example
+    index or the empty domain."""
+    ids, lens, dom = corpus.ids, corpus.valid_lens, corpus.domains
+    max_len = ids.shape[1]
     in_valid = np.arange(max_len) < lens[:, None]
-    is_pad = ids == PAD_ID
+    misplaced = (ids == PAD_ID) == in_valid  # a pad inside the valid region, or a token after it
     # in each row's order of precedence: the first true check names the fault
     checks = [
-        (~fits, "wrong row length"),
         (ids[:, 0] != CLS_ID, "row does not start with [CLS]"),
         ((lens < 1) | (lens > max_len), "bad valid_len {valid_len}"),
-        ((~is_pad & ~in_valid).any(axis=1), "non-pad token in padding region"),
-        ((is_pad & in_valid).any(axis=1), "pad token inside valid region"),
-        (((ids < 0) | (ids >= corpus.vocab_size)).any(axis=1), "token id out of range"),
+        ((misplaced & ~in_valid).any(axis=1), "non-pad token in padding region"),
+        ((misplaced & in_valid).any(axis=1), "pad token inside valid region"),
+        ((ids.min(axis=1) < 0) | (ids.max(axis=1) >= corpus.vocab_size),
+         "token id out of range"),
         ((dom < 0) | (dom >= corpus.table.n_plus_1), "domain id out of range"),
     ]
     bad = np.flatnonzero(np.logical_or.reduce([flags for flags, _ in checks]))
@@ -401,24 +398,27 @@ def _read_rows(fh: TextIO, n: int, n_fields: int, what: str) -> list[list[str]]:
 def write_packed(path: str | Path, corpus: PackedCorpus) -> None:
     """Packed-corpus file: one header line, then one line per example
     ``domain_id<TAB>valid_len<TAB>space-separated ids`` (all max_len ids)."""
-    line = "%d\t%d\t" + " ".join(["%d"] * corpus.max_len) + "\n"
+    max_len = corpus.ids.shape[1]
+    line = "%d\t%d\t" + " ".join(["%d"] * max_len) + "\n"
     with open_replacing(path, "w", encoding="utf-8") as fh:
         fh.write(
-            f"{PACKED_MAGIC} L_max={corpus.max_len} "
+            f"{PACKED_MAGIC} L_max={max_len} "
             f"n_plus_1={corpus.table.n_plus_1} vocab_size={corpus.vocab_size}\n"
         )
-        for ex in corpus.examples:
-            fh.write(line % (ex.domain_id, ex.valid_len, *ex.ids.tolist()))
+        for did, valid_len, ids in zip(corpus.domains.tolist(), corpus.valid_lens.tolist(),
+                                       corpus.ids):
+            fh.write(line % (did, valid_len, *ids.tolist()))
 
 
-# An id field as write_packed writes it: decimal ids, one space apart. 18
-# digits always fit int64, which np.fromstring would silently clip.
-_ID_FIELD = re.compile(r"-?[0-9]{1,18}(?: -?[0-9]{1,18})*")
+# A row's line as write_packed writes it: decimal numbers, the ids one space
+# apart. 18 digits always fit int64, which np.fromstring would silently clip.
+_NUMBER = "-?[0-9]{1,18}"
+_ROW = re.compile(rf"{_NUMBER}\t{_NUMBER}\t{_NUMBER}(?: {_NUMBER})*")
 
 
 def read_packed(path: str | Path, table: DomainTable) -> PackedCorpus:
-    """The packed rows of `path`, checked against `table` and its counts.
-    The rows are views of one array of the table's row count."""
+    """The packed rows of `path` as one array of the table's row count,
+    checked against `table` and its counts."""
     with open_text(path) as fh:
         max_len, n_plus_1, vocab_size = _read_header(
             fh, PACKED_MAGIC, ("L_max", "n_plus_1", "vocab_size"), "packed-corpus")
@@ -428,7 +428,7 @@ def read_packed(path: str | Path, table: DomainTable) -> PackedCorpus:
             )
         n = sum(table.counts)
         # a row's line holds at least its max_len ids and their spaces
-        if not 0 <= n * 2 * max_len <= os.fstat(fh.fileno()).st_size:
+        if max_len < 1 or not 0 <= n * 2 * max_len <= os.fstat(fh.fileno()).st_size:
             raise CorpusError(f"the packed file cannot hold the domain table's {n} rows"
                               f" of {max_len} ids")
         rows = np.empty((n, max_len), dtype=np.int64)
@@ -444,21 +444,14 @@ def read_packed(path: str | Path, table: DomainTable) -> PackedCorpus:
                 raise CorpusError(f"line {lineno}: expected 3 TAB-separated fields")
             if i == n:
                 raise CorpusError("table counts disagree with packed examples")
-            try:
-                if not _ID_FIELD.fullmatch(parts[2]):
-                    raise ValueError(parts[2])
-                domains[i] = int(parts[0])
-                valid_lens[i] = int(parts[1])
-                ids = np.fromstring(parts[2], dtype=np.int64, sep=" ")
-            except (ValueError, OverflowError) as exc:
-                raise CorpusError(f"line {lineno}: unparseable example") from exc
+            if not _ROW.fullmatch(line):
+                raise CorpusError(f"line {lineno}: unparseable example")
+            ids = np.fromstring(parts[2], dtype=np.int64, sep=" ")
             if ids.shape != (max_len,):
                 raise CorpusError(f"line {lineno}: expected {max_len} ids")
-            rows[i] = ids
+            rows[i], valid_lens[i], domains[i] = ids, int(parts[1]), int(parts[0])
             i += 1
-    examples = [PackedExample(ids=r, valid_len=v, domain_id=d)
-                for r, v, d in zip(rows[:i], valid_lens[:i].tolist(), domains[:i].tolist())]
-    return PackedCorpus(examples=examples, table=table, max_len=max_len, vocab_size=vocab_size)
+    return PackedCorpus(rows[:i], valid_lens[:i], domains[:i], table, vocab_size)
 
 
 def write_vocab(path: str | Path, vocab: Vocabulary) -> None:

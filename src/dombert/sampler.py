@@ -1,9 +1,10 @@
 """Similarity-driven batch sampling over per-domain shuffled queues.
 
-Each domain keeps a shuffled queue of its packed examples. Batch assembly
-draws domains i.i.d. from a categorical distribution P', the exploration
-mixture P' = (1 - explore) * P + explore / (n+1) of the uniform distribution
-and P, where P_i is the temperature softmax of the cosine between domain i's
+Each domain keeps a shuffled queue of its corpus row indices; a draw hands
+out a PackedExample viewing the drawn row. Batch assembly draws domains
+i.i.d. from a categorical distribution P', the exploration mixture
+P' = (1 - explore) * P + explore / (n+1) of the uniform distribution and P,
+where P_i is the temperature softmax of the cosine between domain i's
 embedding row and the target's. explore = 0 is the plain softmax sampler;
 a positive floor keeps every source domain drawn now and then even when the
 softmax gives the target nearly all of the mass, as in EXP3 (Auer et al.
@@ -29,7 +30,8 @@ from .nputil import rng_from_state, softmax, unit_rows
 
 @dataclass
 class DomainQueue:
-    order: np.ndarray            # permutation of local example indices
+    rows: np.ndarray             # the domain's corpus row indices, ascending
+    order: np.ndarray            # permutation of local indices into rows
     cursor: int = 0
 
 
@@ -40,7 +42,7 @@ class SamplerState:
     target: int
     tau: float
     rng: np.random.Generator
-    examples_by_domain: list[list[PackedExample]]
+    corpus: PackedCorpus
     explore: float               # uniform share mixed into the softmax P
 
 
@@ -86,12 +88,9 @@ def importance_weights(state: SamplerState, labels: np.ndarray) -> np.ndarray | 
     return 1.0 / (state.probs.shape[0] * state.probs[labels])
 
 
-def _examples_by_domain(corpus: PackedCorpus) -> list[list[PackedExample]]:
-    """The corpus examples grouped by domain id."""
-    by_domain: list[list[PackedExample]] = [[] for _ in corpus.table.names]
-    for ex in corpus.examples:
-        by_domain[ex.domain_id].append(ex)
-    return by_domain
+def _domain_rows(corpus: PackedCorpus) -> list[np.ndarray]:
+    """Each domain's corpus row indices, in ascending row order."""
+    return [np.flatnonzero(corpus.domains == d) for d in range(corpus.table.n_plus_1)]
 
 
 def build_sampler(
@@ -102,13 +101,12 @@ def build_sampler(
     explore: float = 0.0,
 ) -> SamplerState:
     """Fresh queues (one shuffle per domain, in domain order) plus initial P'."""
-    by_domain = _examples_by_domain(corpus)
-    queues = [DomainQueue(order=rng.permutation(len(examples)))
-              for examples in by_domain]
+    queues = [DomainQueue(rows=rows, order=rng.permutation(len(rows)))
+              for rows in _domain_rows(corpus)]
     probs = sampling_probabilities(dom_emb, corpus.table.target_index, tau, explore)
     return SamplerState(
         queues=queues, probs=probs, target=corpus.table.target_index,
-        tau=tau, rng=rng, examples_by_domain=by_domain, explore=explore,
+        tau=tau, rng=rng, corpus=corpus, explore=explore,
     )
 
 
@@ -128,7 +126,7 @@ def state_to_json(state: SamplerState) -> dict[str, Any]:
 
 def state_from_json(raw: dict[str, Any], corpus: PackedCorpus) -> SamplerState:
     """Rebuild a sampler saved by state_to_json over the same corpus, or raise CheckpointError."""
-    by_domain = _examples_by_domain(corpus)
+    by_domain = _domain_rows(corpus)
     with section_fields(SAMPLER_SECTION):
         if raw["target"] != corpus.table.target_index:
             raise CheckpointError(f"checkpoint targets domain {raw['target']}, "
@@ -144,7 +142,7 @@ def state_from_json(raw: dict[str, Any], corpus: PackedCorpus) -> SamplerState:
             cursor = int(q["cursor"])
             if not 0 <= cursor <= n:
                 raise CheckpointError(f"queue {i} cursor {cursor} is outside [0, {n}]")
-            queues.append(DomainQueue(order=order, cursor=cursor))
+            queues.append(DomainQueue(rows=by_domain[i], order=order, cursor=cursor))
         probs = np.asarray(raw["probs"], dtype=np.float64)
         if not (probs.shape == (len(by_domain),) and np.all(probs >= 0.0)
                 and abs(probs.sum() - 1.0) <= 1e-9):
@@ -153,20 +151,22 @@ def state_from_json(raw: dict[str, Any], corpus: PackedCorpus) -> SamplerState:
         return SamplerState(
             queues=queues, probs=probs,
             target=int(raw["target"]), tau=float(raw["tau"]),
-            rng=rng_from_state(raw["rng"]), examples_by_domain=by_domain,
+            rng=rng_from_state(raw["rng"]), corpus=corpus,
             explore=float(raw["explore"]),
         )
 
 
 def next_example(state: SamplerState, domain_id: int) -> PackedExample:
-    """Pop the next example of one domain; reshuffle when exhausted."""
+    """Pop the next row of one domain, as an example viewing the corpus row;
+    reshuffle when exhausted."""
     queue = state.queues[domain_id]
     if queue.cursor >= queue.order.shape[0]:
         queue.order = state.rng.permutation(queue.order.shape[0])
         queue.cursor = 0
-    ex = state.examples_by_domain[domain_id][int(queue.order[queue.cursor])]
+    row = queue.rows[queue.order[queue.cursor]]
     queue.cursor += 1
-    return ex
+    corpus = state.corpus
+    return PackedExample(corpus.ids[row], int(corpus.valid_lens[row]), int(corpus.domains[row]))
 
 
 def sample_batch(state: SamplerState, batch_size: int) -> list[PackedExample]:

@@ -263,7 +263,7 @@ def train(
         raise ConfigError("model n_domains disagrees with the corpus domain table")
     if mc.vocab_size != corpus.vocab_size:
         raise ConfigError("model vocab_size disagrees with the packed corpus")
-    if mc.max_len < corpus.max_len:
+    if mc.max_len < corpus.ids.shape[1]:
         raise ConfigError("model max_len is smaller than the packed rows")
     t = table.target_index
     spe = steps_per_epoch(table.counts[t], tc.effective_batch)

@@ -75,12 +75,12 @@ def reference_write_packed(path: str | Path, corpus: PackedCorpus) -> None:
     ``domain_id<TAB>valid_len<TAB>space-separated ids`` (all max_len ids)."""
     with open_replacing(path, "w", encoding="utf-8") as fh:
         fh.write(
-            f"{PACKED_MAGIC} L_max={corpus.max_len} "
+            f"{PACKED_MAGIC} L_max={corpus.ids.shape[1]} "
             f"n_plus_1={corpus.table.n_plus_1} vocab_size={corpus.vocab_size}\n"
         )
-        for ex in corpus.examples:
-            ids = " ".join(str(int(v)) for v in ex.ids)
-            fh.write(f"{ex.domain_id}\t{ex.valid_len}\t{ids}\n")
+        for did, valid_len, row in zip(corpus.domains, corpus.valid_lens, corpus.ids):
+            ids = " ".join(str(int(v)) for v in row)
+            fh.write(f"{int(did)}\t{int(valid_len)}\t{ids}\n")
 
 
 def reference_read_packed(path: str | Path, table: DomainTable) -> PackedCorpus:
@@ -109,7 +109,21 @@ def reference_read_packed(path: str | Path, table: DomainTable) -> PackedCorpus:
             if ids.shape != (max_len,):
                 raise CorpusError(f"line {lineno}: expected {max_len} ids")
             examples.append(PackedExample(ids=ids, valid_len=valid_len, domain_id=did))
-    return PackedCorpus(examples=examples, table=table, max_len=max_len, vocab_size=vocab_size)
+    return corpus_of(examples, table, max_len, vocab_size)
+
+
+def corpus_of(examples: list[PackedExample], table: DomainTable, max_len: int,
+              vocab_size: int) -> PackedCorpus:
+    """The PackedCorpus of examples' rows, in order."""
+    return PackedCorpus(
+        np.array([ex.ids for ex in examples], dtype=np.int64).reshape(-1, max_len),
+        np.array([ex.valid_len for ex in examples], dtype=np.int64),
+        np.array([ex.domain_id for ex in examples], dtype=np.int64), table, vocab_size)
+
+
+def row_address(example: PackedExample) -> int:
+    """Where an example's ids start in memory: each corpus row has its own."""
+    return example.ids.ctypes.data
 
 
 def random_packed_example(
@@ -135,7 +149,7 @@ def packed_corpus(rng: np.random.Generator, counts, target: int = 0,
                         counts=list(counts))
     examples = [random_packed_example(rng, max_len, vocab_size, did)
                 for did, count in enumerate(counts) for _ in range(count)]
-    return PackedCorpus(examples, table, max_len, vocab_size)
+    return corpus_of(examples, table, max_len, vocab_size)
 
 
 def failing_partway(items):

@@ -16,7 +16,7 @@ from dombert.nputil import STREAM_EVAL, derive_rng
 from dombert.sampler import build_sampler, next_example, sample_batch
 
 from conftest import (loss_mlm, mlm_logits_full, observe_steps, packed_corpus,
-                      random_packed_example)
+                      random_packed_example, row_address)
 
 
 def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -212,20 +212,20 @@ def test_criterion_3_sampler_fidelity(monkeypatch):
     # no repeats within a queue pass, for every domain
     no_repeat = True
     for did in range(4):
-        seen = [id(next_example(state, did)) for _ in range(10)]
+        seen = [row_address(next_example(state, did)) for _ in range(10)]
         queue_len = 5
         # realign to the refill boundary, then take two full windows
         q = state.queues[did]
         offset = (queue_len - q.cursor) % queue_len
-        seen += [id(next_example(state, did)) for _ in range(offset)]
-        window = [id(next_example(state, did)) for _ in range(queue_len)]
+        seen += [row_address(next_example(state, did)) for _ in range(offset)]
+        window = [row_address(next_example(state, did)) for _ in range(queue_len)]
         no_repeat &= len(set(window)) == queue_len
 
     # target probability maximal throughout a real training run
     run_corpus = packed_corpus(np.random.default_rng(0), (12, 9, 8), max_len=16,
                                vocab_size=40)
     mc = ModelConfig(vocab_size=run_corpus.vocab_size,
-                     n_domains=run_corpus.table.n_plus_1, max_len=run_corpus.max_len,
+                     n_domains=run_corpus.table.n_plus_1, max_len=run_corpus.ids.shape[1],
                      d_hidden=16, n_layers=1, n_heads=2, d_ff=32, d_domain=8)
     tc = trainer.TrainConfig(epochs=4, seed=0, micro_batch=4, accum_steps=1,
                              checkpoint_interval=0)
@@ -278,7 +278,7 @@ def test_criterion_5_loss_identity_and_frozen_head(monkeypatch):
                                vocab_size=40)
     mc = ModelConfig(vocab_size=run_corpus.vocab_size,
                      n_domains=run_corpus.table.n_plus_1,
-                     max_len=run_corpus.max_len, d_hidden=16, n_layers=1,
+                     max_len=run_corpus.ids.shape[1], d_hidden=16, n_layers=1,
                      n_heads=2, d_ff=32, d_domain=8)
     # 12 target examples / effective batch 4 -> 3 steps per epoch
     tc = trainer.TrainConfig(lam=0.9, epochs=67, seed=1, micro_batch=2,
@@ -324,7 +324,7 @@ def _default_synthetic_packed(corpus_seed: int = 100):
 def _recovery_mean(packed, truth, seeds, **train_overrides):
     mc = ModelConfig(vocab_size=packed.vocab_size,
                      n_domains=packed.table.n_plus_1,
-                     max_len=packed.max_len, d_domain=16)
+                     max_len=packed.ids.shape[1], d_domain=16)
     precisions = []
     for seed in seeds:
         tc = trainer.TrainConfig(epochs=20, seed=seed, checkpoint_interval=0,

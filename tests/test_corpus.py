@@ -2,6 +2,7 @@ import collections
 import contextlib
 import io
 import tempfile
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -40,7 +41,7 @@ from dombert.corpus import (
 )
 from dombert.errors import ConfigError, CorpusError
 
-from conftest import (failing_partway, packed_corpus, reference_build_vocab,
+from conftest import (corpus_of, failing_partway, packed_corpus, reference_build_vocab,
                       reference_pack_domain, reference_read_packed, reference_tokenize,
                       reference_write_packed)
 
@@ -238,7 +239,7 @@ class TestPackCorpus:
         packed, _ = build_tiny_corpus(
             tmp_path, ["a\tone two three", "b\tfour five", "a\tsix"]
         )
-        assert sum(packed.table.counts) == len(packed.examples)
+        assert sum(packed.table.counts) == len(packed.ids)
         validate_packed(packed)
 
     def test_packing_again_leaves_the_first_corpus_valid(self):
@@ -276,9 +277,9 @@ class TestPackedCorpus:
 
     def test_row_without_cls_rejected(self, rng):
         good = packed_corpus(rng, [2, 1, 1])
-        good.examples[1].ids[0] = SEP_ID
+        good.ids[1, 0] = SEP_ID
         with pytest.raises(CorpusError, match=r"example 1: row does not start with \[CLS\]"):
-            PackedCorpus(good.examples, good.table, 10, 20)
+            PackedCorpus(good.ids, good.valid_lens, good.domains, good.table, 20)
 
 
 class TestFileFormats:
@@ -291,11 +292,9 @@ class TestFileFormats:
         header = out.read_text(encoding="utf-8").splitlines()[0]
         assert header.startswith("DOMPACK v1 ")
         restored = read_packed(out, packed.table)
-        assert len(restored.examples) == len(packed.examples)
-        for a, b in zip(restored.examples, packed.examples):
-            assert np.array_equal(a.ids, b.ids)
-            assert a.valid_len == b.valid_len
-            assert a.domain_id == b.domain_id
+        assert np.array_equal(restored.ids, packed.ids)
+        assert np.array_equal(restored.valid_lens, packed.valid_lens)
+        assert np.array_equal(restored.domains, packed.domains)
 
     def test_packed_bad_header(self, tmp_path):
         packed, _ = build_tiny_corpus(tmp_path, ["a\tone", "b\ttwo"])
@@ -303,6 +302,14 @@ class TestFileFormats:
         out.write_text("NOTPACK v9\n", encoding="utf-8")
         with pytest.raises(CorpusError):
             read_packed(out, packed.table)
+
+    @pytest.mark.parametrize("max_len", [0, -3])
+    def test_row_length_below_one_refused_without_rows(self, tmp_path, max_len):
+        out = tmp_path / "packed.tsv"
+        out.write_text(f"DOMPACK v1 L_max={max_len} n_plus_1=2 vocab_size=9\n",
+                       encoding="utf-8")
+        with pytest.raises(CorpusError, match=f"rows of {max_len} ids"):
+            read_packed(out, DomainTable(["a", "b"], 0, [0, 0]))
 
     def test_vocab_round_trip(self, tmp_path):
         vocab = build_vocab(["alpha beta gamma alpha"], min_count=1, max_size=10)
@@ -392,8 +399,7 @@ class TestIngestDirectory:
         for path in (root, root / "packed.tsv"):
             restored = read_ingested(path)
             assert restored.table.counts == packed.table.counts
-            assert [ex.domain_id for ex in restored.examples] == [
-                ex.domain_id for ex in packed.examples]
+            assert restored.domains.tolist() == packed.domains.tolist()
 
     @pytest.mark.parametrize("name", ["packed.tsv", "vocab.tsv", "domains.tsv", "stats.tsv"])
     def test_failed_rewrite_keeps_the_earlier_file(self, tmp_path, name):
@@ -403,8 +409,9 @@ class TestIngestDirectory:
         before = {p.name: p.read_bytes() for p in root.iterdir()}
         rewrite = {
             "packed.tsv": lambda: write_packed(path, SimpleNamespace(
-                examples=failing_partway(packed.examples), table=table,
-                max_len=packed.max_len, vocab_size=packed.vocab_size)),
+                ids=packed.ids, valid_lens=packed.valid_lens, table=table,
+                domains=SimpleNamespace(tolist=lambda: failing_partway(packed.domains.tolist())),
+                vocab_size=packed.vocab_size)),
             "vocab.tsv": lambda: write_vocab(path, SimpleNamespace(
                 size=vocab.size, id_to_token=failing_partway(vocab.id_to_token))),
             "domains.tsv": lambda: write_domain_table(path, SimpleNamespace(
@@ -432,13 +439,19 @@ class TestIngestDirectory:
             read_ingested(root)
 
 
-def rewrite_first_ids(root, edit):
-    """Replace the id field of packed.tsv's first row with edit(its id strings)."""
+def rewrite_first_field(root, field, edit):
+    """Replace field `field` of packed.tsv's first row with edit(its text)."""
     path = root / "packed.tsv"
     lines = path.read_text(encoding="utf-8").splitlines()
-    did, valid_len, ids = lines[1].split("\t")
-    lines[1] = f"{did}\t{valid_len}\t{edit(ids.split(' '))}"
+    fields = lines[1].split("\t")
+    fields[field] = edit(fields[field])
+    lines[1] = "\t".join(fields)
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
+def rewrite_first_ids(root, edit):
+    """Replace the id field of packed.tsv's first row with edit(its id strings)."""
+    rewrite_first_field(root, 2, lambda ids: edit(ids.split(" ")))
 
 
 def with_second(value):
@@ -467,6 +480,16 @@ TIGHTENED_ID_FIELDS = {
     "Arabic-Indic digit": with_second("\u0665"),
 }
 
+# Domain and valid_len fields that only int() accepted, as edits of the
+# number write_packed wrote there.
+TIGHTENED_NUMBER_FIELDS = {
+    "plus sign": lambda n: "+" + n,
+    "digit separator": lambda n: "0_" + n,
+    "Arabic-Indic digits": lambda n: "".join(chr(0x660 + int(c)) for c in n),
+    "leading space": lambda n: " " + n,
+    "trailing space": lambda n: n + " ",
+}
+
 
 class TestReadPackedIdFields:
     _write = TestIngestDirectory._write
@@ -488,12 +511,38 @@ class TestReadPackedIdFields:
         with pytest.raises(CorpusError, match="^line 2: unparseable example"):
             read_ingested(root)
 
+    @pytest.mark.parametrize("field", [0, 1], ids=["domain", "valid_len"])
+    @pytest.mark.parametrize("case", sorted(TIGHTENED_NUMBER_FIELDS))
+    def test_number_only_int_accepted_is_refused(self, tmp_path, case, field):
+        root, packed = self._write(tmp_path)
+        rewrite_first_field(root, field, TIGHTENED_NUMBER_FIELDS[case])
+        reference_read_packed(root / "packed.tsv", packed.table)
+        with pytest.raises(CorpusError, match="^line 2: unparseable example"):
+            read_ingested(root)
+
     def test_rows_are_views_of_one_array(self, tmp_path):
-        root, _ = self._write(tmp_path)
+        root, packed = self._write(tmp_path)
         restored = read_ingested(root)
-        base = restored.examples[0].ids.base
-        assert base is not None and base.shape == (len(restored.examples), restored.max_len)
-        assert all(ex.ids.base is base for ex in restored.examples)
+        n, max_len = len(packed.ids), packed.ids.shape[1]
+        assert restored.ids.shape == (n, max_len) and restored.ids.flags.c_contiguous
+        assert restored.valid_lens.shape == restored.domains.shape == (n,)
+        assert all(np.shares_memory(row, restored.ids) for row in restored.ids)
+
+
+def test_validate_packed_makes_no_row_sized_copy(tmp_path, rng):
+    """On a read corpus shaped like the 128-domain pool's (10,197 rows of 32
+    ids), checking the rows in place allocates less than the ids hold."""
+    counts = [80] * 127 + [10197 - 80 * 127]
+    path = tmp_path / "packed.tsv"
+    write_packed(path, packed_corpus(rng, counts, max_len=32, vocab_size=8005))
+    restored = read_packed(path, DomainTable([f"dom{i}" for i in range(128)], 0, counts))
+    tracemalloc.start()
+    try:
+        validate_packed(restored)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < restored.ids.nbytes, (peak, restored.ids.nbytes)
 
 
 def reference_ingest(corpus_path, target, min_count, max_vocab, max_len, out):
@@ -506,7 +555,7 @@ def reference_ingest(corpus_path, target, min_count, max_vocab, max_len, out):
         by_domain[ids_by_name[name]].append(reference_tokenize(text, vocab))
     rows = [reference_pack_domain(docs, did, max_len) for did, docs in enumerate(by_domain)]
     own = DomainTable(list(table.names), table.target_index, [len(r) for r in rows])
-    packed = PackedCorpus([ex for r in rows for ex in r], own, max_len, vocab.size)
+    packed = corpus_of([ex for r in rows for ex in r], own, max_len, vocab.size)
     out.mkdir()
     reference_write_packed(out / "packed.tsv", packed)
     write_vocab(out / "vocab.tsv", vocab)
@@ -551,10 +600,9 @@ class TestIngestMatchesReference:
             restored = read_ingested(tmp / "new")
             reference = reference_read_packed(tmp / "ref" / "packed.tsv",
                                               read_domain_table(tmp / "ref" / "domains.tsv"))
-            assert len(restored.examples) == len(reference.examples)
-            for a, b in zip(restored.examples, reference.examples):
-                assert np.array_equal(a.ids, b.ids)
-                assert (a.valid_len, a.domain_id) == (b.valid_len, b.domain_id)
+            assert np.array_equal(restored.ids, reference.ids)
+            assert np.array_equal(restored.valid_lens, reference.valid_lens)
+            assert np.array_equal(restored.domains, reference.domains)
 
     @given(records=st.lists(st.tuples(st.sampled_from(["a", "b", "Ωmega", "d 4"]), TEXTS),
                             min_size=1, max_size=30),

@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from dombert import trainer
 from dombert.errors import CheckpointError, ConfigError, DegenerateEmbeddingError
 from dombert.nputil import derive_rng
 from dombert.sampler import (
@@ -19,7 +21,7 @@ from dombert.sampler import (
     state_to_json,
 )
 
-from conftest import packed_corpus
+from conftest import packed_corpus, row_address
 
 
 class TestDomainProbabilities:
@@ -149,7 +151,7 @@ class TestQueues:
 
     def test_each_example_once_per_refill_window(self, rng):
         state = self._state(rng, [3, 2])
-        seen = [id(next_example(state, 0)) for _ in range(6)]
+        seen = [row_address(next_example(state, 0)) for _ in range(6)]
         # two full permutations of three distinct examples
         assert sorted(seen[:3]) == sorted(set(seen[:3]))
         assert sorted(seen[3:]) == sorted(set(seen[3:]))
@@ -160,6 +162,15 @@ class TestQueues:
         state = self._state(rng, [3, 4, 2], probs=[0.0, 1.0, 0.0])
         batch = sample_batch(state, 16)
         assert all(ex.domain_id == 1 for ex in batch)
+
+    def test_batch_rows_view_the_corpus_with_int_fields(self, rng):
+        """The benchmark sums valid_len and domain_id into JSON, which takes
+        no numpy integer; a row is a view of the corpus, not a copy."""
+        corpus = packed_corpus(rng, [3, 4, 2])
+        batch = trainer.sample_batch(build_sampler(corpus, np.eye(3), 0.13, derive_rng(0, 1)), 16)
+        assert all(type(ex.valid_len) is int and type(ex.domain_id) is int for ex in batch)
+        assert all(np.shares_memory(ex.ids, corpus.ids) for ex in batch)
+        json.dumps([sum(ex.valid_len for ex in batch), sorted({ex.domain_id for ex in batch})])
 
     def test_empirical_frequencies_approach_p(self, rng):
         probs = [0.4, 0.3, 0.2, 0.1]

@@ -40,7 +40,7 @@ def read_log(out_dir):
 
 def small_model_config(corpus, **overrides):
     base = dict(vocab_size=corpus.vocab_size, n_domains=corpus.table.n_plus_1,
-                max_len=corpus.max_len, d_hidden=8, n_layers=1, n_heads=2,
+                max_len=corpus.ids.shape[1], d_hidden=8, n_layers=1, n_heads=2,
                 d_ff=12, d_domain=4, dtype="float32")
     base.update(overrides)
     return ModelConfig(**base)
