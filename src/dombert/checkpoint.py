@@ -26,6 +26,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -77,11 +78,14 @@ def _read_exact(fh: BinaryIO, nbytes: int, what: str) -> bytes:
     return fh.read(nbytes)
 
 
+# An int as str() writes it; 18 digits are more than any field can hold.
+_DECIMAL = re.compile("-?[0-9]{1,18}")
+
+
 def _int(text: str, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise CheckpointError(f"corrupt checkpoint: {what} {text!r} is not an integer") from None
+    if not _DECIMAL.fullmatch(text):
+        raise CheckpointError(f"corrupt checkpoint: {what} {text!r} is not a decimal integer")
+    return int(text)
 
 
 def _write_array(fh: BinaryIO, name: str, arr: np.ndarray, config: ModelConfig) -> None:
@@ -205,7 +209,7 @@ def load(path: str | Path) -> CheckpointBundle:
             raise CheckpointError(f"unexpected section {header_text!r}")
         try:
             kv = dict(f.split("=", 1) for f in header_text.split(" ")[1:])
-            adamax = {"step": int(kv["step"]),
+            adamax = {"step": _int(kv["step"], "step"),
                       **{key: float(kv[key]) for key in ("beta1", "beta2", "eps")}}
         except (KeyError, ValueError):
             raise CheckpointError(f"bad section header {header_text!r}") from None

@@ -359,6 +359,12 @@ def read_ingested(path: str | Path) -> PackedCorpus:
     return read_packed(path, read_domain_table(path.parent / DOMAINS_FILE))
 
 
+# A number as the writers write it: decimal digits after an optional minus.
+# 18 digits always fit int64, which np.fromstring would silently clip.
+_NUMBER = "-?[0-9]{1,18}"
+_DECIMAL = re.compile(_NUMBER)
+
+
 def _read_header(fh: TextIO, magic: str, keys: tuple[str, ...], what: str) -> list[int]:
     """The integer values of `keys` in a ``magic key=value ...`` header line."""
     header = fh.readline().rstrip("\n")
@@ -366,32 +372,31 @@ def _read_header(fh: TextIO, magic: str, keys: tuple[str, ...], what: str) -> li
     if fields[:2] == magic.split(" "):
         try:
             kv = dict(f.split("=", 1) for f in fields[2:])
-            return [int(kv[key]) for key in keys]
+            if all(_DECIMAL.fullmatch(kv[key]) for key in keys):
+                return [int(kv[key]) for key in keys]
         except (KeyError, ValueError):
             pass
-    raise CorpusError(f"bad {what} header: {header!r}")
+    raise CorpusError(f"{fh.name} line 1: bad {what} header: {header!r}")
 
 
-def _read_rows(fh: TextIO, n: int, n_fields: int, what: str) -> list[list[str]]:
-    """The fields after the id of ``id<TAB>field...`` lines, in id order;
-    the ids must be 0..n-1, each exactly once."""
-    rows: dict[int, list[str]] = {}
+def _read_rows(fh: TextIO, n: int, row: re.Pattern, what: str) -> list[tuple[str, ...]]:
+    """The groups after the first of each line's fullmatch of `row`, in id
+    order: the first group is the id, and the ids must be 0..n-1, each
+    exactly once. A line that `row` does not match is a CorpusError."""
+    rows: dict[int, tuple[str, ...]] = {}
     for lineno, line in enumerate(fh, start=2):
         line = line.rstrip("\n")
         if not line:
             continue
-        parts = line.split("\t")
-        try:
-            ident = int(parts[0])
-        except ValueError as exc:
-            raise CorpusError(f"{what} line {lineno}: bad id {parts[0]!r}") from exc
-        if len(parts) != n_fields:
-            raise CorpusError(f"{what} line {lineno}: expected {n_fields} TAB-separated fields")
+        fields = row.fullmatch(line)
+        if fields is None:
+            raise CorpusError(f"{fh.name} line {lineno}: expected {what}")
+        ident = int(fields[1])
         if not 0 <= ident < n or ident in rows:
-            raise CorpusError(f"{what} line {lineno}: id {ident} out of range or repeated")
-        rows[ident] = parts[1:]
+            raise CorpusError(f"{fh.name} line {lineno}: id {ident} out of range or repeated")
+        rows[ident] = fields.groups()[1:]
     if len(rows) != n:
-        raise CorpusError(f"{what} has {len(rows)} rows, its header says {n}")
+        raise CorpusError(f"{fh.name} has {len(rows)} rows, its header says {n}")
     return [rows[i] for i in range(n)]
 
 
@@ -410,10 +415,11 @@ def write_packed(path: str | Path, corpus: PackedCorpus) -> None:
             fh.write(line % (did, valid_len, *ids.tolist()))
 
 
-# A row's line as write_packed writes it: decimal numbers, the ids one space
-# apart. 18 digits always fit int64, which np.fromstring would silently clip.
-_NUMBER = "-?[0-9]{1,18}"
+# The rows as write_packed, write_vocab and write_domain_table write them:
+# decimal numbers, a packed row's ids one space apart.
 _ROW = re.compile(rf"{_NUMBER}\t{_NUMBER}\t{_NUMBER}(?: {_NUMBER})*")
+_VOCAB_ROW = re.compile(rf"({_NUMBER})\t([^\t]*)")
+_TABLE_ROW = re.compile(rf"({_NUMBER})\t([^\t]*)\t({_NUMBER})")
 
 
 def read_packed(path: str | Path, table: DomainTable) -> PackedCorpus:
@@ -464,7 +470,7 @@ def write_vocab(path: str | Path, vocab: Vocabulary) -> None:
 def read_vocab(path: str | Path) -> Vocabulary:
     with open_text(path) as fh:
         (size,) = _read_header(fh, VOCAB_MAGIC, ("size",), "vocabulary")
-        tokens = [tok for tok, in _read_rows(fh, size, 2, "vocabulary")]
+        tokens = [tok for tok, in _read_rows(fh, size, _VOCAB_ROW, "a decimal id<TAB>token")]
     if tokens[:NUM_RESERVED] != RESERVED_TOKENS:
         raise CorpusError("vocabulary file lacks the reserved tokens")
     return Vocabulary(tokens[NUM_RESERVED:])
@@ -481,13 +487,10 @@ def read_domain_table(path: str | Path) -> DomainTable:
     with open_text(path) as fh:
         n_plus_1, target = _read_header(fh, TABLE_MAGIC, ("n_plus_1", "target"),
                                         "domain-table")
-        rows = _read_rows(fh, n_plus_1, 3, "domain table")
-    try:
-        counts = [int(count) for _, count in rows]
-    except ValueError as exc:
-        raise CorpusError("domain table has a non-integer count") from exc
+        rows = _read_rows(fh, n_plus_1, _TABLE_ROW,
+                          "a decimal id<TAB>name<TAB>decimal count")
     return DomainTable(names=[name for name, _ in rows], target_index=target,
-                       counts=counts)
+                       counts=[int(count) for _, count in rows])
 
 
 def write_stats(path: str | Path, stats: list[tuple[str, int]]) -> None:

@@ -10,7 +10,9 @@ The encoder has no stochastic layer, so a forward pass is a pure function
 of its inputs and parameters. It runs the embedding, then one layer body at
 a time: a training pass keeps each layer's cache for reverse mode, and a
 scoring pass keeps none, holding only each layer's output batch-wide and
-each intermediate in a shard-local array until its last use. Each layer's
+each intermediate in a shard-local array until its last use. The backward
+pass runs the layers top down, each one's data gradients and then its
+parameter sums, so it holds one layer's gradients at a time. Each layer's
 backward body lives beside its forward one, so the architecture is defined
 in one place.
 """
@@ -449,7 +451,7 @@ def _layer_forward(a_in: np.ndarray, rows: np.ndarray | None, x: np.ndarray,
     z2 = gelu(z1, kept("s"), out=z1 if lc is None else None)[0]
     del z1
     fo = _affine(z2, params[pre + "w2"], params[pre + "b2"])
-    del z2  # backward rebuilds it from s; freeing it here lowers peak memory
+    del z2  # backward rebuilds it from s in dz1's array; freeing it here lowers peak memory
     fo += x1
     del x1
     _ln_forward(fo, params[pre + "ln2_g"], params[pre + "ln2_b"], x, kept("ln2"))
@@ -478,9 +480,11 @@ def encode_backward(
 ) -> None:
     """Accumulate encoder gradients for upstream d_h (shaped like cache.h) into `grads`.
 
-    The data gradients run layer by layer, top down, in example shards, as
-    encode does; each parameter's gradient is then summed over the whole
-    batch, spread over the same threads.
+    The layers run top down. Each runs its data gradients in example shards,
+    as encode does, and then sums each of its parameters' gradients over the
+    whole batch, spread over the same threads; layer 0's sums take the
+    embedding's too. A layer's data gradients are allocated when it starts
+    and dropped once its sums are done, so one layer's are held at a time.
     """
     if not cache.layers:
         raise InputError("the cache holds no layers: encode ran without for_backward")
@@ -488,29 +492,27 @@ def encode_backward(
         raise InputError(f"d_h has shape {np.shape(d_h)}, the cache's h {cache.h.shape}")
     b, l = cache.input_ids.shape
     n = _shard_count(b, l)
-    # dys[i] is the gradient at layer i's input, which layer i writes: dys[0]
-    # goes into the embedding LN, and the top layer reads d_h.
-    dys = [np.empty_like(lc.a_in) for lc in cache.layers] + [d_h]
-    lgs = [_LayerGrads(dy=dy, dres2=np.empty_like(lc.x1), dz1=np.empty_like(lc.z1),
-                       dx1=np.empty_like(lc.x1), dres1=np.empty_like(lc.x1),
-                       dq=np.empty_like(lc.q), dk=np.empty_like(lc.k), dv=np.empty_like(lc.v))
-           for lc, dy in zip(cache.layers, dys[1:])]
+    dy = d_h  # the gradient at the output of the layer that runs next
     for i in reversed(range(config.n_layers)):
+        lc, pre = cache.layers[i], f"layer{i}."
+        lg = _LayerGrads(dy=dy, dres2=np.empty_like(lc.x1), dz1=np.empty_like(lc.z1),
+                         dx1=np.empty_like(lc.x1), dres1=np.empty_like(lc.x1),
+                         dq=np.empty_like(lc.q), dk=np.empty_like(lc.k), dv=np.empty_like(lc.v))
+        dy = np.empty_like(lc.a_in)
         _in_shards(partial(_layer_backward, i=i, params=params, config=config),
-                   (cache.layers[i], lgs[i], dys[i]), _even_parts(b, n))
-
-    # One task per affine layer and per layer norm; run_all balances the list.
-    tasks = [partial(_embedding_grads, cache, dys[0], params, grads)]
-    for i, (lc, lg) in enumerate(zip(cache.layers, lgs)):
-        pre = f"layer{i}."
-        tasks += [partial(_ff_out_grads, lc, lg.dres2, grads, pre),
+                   (lc, lg, dy), _even_parts(b, n))
+        # One task per layer norm, per attention projection and for the FF block;
+        # run_all balances the list.
+        tasks = [partial(_embedding_grads, cache, dy, params, grads)] if i == 0 else []
+        tasks += [partial(_ff_grads, lc, lg, grads, pre),
                   partial(_ln_param_grads, lg.dy, lc.ln2, grads, pre + "ln2"),
                   partial(_ln_param_grads, lg.dx1, lc.ln1, grads, pre + "ln1")]
-        tasks += [partial(_affine_grads, x, dy, grads, pre + "w" + n, pre + "b" + n)
-                  for n, x, dy in (("1", lc.x1, lg.dz1), ("o", lc.ctx, lg.dres1),
+        tasks += [partial(_affine_grads, x, dx, grads, pre + "w" + k, pre + "b" + k)
+                  for k, x, dx in (("o", lc.ctx, lg.dres1),
                                    ("q", _at_rows(lc.a_in, lc.rows), lg.dq),
                                    ("k", lc.a_in, lg.dk), ("v", lc.a_in, lg.dv))]
-    run_all(tasks, n)
+        run_all(tasks, n)
+        del lg, tasks  # layer i - 1 allocates its own
 
 
 def _layer_backward(lc: LayerCache, lg: _LayerGrads, da_in: np.ndarray, i: int,
@@ -552,10 +554,13 @@ def _layer_backward(lc: LayerCache, lg: _LayerGrads, da_in: np.ndarray, i: int,
     da_in += lg.dv @ params[pre + "wv"].T
 
 
-def _ff_out_grads(lc: LayerCache, dres2: np.ndarray, grads: Params, pre: str) -> None:
-    z2 = 0.5 * lc.z1
-    z2 *= lc.s  # GELU(z1), the bytes encode computed
-    _affine_grads(z2, dres2, grads, pre + "w2", pre + "b2")
+def _ff_grads(lc: LayerCache, lg: _LayerGrads, grads: Params, pre: str) -> None:
+    """The FF block's weight and bias gradients: w1's from dz1, then w2's
+    from GELU(z1), the bytes encode computed, rebuilt in dz1's array."""
+    _affine_grads(lc.x1, lg.dz1, grads, pre + "w1", pre + "b1")
+    z2 = np.multiply(0.5, lc.z1, out=lg.dz1)
+    z2 *= lc.s
+    _affine_grads(z2, lg.dres2, grads, pre + "w2", pre + "b2")
 
 
 def _embedding_grads(c: ForwardCache, d_emb: np.ndarray, params: Params,

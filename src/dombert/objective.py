@@ -159,6 +159,7 @@ def backward(
         dlogits[np.arange(t), ealc.target_ids] -= 1.0
         dlogits *= lam / mlm_divisor
         model.mlm_head_backward(dlogits, ealc, d_h, params, grads)
+        del dlogits  # T x V; encode_backward runs without it
 
     if lam < 1.0:
         dcls = softmax(cache.dom_logits)

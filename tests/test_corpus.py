@@ -1,6 +1,7 @@
 import collections
 import contextlib
 import io
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -527,6 +528,37 @@ class TestReadPackedIdFields:
         assert restored.ids.shape == (n, max_len) and restored.ids.flags.c_contiguous
         assert restored.valid_lens.shape == restored.domains.shape == (n,)
         assert all(np.shares_memory(row, restored.ids) for row in restored.ids)
+
+
+# The integer fields of the table files: file, line (1 is the header) and the
+# pattern of the field's digits on that line.
+TABLE_INTEGER_FIELDS = {
+    "domains n_plus_1": ("domains.tsv", 1, r"(?<=n_plus_1=)[0-9]+"),
+    "domains target": ("domains.tsv", 1, r"(?<=target=)[0-9]+"),
+    "domain id": ("domains.tsv", 2, r"^[0-9]+"),
+    "domain count": ("domains.tsv", 2, r"[0-9]+$"),
+    "vocabulary size": ("vocab.tsv", 1, r"(?<=size=)[0-9]+"),
+    "token id": ("vocab.tsv", 2, r"^[0-9]+"),
+}
+
+
+@pytest.mark.parametrize("case, field", [
+    (case, field) for case in sorted(TIGHTENED_NUMBER_FIELDS) for field in TABLE_INTEGER_FIELDS
+    # a space splits a header's fields, and was refused before
+    if not ("space" in case and TABLE_INTEGER_FIELDS[field][1] == 1)])
+def test_table_integer_form_no_writer_writes_is_refused(tmp_path, case, field):
+    """The table files' integers hold the decimal form their writers write;
+    the other forms int() reads are a CorpusError naming the file and line."""
+    root, _ = TestIngestDirectory()._write(tmp_path)
+    name, lineno, digits = TABLE_INTEGER_FIELDS[field]
+    path = root / name
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[lineno - 1] = re.sub(digits, lambda m: TIGHTENED_NUMBER_FIELDS[case](m[0]),
+                               lines[lineno - 1], count=1)
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    read = read_domain_table if name == "domains.tsv" else read_vocab
+    with pytest.raises(CorpusError, match=rf"^{re.escape(str(path))} line {lineno}: "):
+        read(path)
 
 
 def test_validate_packed_makes_no_row_sized_copy(tmp_path, rng):

@@ -25,7 +25,7 @@ from dombert.nputil import (derive_rng, gelu, gelu_grad, run_all, scatter_add_ro
                             worker_threads)
 
 from conftest import (batch_with_target_counts, loss_mlm, masked_batch, mlm_logits_full,
-                      random_packed_example)
+                      random_packed_example, traced_peak)
 
 
 def tiny_config(**overrides):
@@ -281,6 +281,24 @@ class TestEncodeBackwardInputs:
         with pytest.raises(InputError):
             model.encode_backward(np.ones_like(cache.h), cache, params, cfg,
                                   model.zero_grads(cfg))
+
+    def test_memory_does_not_grow_with_depth(self, monkeypatch):
+        """A layer's data gradients go before the layer below starts: an
+        8x128 batch's backward peaks within one layer's _LayerGrads at 4
+        layers of what it peaks at 2. Holding every layer's at once adds one
+        _LayerGrads a layer."""
+        ids = np.random.default_rng(0).integers(NUM_RESERVED, 300, size=(8, 128))
+        peaks = {}
+        for n_layers in (2, 4):
+            cfg = model.ModelConfig(vocab_size=300, n_domains=3, n_layers=n_layers)
+            params = model.init_params(cfg, derive_rng(0, 0))
+            cache = model.encode(ids, np.full(8, 128), params, cfg)
+            d_h, grads = np.ones_like(cache.h), model.zero_grads(cfg)
+            peaks[n_layers] = traced_peak(monkeypatch, lambda: model.encode_backward(
+                d_h, cache, params, cfg, grads))
+        lc = cache.layers[0]
+        layer_grads = lc.z1.nbytes + 7 * lc.x1.nbytes  # dz1, and seven shaped like x1
+        assert peaks[4] - peaks[2] < layer_grads, (peaks, layer_grads)
 
 
 class TestPrunedLastLayer:

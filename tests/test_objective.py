@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,6 +250,29 @@ class TestBackward:
         for name in params:
             assert np.array_equal(params[name], inputs["params"][name]), name
         assert np.array_equal(batch.input_ids, inputs["input_ids"])
+
+    def test_encoder_backward_starts_without_the_logit_gradient(self, monkeypatch):
+        """The head's T x V logit gradient goes before encode_backward runs:
+        at vocabulary 8,005, backward holds less than half of it on entry
+        to encode_backward beyond the gradients and d_h it returns or
+        passes on."""
+        cfg = model.ModelConfig(vocab_size=8005, n_domains=3)
+        batch = batch_with_target_counts(0, cfg.vocab_size, cfg.max_len, [19] * 8)
+        params = model.init_params(cfg, derive_rng(0, 0))
+        _, cache = objective.forward(batch, params, cfg, 0.9)
+        held = {}
+        encode_backward = model.encode_backward
+
+        def recorded(d_h, *args):
+            held["entry"] = tracemalloc.get_traced_memory()[0]
+            return encode_backward(d_h, *args)
+
+        monkeypatch.setattr(model, "encode_backward", recorded)
+        traced_peak(monkeypatch, lambda: objective.backward(
+            batch, cache, params, cfg, 0.9, batch.n_targets, batch.batch_size))
+        passed_on = model.zero_grads(cfg).flat.nbytes + cache.fwd.h.nbytes
+        dlogits = batch.n_targets * cfg.vocab_size * cfg.np_dtype.itemsize
+        assert held["entry"] - passed_on < dlogits / 2, (held, passed_on, dlogits)
 
     def test_lambda_one_zeroes_cls_head_gradients(self):
         cfg, params, batch, _ = random_instance(3, lam=1.0)

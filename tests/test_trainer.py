@@ -34,6 +34,24 @@ def expected_size(config, *, domain_names, target_index):
     return total
 
 
+# Forms of an integer that int() reads and no writer writes, from its digits.
+NOT_WRITTEN_INTEGERS = {
+    "plus sign": lambda n: b"+" + n,
+    "space and plus sign": lambda n: b" +" + n,
+    "digit separator": lambda n: b"0_" + n,
+    "Arabic-Indic digits": lambda n: "".join(chr(0x660 + int(c)) for c in n.decode()).encode(),
+}
+
+# What precedes an integer field of each kind in a resumable checkpoint.
+CHECKPOINT_INTEGERS = {
+    "config line": b"\nn_heads=",
+    "array dimension": b"\ntok_emb ",
+    "target_index": b"\ntarget_index=",
+    "nbytes": b"SAMPLER-STATE nbytes=",
+    "step": b"ADAMAX-STATE step=",
+}
+
+
 def read_log(out_dir):
     return (out_dir / "log.tsv").read_text(encoding="utf-8").splitlines()
 
@@ -610,6 +628,32 @@ class TestCheckpoint:
         bad.write_bytes(data.replace(old, new))
         with pytest.raises(CheckpointError):
             checkpoint.load(bad)
+
+    @pytest.mark.parametrize("form, field", [
+        (form, field) for form in sorted(NOT_WRITTEN_INTEGERS) for field in CHECKPOINT_INTEGERS
+        # a space splits these lines' fields, and was refused before
+        if not (" " in form and field in ("array dimension", "step"))])
+    def test_integer_form_no_writer_writes_rejected(self, tmp_path, form, field):
+        """An integer field holds the decimal form str() writes; the other
+        forms int() reads are a CheckpointError naming the field."""
+        corpus = make_corpus()
+        mc = small_model_config(corpus)
+        params = init_params(mc, derive_rng(0, 0))
+        path = tmp_path / "state.ckpt"
+        checkpoint.save_model(path, mc, params, domain_names=list(corpus.table.names),
+                              target_index=0, sampler={}, trainer={},
+                              adamax={"step": 1, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8,
+                                      "m": params, "u": params})
+        checkpoint.load(path)
+        data = path.read_bytes()
+        start = data.index(CHECKPOINT_INTEGERS[field]) + len(CHECKPOINT_INTEGERS[field])
+        end = start
+        while data[end:end + 1].isdigit():
+            end += 1
+        path.write_bytes(data[:start] + NOT_WRITTEN_INTEGERS[form](data[start:end])
+                         + data[end:])
+        with pytest.raises(CheckpointError, match="is not a decimal integer"):
+            checkpoint.load(path)
 
     @pytest.mark.parametrize("field, value", [
         ("step", "-5"), ("beta1", "1.0"), ("beta1", "-0.1"), ("beta2", "1.5"),
