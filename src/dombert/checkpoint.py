@@ -88,6 +88,14 @@ def _int(text: str, what: str) -> int:
     return int(text)
 
 
+def json_int(value: object, what: str) -> int:
+    """value, if a JSON section gave it as an integer; a float, bool or
+    string, which int() would take, is a CheckpointError naming `what`."""
+    if type(value) is not int:
+        raise CheckpointError(f"corrupt checkpoint: {what} {value!r} is not an integer")
+    return value
+
+
 def _write_array(fh: BinaryIO, name: str, arr: np.ndarray, config: ModelConfig) -> None:
     dims = " ".join(str(d) for d in arr.shape)
     _write_line(fh, f"{name} {dims}")

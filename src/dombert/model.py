@@ -12,7 +12,8 @@ a time: a training pass keeps each layer's cache for reverse mode, and a
 scoring pass keeps none, holding only each layer's output batch-wide and
 each intermediate in a shard-local array until its last use. The backward
 pass runs the layers top down, each one's data gradients and then its
-parameter sums, so it holds one layer's gradients at a time. Each layer's
+parameter sums, so it holds one layer's gradients at a time, and drops
+each layer's cache with them. Each layer's
 backward body lives beside its forward one, so the architecture is defined
 in one place.
 """
@@ -485,16 +486,20 @@ def encode_backward(
     whole batch, spread over the same threads; layer 0's sums take the
     embedding's too. A layer's data gradients are allocated when it starts
     and dropped once its sums are done, so one layer's are held at a time.
+    Each layer's cache is dropped once its sums are done, which frees it
+    where the caller passed its only reference (objective.backward does).
     """
     if not cache.layers:
         raise InputError("the cache holds no layers: encode ran without for_backward")
     if np.shape(d_h) != cache.h.shape:
         raise InputError(f"d_h has shape {np.shape(d_h)}, the cache's h {cache.h.shape}")
-    b, l = cache.input_ids.shape
+    input_ids, emb_ln, layers = cache.input_ids, cache.emb_ln, list(cache.layers)
+    del cache
+    b, l = input_ids.shape
     n = _shard_count(b, l)
     dy = d_h  # the gradient at the output of the layer that runs next
     for i in reversed(range(config.n_layers)):
-        lc, pre = cache.layers[i], f"layer{i}."
+        lc, pre = layers.pop(), f"layer{i}."
         lg = _LayerGrads(dy=dy, dres2=np.empty_like(lc.x1), dz1=np.empty_like(lc.z1),
                          dx1=np.empty_like(lc.x1), dres1=np.empty_like(lc.x1),
                          dq=np.empty_like(lc.q), dk=np.empty_like(lc.k), dv=np.empty_like(lc.v))
@@ -503,7 +508,8 @@ def encode_backward(
                    (lc, lg, dy), _even_parts(b, n))
         # One task per layer norm, per attention projection and for the FF block;
         # run_all balances the list.
-        tasks = [partial(_embedding_grads, cache, dy, params, grads)] if i == 0 else []
+        tasks = ([partial(_embedding_grads, input_ids, emb_ln, dy, params, grads)]
+                 if i == 0 else [])
         tasks += [partial(_ff_grads, lc, lg, grads, pre),
                   partial(_ln_param_grads, lg.dy, lc.ln2, grads, pre + "ln2"),
                   partial(_ln_param_grads, lg.dx1, lc.ln1, grads, pre + "ln1")]
@@ -512,7 +518,7 @@ def encode_backward(
                                    ("q", _at_rows(lc.a_in, lc.rows), lg.dq),
                                    ("k", lc.a_in, lg.dk), ("v", lc.a_in, lg.dv))]
         run_all(tasks, n)
-        del lg, tasks  # layer i - 1 allocates its own
+        del lc, lg, tasks  # layer i - 1 runs without them
 
 
 def _layer_backward(lc: LayerCache, lg: _LayerGrads, da_in: np.ndarray, i: int,
@@ -533,6 +539,7 @@ def _layer_backward(lc: LayerCache, lg: _LayerGrads, da_in: np.ndarray, i: int,
     q, k, v = (_split_heads(a, nh) for a in (lc.q, lc.k, lc.v))
     _merge_heads(lc.probs.swapaxes(-1, -2) @ dctx, lg.dv)
     dscores = dctx @ v.swapaxes(-1, -2)  # d probs; d scores after the in-place steps
+    del dctx  # the rowsum's product is the backward's largest temporary
     rowsum = (dscores * lc.probs).sum(-1, keepdims=True)
     dscores -= rowsum
     dscores *= lc.probs
@@ -563,12 +570,12 @@ def _ff_grads(lc: LayerCache, lg: _LayerGrads, grads: Params, pre: str) -> None:
     _affine_grads(z2, lg.dres2, grads, pre + "w2", pre + "b2")
 
 
-def _embedding_grads(c: ForwardCache, d_emb: np.ndarray, params: Params,
-                     grads: Params) -> None:
+def _embedding_grads(input_ids: np.ndarray, ln: LnCache, d_emb: np.ndarray,
+                     params: Params, grads: Params) -> None:
     # The norm's data gradient is row-local: its bytes are those of any split.
-    _ln_param_grads(d_emb, c.emb_ln, grads, "emb_ln")
-    dx0 = _ln_dx(d_emb, c.emb_ln, params["emb_ln_g"])
-    scatter_add_rows(grads["tok_emb"], c.input_ids.reshape(-1), dx0)
+    _ln_param_grads(d_emb, ln, grads, "emb_ln")
+    dx0 = _ln_dx(d_emb, ln, params["emb_ln_g"])
+    scatter_add_rows(grads["tok_emb"], input_ids.reshape(-1), dx0)
     grads["pos_emb"][: dx0.shape[1]] += dx0.sum(axis=0)
 
 
@@ -710,15 +717,17 @@ def mlm_head_backward(
     the input-embedding contribution is added later by encode_backward.
     The data gradients run in the parts mlm_logits_eal used; the parameter
     gradients and the scatter into d_h then run on the full arrays, spread
-    over the same threads.
+    over the same threads, the tied projection's in as many vocabulary
+    parts as _large_parts allows, so its V x d product is never whole.
     """
     (t, d), v = ealc.g.shape, dlogits.shape[1]
     dz3, dz1, dg_rows = (np.empty_like(ealc.g) for _ in range(3))
     _in_shards(partial(_head_backward_into, params=params), (dlogits, ealc, dz3, dz1, dg_rows),
                _large_parts(t, ealc.shards, d * v))
     tasks = [partial(_tied_grads, dlogits, ealc.z3, grads, cols)
-             for cols in _large_parts(v, ealc.shards, t * d)]
-    tasks += [partial(_ln_param_grads, dz3, ealc.ln, grads, "mlm_ln"),
+             for cols in _large_parts(v, v, t * d)]
+    tasks += [partial(_out_bias_grads, dlogits, grads),
+              partial(_ln_param_grads, dz3, ealc.ln, grads, "mlm_ln"),
               partial(_affine_grads, ealc.g, dz1, grads, "mlm_w", "mlm_b"),
               partial(scatter_add_rows, d_h, (ealc.ex_idx, ealc.slots), dg_rows)]
     run_all(tasks, ealc.shards)
@@ -736,8 +745,11 @@ def _head_backward_into(dlogits: np.ndarray, c: EalCache, dz3: np.ndarray, dz1: 
 
 
 def _tied_grads(dlogits: np.ndarray, z3: np.ndarray, grads: Params, cols: slice) -> None:
-    """The tied projection's gradients at the vocabulary rows cols."""
-    part = dlogits[:, cols]
-    grads["tok_emb"][cols] += part.T @ z3
-    grads["mlm_out_b"][cols] += part.sum(axis=0)
+    """The tied projection's weight gradient at the vocabulary rows cols."""
+    grads["tok_emb"][cols] += dlogits[:, cols].T @ z3
+
+
+def _out_bias_grads(dlogits: np.ndarray, grads: Params) -> None:
+    # A column's sum runs down the rows in order, so its bytes are those of any cut.
+    grads["mlm_out_b"] += dlogits.sum(axis=0)
 

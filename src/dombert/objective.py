@@ -14,6 +14,7 @@ as one combined batch, the regularizer's gradient added once.
 """
 from __future__ import annotations
 
+import dataclasses
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -148,27 +149,37 @@ def backward(
 ) -> model.FlatParams:
     """Exact gradients of one batch's masked-token and classification loss
     sums divided by mlm_divisor and cls_divisor (the batch's own target and
-    example counts give forward()'s means); step() adds the regularizer's."""
-    grads = model.zero_grads(config)
-    d_h = np.zeros_like(cache.fwd.h)
+    example counts give forward()'s means); step() adds the regularizer's.
 
-    ealc = cache.ealc
+    backward reads the cache's pieces into locals and drops each at its last
+    read: the head's exp once dlogits is built, the head's cache once its
+    backward returns, and the encoder's cache, h included, as it goes into
+    encode_backward, which drops each layer's in turn. A caller that keeps
+    its own reference to the cache keeps all of it, unchanged."""
+    fwd, ealc = [cache.fwd], cache.ealc  # fwd.pop() passes on the only reference
+    dom_logits, cls_weights = cache.dom_logits, cache.cls_weights
+    del cache
+    grads = model.zero_grads(config)
+    d_h = np.zeros_like(fwd[0].h)
+
     t = len(ealc.target_ids)
     if t > 0 and lam > 0.0:
         dlogits = ealc.exp / ealc.exp_sum
+        ealc = dataclasses.replace(ealc, exp=None)  # the T x V exp goes here
         dlogits[np.arange(t), ealc.target_ids] -= 1.0
         dlogits *= lam / mlm_divisor
         model.mlm_head_backward(dlogits, ealc, d_h, params, grads)
         del dlogits  # T x V; encode_backward runs without it
+    del ealc
 
     if lam < 1.0:
-        dcls = softmax(cache.dom_logits)
+        dcls = softmax(dom_logits)
         dcls[np.arange(batch.batch_size), batch.domain_labels] -= 1.0
-        dcls *= cache.cls_weights[:, None]
+        dcls *= cls_weights[:, None]
         dcls *= (1.0 - lam) / cls_divisor
-        d_h[:, 0, :] += model.domain_head_backward(dcls, cache.fwd.h_cls, params, grads)
+        d_h[:, 0, :] += model.domain_head_backward(dcls, fwd[0].h_cls, params, grads)
 
-    model.encode_backward(d_h, cache.fwd, params, config, grads)
+    model.encode_backward(d_h, fwd.pop(), params, config, grads)
     return grads
 
 
@@ -182,7 +193,13 @@ def step(
     """The loss of one optimizer step over its micro-batches, taken as one
     combined batch, and that loss's exact gradient. cls_weights holds each
     micro-batch's forward() weights. Dividing every micro-batch's gradient by
-    the step's target and example counts makes their sum the combined one's."""
+    the step's target and example counts makes their sum the combined one's.
+
+    step hands backward the only reference to each micro-batch's cache, so
+    backward frees each of its arrays at its last read. That needs CPython
+    3.11 or later, which frees an argument passed as a temporary once the
+    callee drops it; 3.10 holds it until the call returns, with the same
+    bytes and the memory of keeping the whole cache."""
     if not batches:
         raise InputError("step needs at least one micro-batch, got none")
     n_targets = max(sum(mb.n_targets for mb in batches), 1)
@@ -190,8 +207,8 @@ def step(
     grads: model.FlatParams | None = None
     mlm_sum = cls_sum = delta = 0.0
     for mb, weights in zip(batches, cls_weights, strict=True):
-        bd, cache = forward(mb, params, config, lam, weights)
-        g = backward(mb, cache, params, config, lam, n_targets, n_examples)
+        bd, *cache = forward(mb, params, config, lam, weights)
+        g = backward(mb, cache.pop(), params, config, lam, n_targets, n_examples)
         if grads is None:
             # The first micro-batch's gradients start the step's sum:
             # 0 + g differs from g only in the sign of a zero, which
@@ -202,6 +219,6 @@ def step(
         mlm_sum += bd.mlm * mb.n_targets
         cls_sum += bd.cls * mb.batch_size
         delta = bd.delta
-        del cache, g  # the next micro-batch's forward runs without them
+        del g  # the next micro-batch's forward runs without it
     grads["dom_emb"] += regularizer_grad(params["dom_emb"])
     return total_loss(mlm_sum / n_targets, cls_sum / n_examples, delta, lam), grads

@@ -22,7 +22,7 @@ from typing import Any
 
 import numpy as np
 
-from .checkpoint import SAMPLER_SECTION, section_fields
+from .checkpoint import SAMPLER_SECTION, json_int, section_fields
 from .corpus import PackedCorpus, PackedExample
 from .errors import CheckpointError, ConfigError
 from .nputil import rng_from_state, softmax, unit_rows
@@ -128,21 +128,23 @@ def state_from_json(raw: dict[str, Any], corpus: PackedCorpus) -> SamplerState:
     """Rebuild a sampler saved by state_to_json over the same corpus, or raise CheckpointError."""
     by_domain = _domain_rows(corpus)
     with section_fields(SAMPLER_SECTION):
-        if raw["target"] != corpus.table.target_index:
-            raise CheckpointError(f"checkpoint targets domain {raw['target']}, "
+        target = json_int(raw["target"], "sampler target")
+        if target != corpus.table.target_index:
+            raise CheckpointError(f"checkpoint targets domain {target}, "
                                   f"corpus targets {corpus.table.target_index}")
         if len(raw["queues"]) != len(by_domain):
             raise CheckpointError("sampler state disagrees with the corpus domains")
         queues = []
         for i, q in enumerate(raw["queues"]):
-            order = np.asarray(q["order"], dtype=np.int64)
+            order = [json_int(k, f"queue {i} order entry") for k in q["order"]]
             n = len(by_domain[i])
-            if not np.array_equal(np.sort(order), np.arange(n)):
+            if sorted(order) != list(range(n)):
                 raise CheckpointError(f"queue {i} order is not a permutation of its {n} examples")
-            cursor = int(q["cursor"])
+            cursor = json_int(q["cursor"], f"queue {i} cursor")
             if not 0 <= cursor <= n:
                 raise CheckpointError(f"queue {i} cursor {cursor} is outside [0, {n}]")
-            queues.append(DomainQueue(rows=by_domain[i], order=order, cursor=cursor))
+            queues.append(DomainQueue(rows=by_domain[i], order=np.array(order, np.int64),
+                                      cursor=cursor))
         probs = np.asarray(raw["probs"], dtype=np.float64)
         if not (probs.shape == (len(by_domain),) and np.all(probs >= 0.0)
                 and abs(probs.sum() - 1.0) <= 1e-9):
@@ -150,7 +152,7 @@ def state_from_json(raw: dict[str, Any], corpus: PackedCorpus) -> SamplerState:
                                   f"{len(by_domain)} domains")
         return SamplerState(
             queues=queues, probs=probs,
-            target=int(raw["target"]), tau=float(raw["tau"]),
+            target=target, tau=float(raw["tau"]),
             rng=rng_from_state(raw["rng"]), corpus=corpus,
             explore=float(raw["explore"]),
         )

@@ -189,7 +189,7 @@ class RunState:
                                   f"not the corpus's (target {table.target_index})")
         with checkpoint.section_fields(checkpoint.TRAINER_SECTION):
             theirs = {**dataclasses.asdict(bundle.config), **bundle.trainer.get("config", {})}
-            next_step = int(bundle.trainer["next_step"])
+            next_step = checkpoint.json_int(bundle.trainer["next_step"], "next_step")
             mask_rng = rng_from_state(bundle.trainer["mask_rng"])
         for name, value in {**dataclasses.asdict(mc), **tc.run_fields()}.items():
             if theirs.get(name) != value:

@@ -434,26 +434,32 @@ HEAD_SHARD_CASES = {
 
 
 class TestHeadShards:
-    """The masked-token head gives the same bytes however its targets are
-    split over threads."""
+    """The masked-token head gives the same bytes however its targets and its
+    tied projection's vocabulary rows are split over threads."""
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     @pytest.mark.parametrize("case", list(HEAD_SHARD_CASES))
     def test_every_split_gives_the_same_bytes(self, dtype, case, monkeypatch):
+        """One part for every cut (the unsplit head) against one to three
+        target parts, the tied gradient in as many vocabulary parts as
+        _large_parts allows."""
         cfg = model.ModelConfig(vocab_size=2305, n_domains=3, max_len=128, dtype=dtype)
         params = model.init_params(cfg, derive_rng(4, 0))
         batch = batch_with_target_counts(5, cfg.vocab_size, cfg.max_len, HEAD_SHARD_CASES[case])
         ex_idx, _, tok = batch.flat_targets()
         rows, slots = batch.output_rows()
         t = len(tok)
-        if case == "three parts":  # the split this test is for does happen
+        if case == "three parts":  # the splits this test is for do happen
             width = cfg.d_hidden * cfg.vocab_size
             assert len(model._large_parts(t, 3, width)) == 3
-            assert len(model._large_parts(cfg.vocab_size, 3, t * cfg.d_hidden)) == 3
+            assert len(model._large_parts(cfg.vocab_size, cfg.vocab_size, t * cfg.d_hidden)) > 3
         dlogits = np.random.default_rng(6).normal(size=(t, cfg.vocab_size)).astype(cfg.np_dtype)
+        large_parts = model._large_parts
         out = []
-        for shards in (1, 2, 3):
+        for shards, most in ((1, 1), (1, None), (2, None), (3, None)):
             monkeypatch.setattr(model, "_shard_count", lambda b_, l_, n=shards: n)
+            monkeypatch.setattr(model, "_large_parts", lambda rows_, n, width, m=most:
+                                large_parts(rows_, min(n, m or n), width))
             cache = model.encode(batch.input_ids, batch.valid_lens, params, cfg, rows)
             logits, _ = model.mlm_logits_eal(cache, ex_idx, slots, params)
             no_logits, ealc = model.mlm_logits_eal(cache, ex_idx, slots, params, tok)
@@ -475,7 +481,7 @@ class TestHeadShards:
         """Cuts fall on multiples of HEAD_ROWS, the parts tile the rows, and
         each holds more than SMALL_GEMM multiply-adds (or is the only one)."""
         for rows in (0, 1, 23, 24, 47, 48, 95, 96, 114, 247, 2305):
-            for n in (1, 2, 3):
+            for n in (1, 2, 3, 10_000):
                 for width in (64 * 2305, 64 * 20, 114 * 64, 1):
                     parts = model._large_parts(rows, n, width)
                     assert 1 <= len(parts) <= n
@@ -485,6 +491,84 @@ class TestHeadShards:
                         assert all(p.start % model.HEAD_ROWS == 0 for p in parts)
                         assert all((p.stop - p.start) * width > model.SMALL_GEMM
                                    for p in parts)
+
+    def test_the_tied_gradient_builds_no_vocabulary_wide_product(self, monkeypatch):
+        """At train-wide-pool's shapes (vocabulary 8,005, 8x32 rows, 40
+        targets) the batch takes one target part; the tied gradient's
+        vocabulary parts keep mlm_head_backward's traced peak above its
+        inputs below half of one V x d product, which one part builds whole."""
+        cfg = model.ModelConfig(vocab_size=8005, n_domains=3, max_len=32)
+        params = model.init_params(cfg, derive_rng(4, 0))
+        batch = batch_with_target_counts(5, cfg.vocab_size, cfg.max_len, [5] * 8)
+        ex_idx, _, tok = batch.flat_targets()
+        rows, slots = batch.output_rows()
+        cache = model.encode(batch.input_ids, batch.valid_lens, params, cfg, rows)
+        _, ealc = model.mlm_logits_eal(cache, ex_idx, slots, params, tok)
+        dlogits = np.random.default_rng(6).normal(size=(len(tok), cfg.vocab_size))
+        dlogits = dlogits.astype(cfg.np_dtype)
+        grads, d_h = model.zero_grads(cfg), np.zeros_like(cache.h)
+        peak = traced_peak(monkeypatch, lambda: model.mlm_head_backward(
+            dlogits, ealc, d_h, params, grads))
+        product = params["tok_emb"].nbytes
+        assert peak < product / 2, (peak, product)
+
+    # Prints, for the OpenBLAS core the child runs, every array of the head
+    # (forward and backward) whose bytes differ between one part for every
+    # cut and a split: up to three target parts, and the tied gradient in
+    # as many vocabulary parts as _large_parts allows. The shapes span the
+    # vocabularies and target counts the cut rule was checked at.
+    CORE_CUTS = """
+import ctypes, hashlib, json, os
+import numpy as np
+from dombert import model, nputil
+with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
+    libs = [ctypes.CDLL(path, mode=os.RTLD_NOLOAD) for path in nputil._openblas_paths(fh)]
+ask = getattr(libs[0], "scipy_openblas_get_corename64_", None) if libs else None
+if ask is not None:
+    ask.restype = ctypes.c_char_p
+core = ask().decode() if ask is not None else None
+cases, differ = 0, []
+if core == os.environ["OPENBLAS_CORETYPE"]:
+    large_parts, rng = model._large_parts, np.random.default_rng(0)
+    for dtype in ("float32", "float64"):
+        for v in (20, 300, 2305, 8005):
+            cfg = model.ModelConfig(vocab_size=v, n_domains=3, dtype=dtype)
+            params = model.init_params(cfg, rng)
+            for t in (1, 23, 37, 147, 300, 700):
+                h = rng.standard_normal((t, 1, cfg.d_hidden), dtype=cfg.np_dtype)
+                fwd = model.ForwardCache(np.zeros((t, 1), np.int64), None, h)
+                idx, slots, tok = np.arange(t), np.zeros(t, np.int64), rng.integers(0, v, t)
+                dlogits = rng.standard_normal((t, v), dtype=cfg.np_dtype)
+                runs = []
+                for shards, most in ((1, 1), (3, v)):
+                    model._shard_count = lambda b, l, n=shards: n
+                    model._large_parts = (lambda rows, n, width, m=most:
+                                          large_parts(rows, min(n, m), width))
+                    logits = model.mlm_logits_eal(fwd, idx, slots, params)[0]
+                    run = {"logits": hashlib.sha256(logits).hexdigest()}
+                    del logits
+                    ealc = model.mlm_logits_eal(fwd, idx, slots, params, tok)[1]
+                    grads, d_h = model.zero_grads(cfg), np.zeros_like(h)
+                    model.mlm_head_backward(dlogits, ealc, d_h, params, grads)
+                    run.update((k, hashlib.sha256(a).hexdigest()) for k, a in (
+                        ("exp", ealc.exp), ("exp_sum", ealc.exp_sum), ("picked", ealc.picked),
+                        ("d_h", d_h), ("grads", grads.flat)))
+                    runs.append(run)
+                    del ealc
+                cases += 1
+                differ += [f"{dtype} V={v} T={t} {k}" for k in runs[0] if runs[0][k] != runs[1][k]]
+print(json.dumps({"core": core, "cases": cases, "differ": differ}))
+"""
+
+    @pytest.mark.parametrize("core", ["Haswell", "Sandybridge"])
+    def test_the_cuts_keep_the_bytes_on_other_openblas_cores(self, core):
+        """tools/digests.py checks the bytes on one OpenBLAS core; the
+        head's cuts must keep them on the other cores HEAD_ROWS was chosen
+        for, forced through OPENBLAS_CORETYPE in a child process."""
+        seen = run_fresh(self.CORE_CUTS, OPENBLAS_CORETYPE=core)
+        if seen["core"] != core:
+            pytest.skip(f"OpenBLAS runs {seen['core']} here when asked for {core}")
+        assert seen["cases"] == 48 and seen["differ"] == [], seen
 
 
 class TestRunAll:
@@ -571,11 +655,11 @@ class TestRunAll:
         assert os.waitstatus_to_exitcode(status[1]) == 0
 
 
-def run_fresh(script: str):
+def run_fresh(script: str, **env_vars: str):
     """The JSON that script prints last, run in a new interpreter that
-    imports this dombert."""
+    imports this dombert, with env_vars added to its environment."""
     src = os.path.dirname(os.path.dirname(nputil.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    env = {**os.environ, **env_vars, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 import sys
 import tracemalloc
@@ -393,6 +394,41 @@ class TestBackward:
         one = traced_peak(monkeypatch, step(1))
         two = traced_peak(monkeypatch, step(2))
         assert two - one < grad_bytes + cache_bytes / 8, (one, two, grad_bytes, cache_bytes)
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="CPython frees an argument "
+                        "passed as a temporary once the callee drops it from 3.11 on")
+    def test_a_step_frees_each_micro_batch_array_at_its_last_read(self, monkeypatch):
+        """step hands backward the only reference to each micro-batch's
+        cache. Over four 8x128 micro-batches (vocabulary 2,305, 19 targets a
+        row), layer 0's backward starts with no head cache (whose exp is T x
+        V) and no layer-1 cache alive, and the step's traced peak stays
+        below 14 MiB: 12.4 here, 15.6 when each cache is held through its
+        backward."""
+        cfg = model.ModelConfig(vocab_size=2305, n_domains=3)
+        batches = [batch_with_target_counts(seed, cfg.vocab_size, cfg.max_len, [19] * 8)
+                   for seed in range(4)]
+        params = model.init_params(cfg, derive_rng(0, 0))
+
+        def step():
+            return objective.step(batches, [None] * 4, params, cfg, 0.9)
+
+        assert traced_peak(monkeypatch, step) < 14 * 2 ** 20
+        alive = []
+        layer_backward = model._layer_backward
+
+        def counted(*args, i, **kwargs):
+            if i == 0:
+                objs = gc.get_objects()
+                alive.append((sum(isinstance(o, model.EalCache) for o in objs),
+                              sum(isinstance(o, model.LayerCache) for o in objs)))
+                del objs
+            return layer_backward(*args, i=i, **kwargs)
+
+        # Whole batches: a shard's view of a cache is a LayerCache too.
+        monkeypatch.setattr(model, "_shard_count", lambda b_, l_: 1)
+        monkeypatch.setattr(model, "_layer_backward", counted)
+        step()
+        assert alive == [(0, 1)] * 4, alive
 
     def test_no_micro_batches_is_input_error(self, monkeypatch):
         cfg, params, _, lam = random_instance(12)

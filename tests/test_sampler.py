@@ -137,15 +137,25 @@ class TestQueues:
         ("order", [0, 1], "queue 0 order is not a permutation"),
         ("probs", [0.5, 0.5], "probs are not a distribution over the 3 domains"),
         ("probs", [float("nan"), 0.5, 0.5], "probs are not a distribution"),
+        ("order", [0.0, 1.9, 2.0], "queue 0 order entry 0.0 is not an integer"),
+        ("cursor", 1.5, "queue 0 cursor 1.5 is not an integer"),
+        ("cursor", True, "queue 0 cursor True is not an integer"),
+        ("cursor", "2", "queue 0 cursor '2' is not an integer"),
+        ("target", False, "sampler target False is not an integer"),
+        ("target", 0.0, "sampler target 0.0 is not an integer"),
     ], ids=["cursor below the queue", "cursor past the queue", "repeated example",
-            "order of another length", "probs of another length", "NaN in probs"])
+            "order of another length", "probs of another length", "NaN in probs",
+            "float order", "float cursor", "bool cursor", "string cursor", "bool target",
+            "float target"])
     def test_damaged_state_rejected(self, rng, key, value, match):
         """A damaged state would resume with other draws than the
-        uninterrupted run, or fail in the first sample_batch."""
+        uninterrupted run, or fail in the first sample_batch. An integer
+        field holds a JSON integer, as state_to_json writes it: int() and
+        == would take a float, bool or string for one."""
         saved = state_to_json(self._state(rng, [3, 1, 1]))
         corpus = packed_corpus(rng, [3, 1, 1])
         assert state_from_json(saved, corpus).queues[0].cursor == 0
-        (saved if key == "probs" else saved["queues"][0])[key] = value
+        (saved if key in ("probs", "target") else saved["queues"][0])[key] = value
         with pytest.raises(CheckpointError, match=match):
             state_from_json(saved, corpus)
 

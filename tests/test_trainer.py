@@ -784,6 +784,23 @@ class TestResume:
             with pytest.raises(CheckpointError, match=f"Adamax step {step} "):
                 trainer.train(tc, corpus, mc, resume=bundle)
 
+    @pytest.mark.parametrize("value", [3.0, 3.5, "3", True],
+                             ids=["float", "fraction", "string", "bool"])
+    def test_resume_refuses_a_next_step_that_is_not_an_integer(self, tmp_path, value):
+        """The trainer section's next_step holds a JSON integer, as
+        save_training_checkpoint writes it; int() would read these as a
+        step. True stands for 1, the next step of no checkpoint."""
+        corpus = make_corpus(counts=(8, 6, 5))
+        mc = small_model_config(corpus)
+        tc = trainer.TrainConfig(epochs=2, seed=5, micro_batch=2, accum_steps=2,
+                                 checkpoint_interval=2)
+        trainer.train(tc, corpus, mc, out_dir=tmp_path)
+        bundle = checkpoint.load(tmp_path / "ckpt_step000002.ckpt")
+        assert bundle.trainer["next_step"] == 3
+        bundle.trainer["next_step"] = value
+        with pytest.raises(CheckpointError, match=f"next_step {value!r} is not an integer"):
+            trainer.train(tc, corpus, mc, resume=bundle)
+
     @pytest.mark.parametrize("field, value", [("beta1", "0.5"), ("beta2", "0.99"),
                                               ("eps", "1e-06")])
     def test_resume_refuses_other_adamax_settings(self, tmp_path, field, value):
